@@ -18,8 +18,7 @@ def _column_layout(n, m):
         return 1, n, [n]
     if m < 2 * q:
         raise ValueError(
-            f"window size {m} too small for {q} columns (need m >= 2*ceil(n/m)); "
-            "this scheme requires n <= m*m/2")
+            f"window size {m} too small for {q} columns (need m >= 2*ceil(n/m))")
     mt = -(-n // q)
     if mt % 2 and m // q == 2:
         # odd column heights with two rows per packed window would force a

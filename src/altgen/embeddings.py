@@ -108,19 +108,47 @@ def embed_pi(model, axis, el3):
 
 
 def el3_line_actions(model, el3):
-    """Per-line actions of an EL3 element: (variant ids, variant K-perms)."""
+    """Per-line actions of an EL3 element: (variant ids, variant K-perms).
+
+    Variants are the distinct copy matrices in lexicographic order of their
+    block rows, each represented by its first copy.
+    """
     geo = model.geometry
     if el3.m != geo.lines_per_axis:
         raise ValueError(
             f"element has {el3.m} copies; geometry needs {geo.lines_per_axis}")
-    sig = np.concatenate(
-        [el3.blocks[i][j].rows for i in range(3) for j in range(3)], axis=1)
-    _, rep_idx, vid = np.unique(sig, axis=0, return_index=True, return_inverse=True)
+    keys = _copy_keys(el3)
+    order = np.lexsort(keys[::-1])
+    ranked = keys[:, order]
+    new = np.ones(el3.m, dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    vid = np.empty(el3.m, dtype=np.int64)
+    vid[order] = np.cumsum(new) - 1
+    rep_idx = order[new]
     tables = np.empty((len(rep_idx), geo.K), dtype=np.int64)
     for v, rep in enumerate(rep_idx):
         perm = model.action.matrix_to_permutation(el3.copy_matrix(int(rep)))
         tables[v] = perm.table
-    return vid.astype(np.int64), tables
+    return vid, tables
+
+
+def _copy_keys(el3):
+    """(words, m) uint64 keys whose lexicographic order is that of the rows.
+
+    The 9s block rows of s bits each are packed first row highest, 64 // s
+    rows to a word, so comparing keys word by word compares the rows in order.
+    """
+    s = el3.s
+    sig = np.concatenate(
+        [el3.blocks[i][j].rows for i in range(3) for j in range(3)],
+        axis=1).astype(np.uint64)
+    per_word = 64 // s
+    words = []
+    for start in range(0, sig.shape[1], per_word):
+        chunk = sig[:, start:start + per_word]
+        shifts = np.uint64(s) * np.arange(chunk.shape[1] - 1, -1, -1, dtype=np.uint64)
+        words.append(np.bitwise_or.reduce(chunk << shifts, axis=1))
+    return np.array(words)
 
 
 def _perm_parity_small(table):
@@ -237,10 +265,17 @@ def build_SN(s, d=6):
 
     sbar = el3_generating_set(s, m)
     gen_names = _involution_labels(s, m)
+    # an involution acts on the lines of every axis alike, so its line
+    # actions are computed once and shared, read-only, by its d specs
+    actions = []
+    for el in sbar:
+        vid, tables = el3_line_actions(model, el)
+        vid.setflags(write=False)
+        tables.setflags(write=False)
+        actions.append((vid, tables))
     specs = []
     for axis in range(1, d + 1):
-        for k, el in enumerate(sbar):
-            vid, tables = el3_line_actions(model, el)
+        for k, (vid, tables) in enumerate(actions):
             specs.append(GeneratorSpec(
                 f"pi{axis}.{gen_names[k]}", axis, "lines", (axis, vid, tables),
                 provenance=f"axis {axis}, involution {gen_names[k]}"))

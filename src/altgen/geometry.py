@@ -6,12 +6,31 @@ value j stands for the j-th power of the fixed multiplicative generator of
 the side field, so the order-K cyclic shift acts as coordinate +1 mod K.
 """
 
-from functools import lru_cache
+import functools
 
 import numpy as np
 
 # Above this many points the index tables are refused (shape-only geometry).
 DEFAULT_TABLE_LIMIT = 10**7
+
+
+def _cached_table(method):
+    """Cache a per-axis table on the geometry instance, read-only.
+
+    The cache lives and dies with the instance, so dropping a geometry frees
+    its N-sized tables.
+    """
+    @functools.wraps(method)
+    def cached(self, axis):
+        key = (method.__name__, axis)
+        table = self._tables.get(key)
+        if table is None:
+            table = method(self, axis)
+            table.setflags(write=False)
+            self._tables[key] = table
+        return table
+
+    return cached
 
 
 class CubeGeometry:
@@ -28,6 +47,7 @@ class CubeGeometry:
         self.N = self.K**d
         self.lines_per_axis = self.K ** (d - 1)
         self.table_limit = table_limit
+        self._tables = {}   # (method name, axis) -> cached index table
 
     @property
     def materializable(self):
@@ -69,7 +89,7 @@ class CubeGeometry:
                 "this geometry supports shape-only use"
             )
 
-    @lru_cache(maxsize=None)
+    @_cached_table
     def coord_array(self, axis):
         """Coordinate along `axis` (1-based) of every point, shape (N,)."""
         self._require_tables()
@@ -78,7 +98,7 @@ class CubeGeometry:
         idx = np.arange(self.N, dtype=np.int64)
         return (idx // self.K ** (axis - 1)) % self.K
 
-    @lru_cache(maxsize=None)
+    @_cached_table
     def line_id_array(self, axis):
         """Axis-`axis` line id of every point, shape (N,).
 
@@ -96,7 +116,7 @@ class CubeGeometry:
             mult *= self.K
         return lid
 
-    @lru_cache(maxsize=None)
+    @_cached_table
     def line_points(self, axis):
         """Table (K^(d-1), K): point index of (line, coordinate value)."""
         self._require_tables()

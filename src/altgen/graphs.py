@@ -142,37 +142,29 @@ class AxisBlockGraph(SparseGraph):
         K = geo.K
         m = geo.lines_per_axis
         axes = sorted({spec.axis for spec in genset.specs})
-        per_axis_count = {}
-        blocks = {}
-        self._variants = {}
-        for axis in axes:
-            blocks[axis] = np.zeros((m, K, K))
-            per_axis_count[axis] = 0
-            self._variants[axis] = {}
+        self.degree = 2 * len(genset.specs)
+        # integer edge multiplicities per (line, row, column), divided once;
+        # none exceeds the degree, which sets the narrowest exact dtype
+        count_type = np.min_scalar_type(self.degree)
+        counts = {axis: np.zeros((m, K, K), dtype=count_type) for axis in axes}
+        self._variants = {axis: {} for axis in axes}
+        rows = np.arange(K)
         for spec in genset.specs:
             if spec.kind != "lines":
                 raise ValueError("axis-block form needs line-structured generators")
             axis, vid, tables = spec.payload
-            onehots = np.zeros((len(tables), K, K))
-            rows = np.arange(K)
+            onehots = np.zeros((len(tables), K, K), dtype=count_type)
             for v, t in enumerate(tables):
-                onehots[v, rows, t] = 1.0
-            counts = np.zeros((m, len(tables)))
-            counts[np.arange(m), vid] = 1.0
+                onehots[v, rows, t] = 1
             # generator and its inverse (transpose of each onehot)
-            blocks[axis] += np.einsum("mv,vab->mab", counts,
-                                      onehots + onehots.transpose(0, 2, 1))
-            per_axis_count[axis] += 2
+            counts[axis] += (onehots + onehots.transpose(0, 2, 1))[vid]
             store = self._variants[axis]
             for v, t in enumerate(tables):
                 key = t.tobytes()
                 if key not in store:
                     store[key] = (t.copy(), np.zeros(m, dtype=bool))
                 store[key][1][vid == v] = True
-        self.degree = sum(per_axis_count.values())
-        for axis in axes:
-            blocks[axis] /= self.degree
-        self._blocks = blocks
+        self._blocks = {axis: counts[axis] / self.degree for axis in axes}
         self._axes = axes
 
     def matvec(self, v):

@@ -80,3 +80,5 @@ def test_window_size_preconditions():
         window_family(100, 4)   # below the minimum window size
     with pytest.raises(ValueError):
         window_family(200, 10)  # m < 2 ceil(n/m)
+    with pytest.raises(ValueError, match="m >= 2"):
+        window_family(1200, 49)  # 49 < 2 ceil(1200/49) = 50, though n <= m*m/2

@@ -93,6 +93,30 @@ def test_verify_walk_suite(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_words_suite(tmp_path, capsys):
+    code, report = run_cli(["verify", "--suite", "words", "--trials", "1"],
+                           tmp_path, "words")
+    capsys.readouterr()
+    assert code == 0
+    recs = {r["name"]: r for r in report["records"]}
+    assert recs["words.route-exact"]["verdict"] == "pass"
+
+
+def test_spectral_without_a_graph_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", "--d", "2"])
+    assert exc.value.code == 2
+    assert "--s or --edges" in capsys.readouterr().err
+
+
+def test_verify_rejects_unknown_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "certify,certfy"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "certfy" in err and "characters" in err and "spectral" in err
+
+
 def test_spectral_command_on_edges(tmp_path, capsys):
     edges = tmp_path / "cycle.txt"
     lines = ["# vertices 8 degree 2"] + [f"{i} {(i + 1) % 8}" for i in range(8)]

@@ -5,10 +5,10 @@ import pytest
 
 from altgen.embeddings import (CubeModel, GeneratingSet, ShiftVector, build_Fn,
                                build_sym, build_SN, delta_h_generating_set,
-                               embed_pi)
+                               el3_line_actions, embed_pi)
 from altgen.gf2 import primitive_order_K_element
 from altgen.perms import Permutation
-from altgen.ring import EL3Element, random_el3
+from altgen.ring import EL3Element, el3_generating_set, random_el3
 from altgen.schreier_sims import group_order
 
 
@@ -77,6 +77,32 @@ def test_build_sn_unique_labels_and_parity():
     # structural parity agrees with the materialized one
     for i in range(0, len(sn), 17):
         assert sn.parity(i) == sn.materialize(i).parity
+
+
+@pytest.mark.parametrize("s, d", [(1, 2), (1, 3), (2, 2)])
+def test_line_actions_match_every_copy(s, d):
+    model = CubeModel(s, d)
+    m = model.geometry.lines_per_axis
+    rng = np.random.default_rng(11)
+    for el in [random_el3(s, m, rng)] + el3_generating_set(s, m)[:6]:
+        vid, tables = el3_line_actions(model, el)
+        assert vid.shape == (m,) and set(vid.tolist()) == set(range(len(tables)))
+        for j in range(m):
+            expect = model.action.matrix_to_permutation(el.copy_matrix(j)).table
+            assert np.array_equal(tables[vid[j]], expect)
+
+
+def test_build_sn_shares_read_only_line_actions():
+    sn = build_SN(1, 3)
+    per_axis = len(sn.el3_elements)
+    assert len(sn) == 3 * per_axis
+    for k in range(per_axis):
+        _, vid, tables = sn.specs[k].payload
+        assert not vid.flags.writeable and not tables.flags.writeable
+        for axis in (2, 3):
+            spec = sn.specs[(axis - 1) * per_axis + k]
+            assert spec.payload[0] == axis
+            assert spec.payload[1] is vid and spec.payload[2] is tables
 
 
 def test_build_sn_generates_full_alternating_group():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,16 @@ def test_lines_partition_points():
             for j in range(3):
                 if j != axis - 1:
                     assert len(set(coords[:, j])) == 1
+
+
+def test_cached_tables_die_with_the_geometry():
+    g = CubeGeometry(1, 3)
+    assert g.line_points(1) is g.line_points(1)
+    assert not g.line_points(1).flags.writeable
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_shape_only_geometry_refuses_tables():

@@ -194,6 +194,25 @@ def test_schreier_small_and_axis_block_agree():
     assert abs(r1.gap - r2.gap) < 1e-10
 
 
+def test_axis_blocks_are_exact_edge_counts():
+    # multiplicities counted from the materialized generators and inverses;
+    # compared as counts / degree, since (c / D) * D need not round back to c
+    sn = build_SN(1, 3)
+    g = AxisBlockGraph(sn)
+    geo = sn.model.geometry
+    assert g.degree == 2 * len(sn)
+    for axis in (1, 2, 3):
+        lid, pos = geo.line_id_array(axis), geo.coord_array(axis)
+        counts = np.zeros((geo.lines_per_axis, geo.K, geo.K), dtype=np.int64)
+        for i, spec in enumerate(sn.specs):
+            if spec.axis == axis:
+                p = sn.materialize(i)
+                for t in (p.table, p.inverse().table):
+                    assert np.array_equal(lid[t], lid)
+                    np.add.at(counts, (lid, pos, pos[t]), 1)
+        assert np.array_equal(g._blocks[axis], counts / g.degree)
+
+
 def test_matvec_doubly_stochastic():
     sn = build_SN(1, 2)
     g = AxisBlockGraph(sn)
