@@ -9,6 +9,7 @@ window.
 
 import numpy as np
 
+from .errors import require
 from .perms import Permutation
 
 
@@ -29,7 +30,7 @@ def _column_layout(n, m):
                 f"no balanced column layout for n={n}, m={m}; "
                 "choose a window size with ceil(n/ceil(n/m)) < m")
     sizes = [mt] * (q - 1) + [n - (q - 1) * mt]
-    assert sizes[-1] >= 1 and sum(sizes) == n
+    require(sizes[-1] >= 1 and sum(sizes) == n, "column layout misses points")
     return q, mt, sizes
 
 
@@ -44,13 +45,13 @@ def _row_groups(mt, rpw):
     if rest == 1:
         # borrow one row so no group is a singleton; rpw == 2 never gets
         # here because column heights are even in that regime
-        assert groups and len(groups[-1]) >= 3
+        require(groups and len(groups[-1]) >= 3, "no row group to borrow from")
         last = groups[-1]
         groups[-1] = last[:-1]
         groups.append([last[-1], start])
     else:
         groups.append(list(range(start, mt)))
-    assert all(len(g) >= 2 for g in groups)
+    require(all(len(g) >= 2 for g in groups), "singleton row group")
     return groups
 
 
@@ -79,8 +80,7 @@ def window_family(n, m):
     padded = []
     for w in windows:
         w = sorted(w)
-        if len(w) > m:
-            raise AssertionError("window exceeded size bound")
+        require(len(w) <= m, "window exceeded size bound")
         in_w = set(w)
         fill = (x for x in range(n) if x not in in_w)
         while len(w) < m:
@@ -93,132 +93,59 @@ def factor_count_bound(n, m):
     return 3 * (-(-n // m)) + 3
 
 
-# -- edge coloring with one deficient column ----------------------------------
+# -- bipartite edge coloring ---------------------------------------------------
 
 
-def _one_sided_matching(required, adj):
-    """Kuhn matching saturating every node in `required`; returns partner map."""
-    match = {}  # opposite-side node -> (required-side node, eid)
+def color_regular_bipartite(left, right, n_left, n_right, degree):
+    """Proper edge coloring of a degree-regular bipartite multigraph.
 
-    def augment(u, visited):
-        for v, eid in adj.get(u, ()):
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match or augment(match[v][0], visited):
-                match[v] = (u, eid)
-                return True
-        return False
-
-    for u in required:
-        if not augment(u, set()):
-            raise AssertionError("required node cannot be matched")
-    return {u: (v, eid) for v, (u, eid) in match.items()}
-
-
-def _matching_covering_max_degree(adj, deg_left, deg_right, maxdeg):
-    """Matching covering every node of degree == maxdeg, on both sides.
-
-    Only edges between two max-degree nodes are used, which keeps high colors
-    away from the short column.  Two one-sided matchings are combined along
-    the components of their union; the standard parity argument shows every
-    component admits a choice covering all its max-degree endpoints.
+    Returns an array of colors in [0, degree); every node sees each color
+    exactly once.  The support graph of a regular bipartite multigraph has a
+    perfect matching (König), so `degree` rounds of Hopcroft-Karp each take
+    one edge from every matched pair's pool of parallel edges.
     """
-    full_left = [u for u in range(len(deg_left)) if deg_left[u] == maxdeg]
-    full_right = [v for v in range(len(deg_right)) if deg_right[v] == maxdeg]
-    fr = set(full_right)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    adj_ff = {u: [(v, eid) for v, eid in adj[u] if v in fr] for u in full_left}
-    radj_ff = {}
-    for u, lst in adj_ff.items():
-        for v, eid in lst:
-            radj_ff.setdefault(v, []).append((u, eid))
-
-    m1 = _one_sided_matching(full_left, adj_ff)       # left -> (right, eid)
-    m2 = _one_sided_matching(full_right, radj_ff)     # right -> (left, eid)
-
-    # component traversal over the union; nodes ('L', u) / ('R', v)
-    m1_at = {}
-    for u, (v, eid) in m1.items():
-        m1_at[("L", u)] = (("R", v), eid)
-        m1_at[("R", v)] = (("L", u), eid)
-    m2_at = {}
-    for v, (u, eid) in m2.items():
-        m2_at[("R", v)] = (("L", u), eid)
-        m2_at[("L", u)] = (("R", v), eid)
-
-    chosen = {}
-    seen = set()
-    nodes = [("L", u) for u in full_left] + [("R", v) for v in full_right]
-    for start in nodes:
-        if start in seen or (start not in m1_at and start not in m2_at):
-            continue
-        comp = []
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            comp.append(node)
-            for at in (m1_at, m2_at):
-                if node in at:
-                    stack.append(at[node][0])
-        # take m1 unless a max-degree right in this component lacks an m1 edge
-        use_m2 = any(node[0] == "R" and node[1] in fr and node not in m1_at
-                     for node in comp)
-        at = m2_at if use_m2 else m1_at
-        for node in comp:
-            if node[0] == "L" and node in at:
-                (_, v), eid = at[node], at[node][1]
-                chosen[node[1]] = eid
-        if use_m2:
-            uncovered = [n for n in comp if n[0] == "L" and n[1] in set(full_left)
-                         and n not in m2_at]
-            assert not uncovered, "component choice failed to cover a left node"
-
-    for u in full_left:
-        assert u in chosen, "max-degree left node left uncovered"
-    covered_rights = set()
-    for u, eid in chosen.items():
-        v = next(v for v, e in adj_ff[u] if e == eid)
-        assert v not in covered_rights
-        covered_rights.add(v)
-    assert covered_rights >= fr, "max-degree right node left uncovered"
-    return chosen
-
-
-def _color_edges(edges, q, sizes):
-    """Proper edge coloring of the column multigraph.
-
-    edges: list of (left_col, right_col).  Returns colors with
-    color(e) < min(sizes[left], sizes[right]); valid because at most one
-    column is short.
-    """
-    mt = max(sizes)
-    remaining = list(range(len(edges)))
-    colors = [-1] * len(edges)
-    deg_left = [0] * q
-    deg_right = [0] * q
-    for u, v in edges:
-        deg_left[u] += 1
-        deg_right[v] += 1
-    for color in range(mt - 1, -1, -1):
-        maxdeg = color + 1
-        adj = [[] for _ in range(q)]
-        for eid in remaining:
-            u, v = edges[eid]
-            adj[u].append((v, eid))
-        matched = _matching_covering_max_degree(adj, deg_left, deg_right, maxdeg)
-        used = set()
-        for u, eid in matched.items():
-            colors[eid] = color
-            used.add(eid)
-            deg_left[edges[eid][0]] -= 1
-            deg_right[edges[eid][1]] -= 1
-        remaining = [e for e in remaining if e not in used]
-    assert not remaining
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    key = left * n_right + right
+    order = np.argsort(key, kind="stable")
+    pairs, first, pool = np.unique(key[order], return_index=True,
+                                   return_counts=True)
+    taken = np.zeros(len(pairs), dtype=np.int64)
+    colors = np.full(len(left), -1, dtype=np.int64)
+    for color in range(degree):
+        live = np.flatnonzero(taken < pool)
+        support = csr_array((np.ones(len(live), dtype=np.int8),
+                             (pairs[live] // n_right, pairs[live] % n_right)),
+                            shape=(n_left, n_right))
+        mate = maximum_bipartite_matching(support, perm_type="column")
+        require((mate >= 0).all(), "no perfect matching: the graph is not regular")
+        hit = np.searchsorted(pairs, np.arange(n_left) * n_right + mate)
+        colors[order[first[hit] + taken[hit]]] = color
+        taken[hit] += 1
+    require((colors >= 0).all(), "edges left uncolored: the graph is not regular")
     return colors
+
+
+def _color_edges(col_from, col_to, sizes):
+    """Proper edge coloring of the column multigraph, one edge per point.
+
+    Returns colors with color(e) < min(sizes[from], sizes[to]).  Only the last
+    column j may be short: mt - sizes[j] dummy j -> j edges make the graph
+    mt-regular, and since a dummy has one color at both ends, numbering the
+    dummies' colors last leaves j's real edges the colors [0, sizes[j]).
+    """
+    q, mt = len(sizes), max(sizes)
+    dummies = np.full(mt - sizes[-1], q - 1, dtype=np.int64)
+    colors = color_regular_bipartite(np.concatenate([col_from, dummies]),
+                                     np.concatenate([col_to, dummies]), q, q, mt)
+    is_dummy = np.zeros(mt, dtype=bool)
+    is_dummy[colors[len(col_from):]] = True
+    rank = np.empty(mt, dtype=np.int64)
+    rank[np.argsort(is_dummy, kind="stable")] = np.arange(mt)
+    return rank[colors[:len(col_from)]]
 
 
 # -- the factorization ---------------------------------------------------------
@@ -239,34 +166,27 @@ def block_factor(g, m):
     if q == 1:
         return [g], windows
 
-    starts = [j * mt for j in range(q)]
-    rpw = m // q
-    groups = _row_groups(mt, rpw)
-    group_of = {}
-    for gi, grp in enumerate(groups):
-        for r in grp:
-            group_of[r] = gi
-
-    def col_of(x):
-        return min(x // mt, q - 1)
+    groups = _row_groups(mt, m // q)
 
     def cell(j, r):
-        return starts[j] + r
+        return j * mt + r
 
-    # color the destination multigraph
-    edges = [(col_of(x), col_of(int(g.table[x]))) for x in range(n)]
-    colors = _color_edges(edges, q, sizes)
-    for x in range(n):
-        assert colors[x] < min(sizes[col_of(x)], sizes[col_of(int(g.table[x]))])
+    # color the destination multigraph: one edge per point, column to column
+    col = np.minimum(np.arange(n) // mt, q - 1)
+    dest = g.table
+    dest_col = col[dest]
+    colors = _color_edges(col, dest_col, sizes)
+    heights = np.asarray(sizes)
+    require((colors < np.minimum(heights[col], heights[dest_col])).all(),
+            "edge color exceeds the height of a column it touches")
 
     # stage 1: within each column, send x to the row named by its color
     stage1 = []
     pos = np.arange(n, dtype=np.int64)  # pos[x] = current cell of item x
     for j in range(q):
-        items = [x for x in range(n) if col_of(x) == j]
+        items = np.flatnonzero(col == j)
         table = np.arange(n, dtype=np.int64)
-        for x in items:
-            table[x] = cell(j, colors[x])
+        table[items] = cell(j, colors[items])
         f = Permutation(table, _validate=False)
         if f.parity:
             r1, r2 = groups[0][0], groups[0][1]
@@ -277,14 +197,14 @@ def block_factor(g, m):
 
     # stage 2: within each row-group window, send items to (dest column, color)
     stage2 = []
+    target = cell(dest_col, colors)
     for gi, grp in enumerate(groups):
-        cells_in = {cell(j, r) for j in range(q) for r in grp if r < sizes[j]}
+        cells_in = [cell(j, r) for j in range(q) for r in grp if r < sizes[j]]
+        inside = np.isin(pos, cells_in)
+        require(np.isin(target[inside], cells_in).all(),
+                "stage-2 target leaves its row-group window")
         table = np.arange(n, dtype=np.int64)
-        for x in range(n):
-            if int(pos[x]) in cells_in:
-                target = cell(col_of(int(g.table[x])), colors[x])
-                assert target in cells_in
-                table[int(pos[x])] = target
+        table[pos[inside]] = target[inside]
         f = Permutation(table, _validate=False)
         if f.parity:
             # swap two cells of the full column 0 inside this group
@@ -297,16 +217,15 @@ def block_factor(g, m):
     # stage 3: within each column, send items to their final position
     stage3 = []
     for j in range(q):
+        mine = dest_col == j
         table = np.arange(n, dtype=np.int64)
-        for x in range(n):
-            if col_of(int(g.table[x])) == j:
-                table[int(pos[x])] = int(g.table[x])
+        table[pos[mine]] = dest[mine]
         stage3.append([Permutation(table, _validate=False), j])
 
     # stage-3 parities come in an even count of odd factors; fix them in pairs,
     # compensating both swaps inside one stage-2 window (its parity flips twice)
     odd = [idx for idx, item in enumerate(stage3) if item[0].parity]
-    assert len(odd) % 2 == 0
+    require(len(odd) % 2 == 0, "odd number of odd stage-3 factors")
     grp0 = groups[0]
     for a, b in zip(odd[0::2], odd[1::2]):
         swaps = []
@@ -321,16 +240,17 @@ def block_factor(g, m):
     window_index = []
     for f, widx in [(f, w) for f, w in stage3] + stage2[::-1] + stage1[::-1]:
         if not f.is_identity():
-            assert f.parity == 0, "factor parity fix failed"
+            require(f.parity == 0, "factor parity fix failed")
             factors.append(f)
             window_index.append(widx)
 
     bound = factor_count_bound(n, m)
-    assert len(factors) <= bound, f"{len(factors)} factors exceed bound {bound}"
+    require(len(factors) <= bound, f"{len(factors)} factors exceed bound {bound}")
     _check_block_product(factors, g)
     window_sets = [set(w) for w in windows]
     for f, widx in zip(factors, window_index):
-        assert set(map(int, f.support())) <= window_sets[widx]
+        require(set(map(int, f.support())) <= window_sets[widx],
+                "factor support leaves its window")
     return factors, windows
 
 
@@ -344,4 +264,4 @@ def _check_block_product(factors, g):
     acc = Permutation.identity(g.n)
     for f in factors:
         acc = acc * f
-    assert acc == g, "block factor multiply-back failed"
+    require(acc == g, "block factor multiply-back failed")

@@ -8,7 +8,6 @@ reports apart from the timing field.  Exit codes: 0 when nothing failed,
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,14 +24,6 @@ from .schreier_sims import group_order
 
 SCHEMA = "altgen-report-1"
 SUITES = ("certify", "characters", "gem", "blocks", "walk", "words", "spectral")
-
-
-def thread_count():
-    """Worker cap from ALTGEN_THREADS; results never depend on its value."""
-    try:
-        return max(1, int(os.environ.get("ALTGEN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -516,10 +507,8 @@ def _route_is_exact(model, sigma):
 
 
 def _config(args):
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func", "report") and v is not None}
-    cfg["threads"] = thread_count()
-    return cfg
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "report") and v is not None}
 
 
 def build_parser():

@@ -11,7 +11,7 @@ import numpy as np
 
 from .geometry import CubeGeometry
 from .gf2 import SideFieldAction
-from .perms import Permutation
+from .perms import Permutation, cycle_labels
 from .ring import EL3Element, el3_generating_set, el3_generating_set_size
 from . import blocks as _blocks
 
@@ -151,21 +151,6 @@ def _copy_keys(el3):
     return np.array(words)
 
 
-def _perm_parity_small(table):
-    n = len(table)
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = int(table[x])
-    return (n - cycles) % 2
-
-
 class GeneratorSpec:
     """One labeled generator; materializable as a Permutation on demand."""
 
@@ -223,7 +208,11 @@ class GeneratingSet:
         spec = self.specs[i]
         if spec.kind == "lines":
             axis, vid, tables = spec.payload
-            variant_par = np.array([_perm_parity_small(t) for t in tables])
+            count, labels = cycle_labels(tables)
+            row_of_cycle = np.empty(count, dtype=np.int64)
+            row_of_cycle[labels] = np.arange(len(tables))[:, None]
+            cycles = np.bincount(row_of_cycle, minlength=len(tables))
+            variant_par = (tables.shape[1] - cycles) % 2
             counts = np.bincount(vid, minlength=len(tables))
             return int(counts @ variant_par) % 2
         if spec.kind == "shift":

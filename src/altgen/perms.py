@@ -102,22 +102,12 @@ class Permutation:
         return out
 
     def cycle_count(self):
-        seen = np.zeros(self.n, dtype=bool)
-        table = self.table
-        count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            count += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = int(table[x])
-        return count
+        return cycle_labels(self.table)[0]
 
     def cycle_type(self):
         """Multiset of cycle lengths, fixed points included, sorted descending."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return tuple(sorted(np.bincount(cycle_labels(self.table)[1]).tolist(),
+                            reverse=True))
 
     @property
     def parity(self):
@@ -141,6 +131,27 @@ class Permutation:
             return f"Permutation(n={self.n}, {len(nontrivial)} cycles)"
         desc = " ".join("(" + " ".join(map(str, c)) + ")" for c in nontrivial)
         return f"Permutation(n={self.n}, {desc})"
+
+
+def cycle_labels(tables):
+    """Cycles of a permutation table, or of each row of a stack of tables.
+
+    The cycles are the strongly connected components of the graph
+    x -> table[x].  Returns (count, labels): labels has the shape of
+    `tables`, and rows of a stack never share a label.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    tables = np.asarray(tables, dtype=np.int64)
+    rows = np.atleast_2d(tables)
+    n = rows.shape[1]
+    heads = (rows + n * np.arange(len(rows))[:, None]).ravel()
+    size = heads.size
+    graph = csr_array((np.ones(size, dtype=np.int8), heads, np.arange(size + 1)),
+                      shape=(size, size))
+    count, labels = connected_components(graph, connection="strong")
+    return count, labels.reshape(tables.shape)
 
 
 def compose(p, q):

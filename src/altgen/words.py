@@ -9,8 +9,10 @@ conjugation word assembling all three.
 
 import numpy as np
 
-from .perms import Permutation
+from .blocks import color_regular_bipartite
 from .embeddings import ShiftVector
+from .errors import require
+from .perms import Permutation
 
 
 class WordInE:
@@ -57,133 +59,6 @@ def standard_cycle_length(K, d):
     return 1 + a * (K - 1), a
 
 
-# -- regular bipartite edge coloring ------------------------------------------
-
-
-def _perfect_matching(eids, left, right, n_left, n_right):
-    """One perfect matching of a regular bipartite multigraph (edge ids)."""
-    adj = [[] for _ in range(n_left)]
-    for eid in eids:
-        adj[left[eid]].append(eid)
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    for u in range(n_left):  # greedy pass
-        for eid in adj[u]:
-            v = right[eid]
-            if match_r[v] == -1:
-                match_l[u], match_r[v] = eid, eid
-                break
-    for u in range(n_left):  # augment the rest, iteratively
-        if match_l[u] != -1:
-            continue
-        parent = {}  # right node -> edge id used to reach it
-        frontier = [u]
-        found = -1
-        visited = set()
-        while frontier and found == -1:
-            nxt = []
-            for uu in frontier:
-                for eid in adj[uu]:
-                    v = right[eid]
-                    if v in visited:
-                        continue
-                    visited.add(v)
-                    parent[v] = eid
-                    if match_r[v] == -1:
-                        found = v
-                        break
-                    nxt.append(left[match_r[v]])
-                if found != -1:
-                    break
-            frontier = nxt
-        if found == -1:
-            raise AssertionError("regular bipartite graph has a perfect matching")
-        v = found
-        while True:
-            eid = parent[v]
-            uu = left[eid]
-            prev = match_l[uu]
-            match_l[uu], match_r[v] = eid, eid
-            if prev == -1:
-                break
-            v = right[prev]
-    return [match_l[u] for u in range(n_left)]
-
-
-def _euler_split(eids, left, right, n_left, n_right):
-    """Split an all-even-degrees multigraph into two halves of equal degrees."""
-    incid = [[] for _ in range(n_left + n_right)]
-    for eid in eids:
-        incid[left[eid]].append(eid)
-        incid[n_left + right[eid]].append(eid)
-    ptr = [0] * (n_left + n_right)
-    used = set()
-    half = {}
-    for start in range(n_left + n_right):
-        while ptr[start] < len(incid[start]):
-            # walk a circuit from `start`
-            circuit = []
-            node = start
-            stack = [(node, None)]
-            path_edges = []
-            while stack:
-                node, via = stack[-1]
-                advanced = False
-                while ptr[node] < len(incid[node]):
-                    eid = incid[node][ptr[node]]
-                    ptr[node] += 1
-                    if eid in used:
-                        continue
-                    used.add(eid)
-                    other = n_left + right[eid] if node < n_left else left[eid]
-                    stack.append((other, eid))
-                    advanced = True
-                    break
-                if not advanced:
-                    stack.pop()
-                    if via is not None:
-                        circuit.append(via)
-            for k, eid in enumerate(circuit):
-                half[eid] = k & 1
-    h0 = [e for e in eids if half[e] == 0]
-    h1 = [e for e in eids if half[e] == 1]
-    return h0, h1
-
-
-def color_regular_bipartite(left, right, n_left, n_right, degree):
-    """Proper edge coloring of a degree-regular bipartite multigraph.
-
-    Returns an array of colors in [0, degree); every node sees each color
-    exactly once.  Odd degrees peel a perfect matching, even degrees split
-    along Euler circuits.
-    """
-    left = np.asarray(left)
-    right = np.asarray(right)
-    colors = np.full(len(left), -1, dtype=np.int64)
-
-    def rec(eids, deg, base):
-        if deg == 0 or not eids:
-            return
-        if deg == 1:
-            for e in eids:
-                colors[e] = base
-            return
-        if deg % 2:
-            matched = _perfect_matching(eids, left, right, n_left, n_right)
-            taken = set(matched)
-            for e in matched:
-                colors[e] = base + deg - 1
-            rec([e for e in eids if e not in taken], deg - 1, base)
-        else:
-            h0, h1 = _euler_split(eids, left, right, n_left, n_right)
-            rec(h0, deg // 2, base)
-            rec(h1, deg // 2, base + deg // 2)
-
-    rec(list(range(len(left))), degree, 0)
-    assert (colors >= 0).all()
-    return colors
-
-
 def butterfly_factor(g, a_size, b_size):
     """Factor a grid permutation as (within rows) * (within columns) * (within rows).
 
@@ -211,7 +86,7 @@ def butterfly_factor(g, a_size, b_size):
     a_table = np.empty(n, dtype=np.int64)
     a_table[b_table[c_table]] = img
     a = Permutation(a_table)
-    assert a * b * c == g
+    require(a * b * c == g, "butterfly multiply-back failed")
     return a, b, c
 
 
@@ -300,7 +175,7 @@ def grid_route(model, sigma_face):
         prefix = f % weight
         node_from = prefix + weight * suffix
         node_to = cur % weight + weight * img_suffix
-        assert (cur % weight == prefix).all(), "peel invariant broken"
+        require((cur % weight == prefix).all(), "peel invariant broken")
         n_nodes = L // K
         colors = color_regular_bipartite(node_from, node_to, n_nodes, n_nodes, K)
 
@@ -318,7 +193,7 @@ def grid_route(model, sigma_face):
 
     # the residue moves points only along the last axis
     weight = K ** (d - 2)
-    assert ((cur % weight) == (f % weight)).all(), "residue touches lower digits"
+    require(((cur % weight) == (f % weight)).all(), "residue touches lower digits")
     middle = (d, (cur // weight) % K)
 
     rounds = pre_rounds + [middle] + post_rounds[::-1]
@@ -333,7 +208,7 @@ def grid_route(model, sigma_face):
         letters_app.append(drop)
 
     word = WordInE(model, letters_app[::-1])
-    assert len(word) == 4 * d - 5
+    require(len(word) == 4 * d - 5, f"face route has {len(word)} letters, not 4d-5")
     return word
 
 
@@ -389,7 +264,7 @@ def tosquare_word(model, points):
     shifts1[lid1[moved]] = (K - x1[moved]) % K
     h = ShiftVector(model, 1, shifts1)
     final = h.materialize().table[moved]
-    assert (x1[final] == 0).all(), "points did not land in the face"
+    require((x1[final] == 0).all(), "points did not land in the face")
     return g, h
 
 
@@ -457,9 +332,9 @@ def cycle_word(model, a):
     perm = word.product()
     support = perm.support()
     expected = 1 + a * (K - 1)
-    assert len(support) == expected, "tree union has the wrong size"
-    assert (geo.coord_array(1)[support] == 0).all(), "cycle leaves the face"
-    assert perm.cycle_type()[0] == expected, "product is not a single cycle"
+    require(len(support) == expected, "tree union has the wrong size")
+    require((geo.coord_array(1)[support] == 0).all(), "cycle leaves the face")
+    require(perm.cycle_type()[0] == expected, "product is not a single cycle")
     return word
 
 
@@ -467,7 +342,7 @@ def cycle_word(model, a):
 
 
 def conjugacy_word47(model, cycle_perm):
-    """Word of at most 4(4d-5)/2... exactly <= 8d - 1 letters equal to the cycle.
+    """Word of at most 8d - 1 letters whose product is exactly the given cycle.
 
     Returns None when the greedy face-moving step fails (the caller decides
     whether to resample).  On success the product equals the input exactly.
@@ -503,7 +378,8 @@ def conjugacy_word47(model, cycle_perm):
                + w.inverse().letters
                + [h, g])
     word = WordInE(model, letters)
-    assert len(word) <= 8 * d - 1
+    require(len(word) <= 8 * d - 1,
+            f"conjugation word has {len(word)} letters, over 8d-1")
     return word
 
 
@@ -525,7 +401,7 @@ def _match_cycles(model, c0, sigma_face):
     sg_start = int(np.flatnonzero(sigma_face != np.arange(L_face))[0])
     src = orbit(c0_face, c0_start)
     dst = orbit(sigma_face, sg_start)
-    assert len(src) == len(dst)
+    require(len(src) == len(dst), "standard and target cycles differ in length")
 
     rho = np.full(L_face, -1, dtype=np.int64)
     rho[src] = dst

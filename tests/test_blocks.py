@@ -1,7 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from altgen.blocks import block_factor, factor_count_bound, window_family
+import altgen
+from altgen.blocks import (_check_block_product, _color_edges, block_factor,
+                           color_regular_bipartite, factor_count_bound,
+                           window_family)
 from altgen.perms import Permutation, product
 
 
@@ -82,3 +92,65 @@ def test_window_size_preconditions():
         window_family(200, 10)  # m < 2 ceil(n/m)
     with pytest.raises(ValueError, match="m >= 2"):
         window_family(1200, 49)  # 49 < 2 ceil(1200/49) = 50, though n <= m*m/2
+
+
+def _assert_proper(colors, ends):
+    """No node sees one color twice, on either side."""
+    for side in ends:
+        pairs = set(zip(np.asarray(side).tolist(), np.asarray(colors).tolist()))
+        assert len(pairs) == len(colors), "color repeated at a node"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_regular_coloring_is_proper(data):
+    n = data.draw(st.integers(1, 8), label="nodes per side")
+    degree = data.draw(st.integers(1, 6), label="degree")
+    # a regular bipartite multigraph is a union of perfect matchings (König)
+    right = np.concatenate([data.draw(st.permutations(range(n)))
+                            for _ in range(degree)])
+    left = np.tile(np.arange(n), degree)
+    order = np.asarray(data.draw(st.permutations(range(n * degree))))
+    left, right = left[order], right[order]
+    colors = color_regular_bipartite(left, right, n, n, degree)
+    assert colors.min() >= 0 and colors.max() < degree
+    _assert_proper(colors, (left, right))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_column_coloring_respects_the_short_column(data):
+    q = data.draw(st.integers(2, 6), label="columns")
+    mt = data.draw(st.integers(1, 8), label="full height")
+    sizes = [mt] * (q - 1) + [data.draw(st.integers(1, mt), label="short height")]
+    n = sum(sizes)
+    col = np.minimum(np.arange(n) // mt, q - 1)
+    dest = np.asarray(data.draw(st.permutations(range(n))))
+    colors = _color_edges(col, col[dest], sizes)
+    heights = np.asarray(sizes)
+    assert (colors >= 0).all()
+    assert (colors < np.minimum(heights[col], heights[col[dest]])).all()
+    _assert_proper(colors, (col, col[dest]))
+
+
+def test_multiply_back_check_survives_optimize():
+    # python -O strips assert statements; the multiply-back check must still raise
+    script = textwrap.dedent("""
+        import sys
+        from altgen.blocks import _check_block_product
+        from altgen.perms import Permutation
+        g = Permutation.from_cycles(5, [(0, 1, 2)])
+        try:
+            _check_block_product([Permutation.from_cycles(5, [(0, 2, 1)])], g)
+        except AssertionError:
+            sys.exit(0 if sys.flags.optimize else 3)
+        sys.exit(1)
+    """)
+    src = str(Path(altgen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    with pytest.raises(AssertionError):
+        _check_block_product([Permutation.identity(5)],
+                             Permutation.from_cycles(5, [(0, 1, 2)]))

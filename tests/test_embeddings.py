@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from altgen.embeddings import (CubeModel, GeneratingSet, ShiftVector, build_Fn,
-                               build_sym, build_SN, delta_h_generating_set,
-                               el3_line_actions, embed_pi)
+from altgen.embeddings import (CubeModel, GeneratingSet, GeneratorSpec,
+                               ShiftVector, build_Fn, build_sym, build_SN,
+                               delta_h_generating_set, el3_line_actions,
+                               embed_pi)
 from altgen.gf2 import primitive_order_K_element
 from altgen.perms import Permutation
 from altgen.ring import EL3Element, el3_generating_set, random_el3
@@ -141,3 +142,19 @@ def test_delta_h_pluggable_model():
     assert len(genset) == 2  # one generator per axis
     p = genset.materialize(0)
     assert p.cycle_type() == (7,) * 7
+
+
+def test_lines_parity_matches_the_materialized_generator():
+    # odd and even line actions mixed, so the stacked-table count must be per row
+    model = CubeModel(1, 2)
+    rng = np.random.default_rng(7)
+    specs = []
+    for i in range(12):
+        tables = np.array([rng.permutation(model.K) for _ in range(3)])
+        vid = rng.integers(0, len(tables), size=model.geometry.lines_per_axis)
+        specs.append(GeneratorSpec(f"g{i}", 1 + i % 2, "lines",
+                                   (1 + i % 2, vid, tables)))
+    gs = GeneratingSet(model, specs)
+    parities = [gs.parity(i) for i in range(len(gs))]
+    assert parities == [gs.materialize(i).parity for i in range(len(gs))]
+    assert set(parities) == {0, 1}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from altgen.perms import Permutation, compose, product
+from altgen.perms import Permutation, compose, cycle_labels, product
 
 
 def brute_parity(table):
@@ -77,6 +77,27 @@ def test_cycle_type_conjugation_invariant():
         p = Permutation.random(40, rng)
         u = Permutation.random(40, rng)
         assert (u * p * u.inverse()).cycle_type() == p.cycle_type()
+
+
+def test_cycle_labels_match_the_cycle_walk():
+    rng = np.random.default_rng(6)
+    tables = np.array([rng.permutation(30) for _ in range(5)] + [np.arange(30)])
+    count, labels = cycle_labels(tables)
+    walked = [Permutation(t).cycles() for t in tables]
+    assert count == sum(len(c) for c in walked)
+    assert labels.shape == tables.shape
+    for row, cycles in zip(labels, walked):
+        # one label per walked cycle, shared by exactly its points
+        assert sorted(sorted(np.flatnonzero(row == lab).tolist())
+                      for lab in np.unique(row)) == sorted(sorted(c) for c in cycles)
+    # rows never share a label
+    assert len(set(np.unique(labels[0])) & set(np.unique(labels[1]))) == 0
+    for t, cycles in zip(tables, walked):
+        p = Permutation(t)
+        assert p.cycle_count() == len(cycles)
+        assert p.cycle_type() == tuple(sorted(map(len, cycles), reverse=True))
+        assert p.parity == brute_parity(t)
+    assert Permutation.identity(0).cycle_type() == ()
 
 
 def test_mismatched_sizes():

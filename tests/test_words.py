@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from altgen.blocks import color_regular_bipartite
 from altgen.embeddings import CubeModel, ShiftVector
 from altgen.perms import Permutation
-from altgen.words import (WordInE, butterfly_factor, color_regular_bipartite,
-                          comb_tree_lines, conjugacy_word47, cycle_word,
-                          face_restriction, grid_route, standard_cycle_length,
-                          tosquare_word)
+from altgen.words import (WordInE, butterfly_factor, comb_tree_lines,
+                          conjugacy_word47, cycle_word, face_restriction,
+                          grid_route, standard_cycle_length, tosquare_word)
 
 
 def test_edge_coloring_regular_random():
