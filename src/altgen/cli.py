@@ -18,6 +18,7 @@ import numpy as np
 from . import blocks as blocks_mod
 from . import walks
 from .embeddings import CubeModel, build_SN, build_Fn, build_sym, delta_h_generating_set
+from .errors import require
 from .geometry import CubeGeometry
 from .perms import Permutation
 from .schreier_sims import group_order
@@ -353,7 +354,7 @@ def cmd_factor(args):
         for _ in range(args.count):
             g = random_el3(args.s, args.m, rng)
             word = gem_factor(g)
-            assert word.verify()
+            require(word.verify(), "GEM word does not multiply back to the element")
             worst = max(worst, len(word))
         report.check("gem-words", "every element is a product of at most 17 "
                      "generalized elementary matrices",
@@ -391,7 +392,7 @@ def cmd_factor(args):
             word = conjugacy_word47(model, c)
             if word is None:
                 continue
-            assert word.product() == c
+            require(word.product() == c, "conjugation word does not reproduce the cycle")
             succ += 1
         report.check("word47-exact", "conjugation word reproduces the cycle "
                      "exactly on success", {"trials": args.trials, "successes": succ},
@@ -434,7 +435,8 @@ def cmd_verify(args):
                 sub = np.random.default_rng(args.seed + 13 * s + m)
                 for _ in range(count // 4):
                     word = gem_factor(random_el3(s, m, sub))
-                    assert word.verify()
+                    require(word.verify(),
+                            "GEM word does not multiply back to the element")
                     worst = max(worst, len(word))
         report.check("gem.letters", "word length bound", worst, bound=17,
                      ok=worst <= 17)

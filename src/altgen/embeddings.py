@@ -226,7 +226,18 @@ class GeneratingSet:
         raise ValueError("symbolic generator has no computable parity")
 
     def all_even(self):
-        return all(self.parity(i) == 0 for i in range(len(self)))
+        # the d axis specs of an involution share one (vid, tables) pair;
+        # once one of them is found even the others are skipped
+        even_lines = set()
+        for i, spec in enumerate(self.specs):
+            if spec.kind == "lines":
+                key = (id(spec.payload[1]), id(spec.payload[2]))
+                if key in even_lines:
+                    continue
+                even_lines.add(key)
+            if self.parity(i):
+                return False
+        return True
 
 
 _POSITION_NAMES = ["12", "13", "21", "23", "31", "32"]

@@ -72,10 +72,8 @@ class ActionGraph(SparseGraph):
         self.degree = len(tables)
 
     def matvec(self, v):
-        out = np.zeros_like(v, dtype=float)
-        for t in self._tables:
-            out += v[t]
-        return out / self.degree
+        # one gather; the axis-0 sum adds the rows in table order
+        return np.add.reduce(v[self._tables], axis=0, dtype=float) / self.degree
 
     def generator_actions(self):
         return iter(t for t in self._tables[::2])

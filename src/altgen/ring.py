@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import require
 from .gf2 import MatGF2, projector_with_kernel
 
 _WORD_BOUND = 17  # binding bound on a factorization word
@@ -566,9 +567,10 @@ def gem_factor(g):
     word += [letter for letter in corner if not letter.is_identity()]
     result = GemWord(word, g)
     corner_len = sum(1 for letter in corner if not letter.is_identity())
-    assert corner_len <= _CORNER_BOUND
-    assert len(result) <= _WORD_BOUND, f"word length {len(result)} exceeds bound"
-    assert result.verify(), "multiply-back mismatch in GEM factorization"
+    require(corner_len <= _CORNER_BOUND,
+            f"corner length {corner_len} exceeds {_CORNER_BOUND}")
+    require(len(result) <= _WORD_BOUND, f"word length {len(result)} exceeds bound")
+    require(result.verify(), "multiply-back mismatch in GEM factorization")
     return result
 
 

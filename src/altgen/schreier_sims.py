@@ -1,12 +1,20 @@
 """Exact group order via a stabilizer chain.
 
-Random products seed the chain quickly; the deterministic Schreier closure
-pass that follows is the correctness guarantee, so the returned order is
-exact regardless of the randomization.
+Random products seed the chain quickly.  The order is then proved in one of
+two ways, so it is exact regardless of the randomization:
+
+- the product of the basic orbit lengths, always a lower bound on |G|,
+  reaches the parity ceiling |Sym(n)|, or |Alt(n)| when every generator is
+  even, which bounds |G| from above (the known-order stopping rule, Seress,
+  *Permutation Group Algorithms*, 2003, section 4.5);
+- otherwise the deterministic Schreier closure runs to the end.
 """
+
+import math
 
 import numpy as np
 
+from .errors import require
 from .perms import Permutation
 
 DEFAULT_ORDER_LIMIT = 10**4
@@ -110,7 +118,7 @@ class StabilizerChain:
         """Register g at levels 0..upto (it fixes the base prefix of each)."""
         if upto == len(self.levels):
             pt = self._first_moved(g)
-            assert pt is not None
+            require(pt is not None, "cannot add the identity as a generator")
             self.levels.append(_Level(pt, self.identity))
         for i in range(upto + 1):
             level = self.levels[i]
@@ -126,13 +134,17 @@ class StabilizerChain:
         self._add_generator(h, j)
         return True
 
-    def schreier_closure(self):
+    def schreier_closure(self, ceiling=None):
         """Deterministic verification: every Schreier generator must sift.
 
         Levels are processed bottom-up; a non-sifting Schreier generator is
         absorbed and processing restarts at the level it reached.  On
-        termination the chain is complete and the order exact.
+        termination the chain is complete and the order exact.  A known
+        upper bound `ceiling` on |G| ends the pass as soon as `order()`, a
+        lower bound, reaches it.
         """
+        if self.order() == ceiling:
+            return
         i = len(self.levels) - 1
         while i >= 0:
             level = self.levels[i]
@@ -147,6 +159,8 @@ class StabilizerChain:
                     h, j = self.sift(schreier, start=i + 1)
                     if not self._is_identity(h):
                         self._add_generator(h, j)
+                        if self.order() == ceiling:
+                            return
                         i = j
                         restart = True
                         break
@@ -156,6 +170,9 @@ class StabilizerChain:
                 i -= 1
 
     def order(self):
+        """Product of the basic orbit lengths: |G| once the chain is complete,
+        and a lower bound before, since each level's generators fix the
+        earlier base points."""
         result = 1
         for level in self.levels:
             result *= len(level.transversal)
@@ -197,5 +214,6 @@ def group_order(gens, limit=DEFAULT_ORDER_LIMIT, seed=0, random_boost=96):
                 word = chain._mul(raw[rng.integers(len(raw))], word)
             chain.add_element(word)
 
-    chain.schreier_closure()
+    odd = any(g.parity for g in gens)
+    chain.schreier_closure(ceiling=math.factorial(n) // (1 if odd else 2))
     return chain.order()

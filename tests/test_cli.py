@@ -1,8 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import altgen
 
 from altgen.cli import desk_base, fixed_point_free_element, main
 from altgen.perms import Permutation
@@ -165,3 +170,24 @@ def test_console_entry_point():
     for name in ("construct", "construct-general", "schreier", "spectral",
                  "mixing", "characters", "certify", "factor", "verify"):
         assert name in out.stdout
+
+
+def test_gem_multiply_back_survives_optimize():
+    # python -O strips assert statements; a GEM word that fails its
+    # multiply-back must still stop `verify --suite gem`
+    script = textwrap.dedent("""
+        import sys
+        from altgen import cli, ring
+        from altgen.errors import VerificationError
+        ring.GemWord.verify = lambda self: False
+        try:
+            cli.main(["verify", "--suite", "gem", "--samples", "4"])
+        except VerificationError:
+            sys.exit(0 if sys.flags.optimize else 3)
+        sys.exit(1)
+    """)
+    src = str(Path(altgen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

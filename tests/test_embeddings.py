@@ -158,3 +158,33 @@ def test_lines_parity_matches_the_materialized_generator():
     parities = [gs.parity(i) for i in range(len(gs))]
     assert parities == [gs.materialize(i).parity for i in range(len(gs))]
     assert set(parities) == {0, 1}
+
+
+def test_all_even_reads_each_shared_stack_once(monkeypatch):
+    import altgen.embeddings as emb
+    # an odd line action shared by both axes, after two shared even ones
+    model = CubeModel(1, 2)
+    m = model.geometry.lines_per_axis
+    ident = np.arange(model.K)
+    swap = ident.copy()
+    swap[[0, 1]] = swap[[1, 0]]
+    even = [(np.zeros(m, dtype=np.int64), np.array([ident])) for _ in range(2)]
+    odd = (np.r_[1, np.zeros(m - 1, dtype=np.int64)], np.array([ident, swap]))
+    for payloads, expect in ((even, True), (even + [odd], False)):
+        specs = [GeneratorSpec(f"g{axis}.{k}", axis, "lines", (axis, vid, tables))
+                 for axis in (1, 2) for k, (vid, tables) in enumerate(payloads)]
+        gs = GeneratingSet(model, specs)
+        assert gs.all_even() == all(gs.parity(i) == 0 for i in range(len(gs)))
+        assert gs.all_even() is expect
+
+    calls = []
+    labels = emb.cycle_labels
+
+    def counted(tables):
+        calls.append(1)
+        return labels(tables)
+
+    monkeypatch.setattr(emb, "cycle_labels", counted)
+    sn = build_SN(1, 2)
+    assert sn.all_even()
+    assert len(calls) == len(sn) // 2

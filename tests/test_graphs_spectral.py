@@ -231,3 +231,24 @@ def test_edge_list_roundtrip(tmp_path):
     r1 = spectral_gap(z7, method="dense")
     r2 = spectral_gap(back, method="dense")
     assert abs(r1.gap - r2.gap) < 1e-12
+
+
+def test_action_matvec_matches_the_table_loop():
+    # reference: the per-table loop, summing the gathers in table order
+    graph = schreier_graph(build_SN(1, 2))
+    assert isinstance(graph, ActionGraph) and (graph.n, graph.degree) == (49, 144)
+
+    def loop(v):
+        out = np.zeros_like(v, dtype=float)
+        for t in graph._tables:
+            out += v[t]
+        return out / graph.degree
+
+    rng = np.random.default_rng(5)
+    vectors = [rng.standard_normal(graph.n) for _ in range(200)]
+    for k in range(1, graph.n):
+        ind = np.zeros(graph.n)
+        ind[rng.permutation(graph.n)[:k]] = 1.0
+        vectors.append(ind)
+    for v in vectors:
+        assert np.array_equal(graph.matvec(v), loop(v))

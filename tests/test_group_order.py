@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from altgen.cli import desk_base
+from altgen.embeddings import build_Fn
 from altgen.perms import Permutation
-from altgen.schreier_sims import group_order
+from altgen.schreier_sims import StabilizerChain, group_order
 
 
 def brute_force_order(gens):
@@ -67,3 +70,44 @@ def test_seed_independence():
     b = Permutation.from_cycles(9, [tuple(range(9))])
     orders = {group_order([a, b], seed=s) for s in range(5)}
     assert orders == {math.factorial(9) // 2}
+
+
+def test_primitive_even_non_giants():
+    # even, transitive and primitive, yet far below |Alt(n)|: the closure
+    # must run to the end, and the order must not stop at the parity ceiling
+    psl27 = [Permutation.from_cycles(7, [tuple(range(7))]),
+             Permutation.from_cycles(7, [(2, 4), (5, 6)])]
+    m11 = [Permutation.from_cycles(11, [tuple(range(11))]),
+           Permutation.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
+    for gens, order in ((psl27, 168), (m11, 7920)):
+        assert brute_force_order(gens) == order
+        # without random products the closure does all the work
+        for boost in (0, 96):
+            assert group_order(gens, random_boost=boost) == order
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_random_pairs_against_brute_force(data):
+    n = data.draw(st.integers(1, 6), label="points")
+    gens = [Permutation(np.array(data.draw(st.permutations(range(n)), label="gen")))
+            for _ in range(2)]
+    oracle = brute_force_order(gens)
+    for boost in (0, 96):
+        assert group_order(gens, random_boost=boost) == oracle
+
+
+def test_window_set_stops_once_the_order_is_proved(monkeypatch):
+    # the construct-general --n 100 --base-m 49 generators: the chain reaches
+    # 100!/2 long before the full Schreier closure would end (610,347 sifts)
+    specs, _ = build_Fn(100, desk_base(49), 49)
+    calls = []
+    sift = StabilizerChain.sift
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sift(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    assert group_order([s.payload for s in specs], limit=2000) == math.factorial(100) // 2
+    assert len(calls) < 100_000
