@@ -11,7 +11,8 @@ print("== the 49-point action graph ==")
 small = schreier_graph(build_SN(1, 2))
 rep = spectral_gap(small, method="dense")
 print(f"vertices {small.n}, degree {small.degree}")
-print(f"gap {rep.gap:.6f}, sweep conductance upper bound {rep.cheeger_upper:.6f}")
+print(f"gap {rep.gap:.6f}, sweep conductance upper bound {rep.cheeger_upper:.6f} "
+      f"(exactly {rep.cheeger_exact}, over all {small.n - 1} sweep cuts)")
 print(f"kazhdan bracket for this action: "
       f"[{rep.kazhdan_lower:.6f}, {rep.kazhdan_upper:.6f}]")
 
@@ -22,6 +23,8 @@ rep42 = spectral_gap(big, seed=42)
 rep7 = spectral_gap(big, seed=7)
 print(f"gap {rep42.gap:.9f} (Lanczos, {rep42.iterations} operator applications)")
 print(f"seed independence: |difference| = {abs(rep42.gap - rep7.gap):.2e}")
+print(f"sweep conductance upper bound {rep42.cheeger_exact} = "
+      f"{rep42.cheeger_upper:.7f}, over all {big.n - 1} sweep cuts")
 
 print()
 print("== a Cayley graph and the full-set bound ==")

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+from .errors import require
+
 DEFAULT_BITS = 128
 
 
@@ -32,7 +34,7 @@ def _sqrt_interval(x, bits):
     s = isqrt(p * q * scale * scale)
     lo = Fraction(s, q * scale)
     hi = Fraction(s + 1, q * scale)
-    assert lo * lo <= x <= hi * hi
+    require(lo * lo <= x <= hi * hi, "square-root enclosure is not sound")
     return lo, hi
 
 
@@ -52,7 +54,7 @@ def _exp_interval(x, bits):
     # tail bound: |x|^(T+1)/(T+1)! * 1/(1 - |x|/(T+2)) <= 2 * |term * x/(T+1)|
     tail = 2 * abs(term * x) / (terms + 1)
     lo, hi = total - tail, total + tail
-    assert lo > 0
+    require(lo > 0, "exp enclosure is not positive")
     for _ in range(halvings):
         lo, hi = _round_out(lo * lo, hi * hi, bits + 64)
     return lo, hi
@@ -79,7 +81,7 @@ def _ln_interval(x, bits):
 
 def _atanh_series(t, bits):
     """Enclosure of atanh(t) for 0 <= t <= 1/2, with a geometric tail bound."""
-    assert 0 <= t <= Fraction(1, 2)
+    require(0 <= t <= Fraction(1, 2), "atanh argument outside [0, 1/2]")
     if t == 0:
         return Fraction(0), Fraction(0)
     terms = max(10, bits // 3)
@@ -212,7 +214,7 @@ class BoundExpr:
             out = (_ln_interval(a, bits)[0], _ln_interval(b, bits)[1])
         else:
             raise ValueError(f"unknown node kind {k!r}")
-        assert out[0] <= out[1]
+        require(out[0] <= out[1], f"{k} enclosure is empty")
         self._cache[bits] = out
         return out
 

@@ -8,10 +8,13 @@ doubly stochastic.
 
 import numpy as np
 
+from .errors import require
 from .perms import Permutation
 
 CAYLEY_LIMIT = 2 * 10**6
 SCHREIER_LIMIT = 10**7
+# bytes an AxisBlockGraph may spend on its float blocks plus integer counts
+AXIS_BLOCK_BUDGET = 2**30
 
 
 class SparseGraph:
@@ -23,8 +26,12 @@ class SparseGraph:
     def matvec(self, v):
         raise NotImplementedError
 
-    def generator_actions(self):
-        """Iterator over the (unsymmetrized) generator permutation tables."""
+    def displacements(self, v):
+        """v o g - v in point order for each (unsymmetrized) generator g, in any order."""
+        raise NotImplementedError
+
+    def edge_counts(self):
+        """Integer adjacency as (src, dst, count) chunks; the counts sum to n * degree."""
         raise NotImplementedError
 
     def to_dense(self, limit=4000):
@@ -75,8 +82,14 @@ class ActionGraph(SparseGraph):
         # one gather; the axis-0 sum adds the rows in table order
         return np.add.reduce(v[self._tables], axis=0, dtype=float) / self.degree
 
-    def generator_actions(self):
-        return iter(t for t in self._tables[::2])
+    def displacements(self, v):
+        for t in self._tables[::2]:
+            yield v[t] - v
+
+    def edge_counts(self):
+        xs = np.arange(self.n, dtype=np.int64)
+        for t in self._tables:
+            yield xs, t, 1
 
     def neighbors(self, xs):
         return self._tables[:, xs].ravel()
@@ -112,8 +125,11 @@ class EdgeGraph(SparseGraph):
         mask = np.isin(self._both[:, 0], xs)
         return self._both[mask, 1]
 
-    def generator_actions(self):
+    def displacements(self, v):
         raise ValueError("edge-list graphs carry no generator actions")
+
+    def edge_counts(self):
+        yield self._both[:, 0], self._both[:, 1], 1
 
     def adjacency_sets(self):
         adj = [set() for _ in range(self.n)]
@@ -144,6 +160,10 @@ class AxisBlockGraph(SparseGraph):
         # integer edge multiplicities per (line, row, column), divided once;
         # none exceeds the degree, which sets the narrowest exact dtype
         count_type = np.min_scalar_type(self.degree)
+        estimate = len(axes) * m * K * K * (8 + count_type.itemsize)
+        if estimate > AXIS_BLOCK_BUDGET:
+            raise ValueError(f"axis blocks need about {estimate} bytes, over the "
+                             f"budget of {AXIS_BLOCK_BUDGET} bytes")
         counts = {axis: np.zeros((m, K, K), dtype=count_type) for axis in axes}
         self._variants = {axis: {} for axis in axes}
         rows = np.arange(K)
@@ -174,9 +194,43 @@ class AxisBlockGraph(SparseGraph):
             out[lp] += np.einsum("mab,mb->ma", self._blocks[axis], vl)
         return out
 
-    def generator_actions(self):
-        for i in range(len(self.genset)):
-            yield self.genset.materialize(i).table
+    def displacements(self, v):
+        # v on each axis's (line, coordinate) grid, and the grid index of
+        # every point; the d specs sharing one (vid, tables) pair share one
+        # gather index, so generators come grouped by line action
+        geo = self.model.geometry
+        grids = {}
+        for axis in self._axes:
+            lp = geo.line_points(axis)
+            back = np.empty(self.n, dtype=np.int64)
+            back[lp.ravel()] = np.arange(self.n)
+            grids[axis] = (v.take(lp).ravel(), back)
+        groups = {}
+        for spec in self.genset.specs:
+            axis, vid, tables = spec.payload
+            groups.setdefault((id(vid), id(tables)), (vid, tables, []))[2].append(axis)
+        rows = np.arange(geo.lines_per_axis)[:, None] * geo.K
+        moved = np.empty(self.n)
+        for vid, tables, axes in groups.values():
+            index = (rows + tables[vid]).ravel()
+            for axis in axes:
+                vl, back = grids[axis]
+                np.subtract(vl.take(index, out=moved), vl, out=moved)
+                yield moved.take(back)
+
+    def edge_counts(self):
+        # the blocks are counts / degree; recover the counts and insist that
+        # dividing them again gives the stored block bit for bit
+        geo = self.model.geometry
+        for axis in self._axes:
+            block = self._blocks[axis]
+            line, a, b = np.nonzero(block)
+            weight = block[line, a, b]
+            count = np.rint(weight * self.degree).astype(np.int64)
+            require(np.array_equal(count / self.degree, weight),
+                    f"axis {axis} block is not integer edge counts over the degree")
+            lp = geo.line_points(axis)
+            yield lp[line, a], lp[line, b], count
 
     def neighbors(self, xs):
         geo = self.model.geometry

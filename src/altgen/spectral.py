@@ -1,9 +1,12 @@
 """Spectral gaps, expansion constants, and Kazhdan brackets of action graphs."""
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from .errors import require
 
 DENSE_LIMIT = 4000
 EXPANSION_LIMIT = 22
@@ -18,7 +21,8 @@ class SpectralReport:
     iterations: int
     tol: float
     seed: int
-    cheeger_upper: float | None = None
+    cheeger_upper: float | None = None     # float(cheeger_exact)
+    cheeger_exact: Fraction | None = None  # minimum conductance over all sweep cuts
     kazhdan_lower: float | None = None
     kazhdan_upper: float | None = None
     notes: dict = field(default_factory=dict)
@@ -120,7 +124,8 @@ def spectral_gap(graph, method="auto", tol=1e-12, seed=0, sweep=True):
     report = SpectralReport(gap=gap, second_eigenvalue=lam2, method=method,
                             iterations=iterations, tol=tol, seed=seed)
     if sweep and graph.n > 1:
-        report.cheeger_upper = cheeger_sweep(graph, vec)
+        report.cheeger_exact = cheeger_sweep(graph, vec)
+        report.cheeger_upper = float(report.cheeger_exact)
         # discrete Cheeger sandwich, checked between computed quantities
         report.notes["cheeger_lower_half_gap"] = gap / 2.0
     report.kazhdan_lower = float(np.sqrt(max(2.0 * gap, 0.0)))
@@ -131,26 +136,40 @@ def spectral_gap(graph, method="auto", tol=1e-12, seed=0, sweep=True):
     return report
 
 
-def cheeger_sweep(graph, vec, max_cuts=256):
-    """Upper bound on the edge conductance from sweep cuts of an eigenvector.
+def cheeger_sweep(graph, vec):
+    """Exact upper bound on the edge conductance from every sweep cut of vec.
 
-    phi(A) = (|A| - 1_A' T 1_A) / min(|A|, n - |A|); the sweep minimizes over
-    prefixes of the sorted eigenvector (subsampled on huge graphs).
+    The vertices are ranked by vec (stable sort).  An edge (x, y) of
+    multiplicity c lies inside every prefix longer than max(rank x, rank y),
+    so one bincount by that rank and one cumsum give the inside weight I_k
+    of all prefixes; phi_k = (kD - I_k) / (D min(k, n - k)) is minimized
+    over k = 1..n-1 in integers and returned as a Fraction.
     """
-    n = graph.n
-    order = np.argsort(vec, kind="stable")
-    if n - 1 <= max_cuts:
-        cut_sizes = range(1, n)
-    else:
-        cut_sizes = sorted({int(x) for x in np.linspace(1, n - 1, max_cuts)})
-    best = np.inf
-    for k in cut_sizes:
-        ind = np.zeros(n)
-        ind[order[:k]] = 1.0
-        inside = float(ind @ graph.matvec(ind))
-        phi = (k - inside) / min(k, n - k)
-        best = min(best, phi)
-    return float(best)
+    n, degree = graph.n, graph.degree
+    # float64 bincount sums of integers and the int64 cross-products below
+    # (at most n^2 D / 4) stay exact under this size
+    if n * n * degree >= 2**53:
+        raise ValueError(f"{n} vertices of degree {degree} are too many for "
+                         "the exact sweep")
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(vec, kind="stable")] = np.arange(n)
+    weight = np.zeros(n)
+    for src, dst, count in graph.edge_counts():
+        top = np.maximum(rank[src], rank[dst])
+        weight += np.bincount(top, weights=np.broadcast_to(count, top.shape),
+                              minlength=n)
+    weight = weight.astype(np.int64)
+    require(int(weight.sum()) == n * degree,
+            f"edge counts sum to {int(weight.sum())}, not n * degree = {n * degree}")
+    k = np.arange(1, n)
+    cut = k * degree - np.cumsum(weight)[:-1]
+    size = np.minimum(k, n - k)
+    best = int(np.argmin(cut / size))
+    while True:  # settle the float argmin in integers
+        below = np.flatnonzero(cut * size[best] < cut[best] * size)
+        if below.size == 0:
+            return Fraction(int(cut[best]), degree * int(size[best]))
+        best = int(below[np.argmin(cut[below] / size[below])])
 
 
 def exact_conductance(graph):
@@ -212,8 +231,8 @@ def kazhdan_upper(graph, vec):
         raise ValueError("eigenvector is constant")
     v = v / norm
     worst = 0.0
-    for table in graph.generator_actions():
-        worst = max(worst, float(np.linalg.norm(v[table] - v)))
+    for diff in graph.displacements(v):
+        worst = max(worst, float(np.linalg.norm(diff)))
     return worst
 
 

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import altgen
 from altgen.certify import (BoundExpr, derive_decay_chain,
                             derive_paper_constants, revalidate_tree,
                             rule_kcball, rule_kcrel, rule_reltconst, axiom,
@@ -137,3 +143,25 @@ def test_division_by_interval_containing_zero():
     span = BoundExpr.sqrt_of(2) - BoundExpr.sqrt_of(2)
     with pytest.raises(ZeroDivisionError):
         (BoundExpr.rational(1) / span).interval()
+
+
+def test_interval_soundness_check_survives_optimize():
+    # python -O strips assert statements; a square-root enclosure that
+    # overshoots must still raise
+    script = textwrap.dedent("""
+        import math
+        import sys
+        from altgen import certify
+        from altgen.errors import VerificationError
+        certify.isqrt = lambda x: math.isqrt(x) + 2
+        try:
+            certify.BoundExpr.sqrt_of(2).interval()
+        except VerificationError:
+            sys.exit(0 if sys.flags.optimize else 3)
+        sys.exit(1)
+    """)
+    src = str(Path(altgen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import altgen
-
+from altgen import graphs
 from altgen.cli import desk_base, fixed_point_free_element, main
 from altgen.perms import Permutation
 
@@ -191,3 +191,10 @@ def test_gem_multiply_back_survives_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_oversized_axis_blocks_exit_as_a_configuration_error(monkeypatch, capsys):
+    # S_N(1, 5) needs about 5.9 MB of axis blocks
+    monkeypatch.setattr(graphs, "AXIS_BLOCK_BUDGET", 10**6)
+    assert main(["spectral", "--s", "1", "--d", "5"]) == 2
+    assert "over the budget of 1000000 bytes" in capsys.readouterr().err

@@ -1,14 +1,20 @@
 import math
+import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from altgen import graphs
 from altgen.embeddings import CubeModel, build_SN, delta_h_generating_set
+from altgen.errors import VerificationError
 from altgen.graphs import (ActionGraph, AxisBlockGraph, EdgeGraph, cayley_graph,
                            read_edge_list, schreier_graph, write_edge_list)
 from altgen.perms import Permutation
-from altgen.spectral import (exact_conductance, expansion_exact, kazhdan_bracket,
-                             spectral_gap)
+from altgen.spectral import (cheeger_sweep, exact_conductance, expansion_exact,
+                             kazhdan_bracket, kazhdan_upper, spectral_gap)
 
 
 def cyclic_graph(n, shifts=(1,)):
@@ -252,3 +258,135 @@ def test_action_matvec_matches_the_table_loop():
         vectors.append(ind)
     for v in vectors:
         assert np.array_equal(graph.matvec(v), loop(v))
+
+
+def brute_sweep(n, degree, pairs, vec):
+    """Minimum conductance over the prefixes of the stable ranking, from pairs."""
+    order = np.argsort(vec, kind="stable")
+    best = None
+    for k in range(1, n):
+        inside = set(order[:k].tolist())
+        within = sum(1 for x, y in pairs if x in inside and y in inside)
+        phi = Fraction(k * degree - within, degree * min(k, n - k))
+        best = phi if best is None else min(best, phi)
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exact_sweep_matches_brute_force(data):
+    n = data.draw(st.integers(2, 9), label="vertices")
+    perms = [data.draw(st.permutations(range(n)), label="permutation")
+             for _ in range(data.draw(st.integers(1, 3), label="generators"))]
+    # small integer entries, so the ranking has ties
+    vec = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                             label="vector"), dtype=float)
+    # both forms have the directed pairs (x, p(x)) and (p(x), x)
+    edges = [(x, p[x]) for p in perms for x in range(n)]
+    pairs = edges + [(y, x) for x, y in edges]
+    if data.draw(st.booleans(), label="edge list"):
+        graph = EdgeGraph(n, edges)
+    else:
+        graph = ActionGraph([Permutation(np.array(p)) for p in perms])
+    assert graph.degree == 2 * len(perms)
+    assert cheeger_sweep(graph, vec) == brute_sweep(n, graph.degree, pairs, vec)
+
+
+def float_sweep(graph, vec, max_cuts=256):
+    """The float sweep the exact one replaced: one matvec per cut, at most
+    max_cuts evenly spaced cuts."""
+    n = graph.n
+    order = np.argsort(vec, kind="stable")
+    if n - 1 <= max_cuts:
+        cut_sizes = range(1, n)
+    else:
+        cut_sizes = sorted({int(x) for x in np.linspace(1, n - 1, max_cuts)})
+    best = np.inf
+    for k in cut_sizes:
+        ind = np.zeros(n)
+        ind[order[:k]] = 1.0
+        inside = float(ind @ graph.matvec(ind))
+        best = min(best, (k - inside) / min(k, n - k))
+    return float(best)
+
+
+def test_exact_sweep_never_exceeds_the_float_sweep():
+    # the graphs of acceptance criterion 8, each swept along a random vector
+    # smoothed by lazy walk steps; 1e-12 covers the float sweep's rounding
+    rng = np.random.default_rng(3)
+    suite = [ActionGraph([Permutation.random(n, rng) for _ in range(k)])
+             for n, k in [(120, 2), (600, 3), (2000, 2)]]
+    suite.append(schreier_graph(build_SN(1, 2)))
+    suite.append(schreier_graph(build_SN(1, 6)))
+    alt5 = cayley_graph([Permutation.from_cycles(5, [(0, 1, 2)]),
+                         Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    suite.append(ActionGraph([Permutation(np.array([alt5.elements.index(e * f)
+                                                    for e in alt5.elements]))
+                              for f in alt5.elements]))
+    for n in (3, 12, 30):
+        suite.append(ActionGraph([Permutation(np.array([(i + k) % n for i in range(n)]))
+                                  for k in range(n)]))
+    for g in suite:
+        vec = rng.standard_normal(g.n)
+        for _ in range(30):
+            vec = 0.5 * (vec + g.matvec(vec))
+            vec -= vec.mean()
+        exact = cheeger_sweep(g, vec)
+        assert 0 <= exact and float(exact) <= float_sweep(g, vec) + 1e-12
+
+
+def test_kazhdan_upper_matches_materialized_generators():
+    def norms(vec, tables):
+        v = vec - vec.mean()
+        v = v / np.linalg.norm(v)
+        return sorted(float(np.linalg.norm(v[t] - v)) for t in tables)
+
+    rng = np.random.default_rng(9)
+    sn = build_SN(1, 3)
+    perms = [Permutation.random(50, rng) for _ in range(3)]
+    cases = [(AxisBlockGraph(sn), [sn.materialize(i).table for i in range(len(sn))]),
+             (ActionGraph(perms), [p.table for p in perms])]
+    for graph, tables in cases:
+        for _ in range(3):
+            vec = rng.standard_normal(graph.n)
+            ref = norms(vec, tables)
+            v = vec - vec.mean()
+            v = v / np.linalg.norm(v)
+            assert sorted(float(np.linalg.norm(d)) for d in graph.displacements(v)) == ref
+            assert kazhdan_upper(graph, vec) == ref[-1]
+
+
+def test_tampered_axis_block_fails_the_count_check():
+    sn = build_SN(1, 3)
+    vec = np.random.default_rng(8).standard_normal(sn.model.N)
+    g = AxisBlockGraph(sn)
+    assert cheeger_sweep(g, vec) == cheeger_sweep(ActionGraph(sn.permutations()), vec)
+    clean = g._blocks[1]
+    entry = tuple(np.argwhere(clean)[0])
+    off_grid = clean.copy()
+    off_grid[entry] = np.nextafter(off_grid[entry], 1.0)   # one ulp off c / D
+    g._blocks[1] = off_grid
+    with pytest.raises(VerificationError, match="integer edge counts"):
+        cheeger_sweep(g, vec)
+    extra = clean.copy()
+    extra[tuple(np.argwhere(clean == 0)[0])] = 1 / g.degree   # one edge too many
+    g._blocks[1] = extra
+    with pytest.raises(VerificationError, match="sum to"):
+        cheeger_sweep(g, vec)
+
+
+def test_oversized_axis_blocks_are_refused_before_allocating():
+    # the S_N(3, 2) shape (2 axes of 511 lines, K = 511, degree 96) through a
+    # stand-in set: its blocks and counts would need about 2.4 GB
+    specs = [SimpleNamespace(axis=axis, kind="lines") for axis in (1, 2)
+             for _ in range(24)]
+    stand_in = SimpleNamespace(model=CubeModel(3, 2), specs=specs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"about 2401\d{6} bytes, over the "
+                                             rf"budget of {graphs.AXIS_BLOCK_BUDGET} bytes"):
+            AxisBlockGraph(stand_in)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
