@@ -10,7 +10,7 @@ from .geometry import CubeGeometry
 from .perms import Permutation, compose, product
 from .schreier_sims import group_order
 from .gf2 import MatGF2, primitive_order_K_element, SideFieldAction
-from .ring import (RingElement, EL3Element, GemWord, ring_generators,
+from .ring import (EL3Element, GemWord, ring_generators,
                    el3_generating_set, gem_factor, commutator_decompose)
 from .embeddings import (CubeModel, ShiftVector, GeneratingSet, embed_pi,
                          build_SN, build_Fn, build_sym)
@@ -30,7 +30,7 @@ from .certify import (BoundExpr, DerivationNode, derive_paper_constants,
 __all__ = [
     "CubeGeometry", "Permutation", "compose", "product", "group_order",
     "MatGF2", "primitive_order_K_element", "SideFieldAction",
-    "RingElement", "EL3Element", "GemWord", "ring_generators",
+    "EL3Element", "GemWord", "ring_generators",
     "el3_generating_set", "gem_factor", "commutator_decompose",
     "CubeModel", "ShiftVector", "GeneratingSet", "embed_pi",
     "build_SN", "build_Fn", "build_sym",

@@ -9,6 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .errors import require
+
 
 def is_partition(parts):
     return (all(isinstance(p, int) and p > 0 for p in parts)
@@ -53,7 +55,7 @@ def dimension(parts):
         for j in range(row):
             hooks *= row - j + conj[j] - i - 1
     dim, rem = divmod(factorial(n), hooks)
-    assert rem == 0
+    require(rem == 0, f"hook product {hooks} does not divide {n}!")
     return dim
 
 
@@ -88,7 +90,7 @@ def _partition_from_beta(beta):
     beta = sorted(beta, reverse=True)
     r = len(beta)
     parts = [beta[i] - (r - 1 - i) for i in range(r)]
-    assert all(p >= 0 for p in parts)
+    require(all(p >= 0 for p in parts), f"beta set {beta} gives negative parts")
     return tuple(p for p in parts if p > 0)
 
 

@@ -103,15 +103,14 @@ class Report:
 
 def _ring_element_hex(el):
     # bit (copy, row, col) flattened copy-major, then packed to bytes
-    s = el.s
+    s = el.n
     bits = ((el.rows[:, :, None] >> np.arange(s, dtype=np.uint32)) & 1)
     return {"m": el.m, "s": s,
             "rows": np.packbits(bits.astype(np.uint8).ravel()).tobytes().hex()}
 
 
 def _el3_to_json(el):
-    return {"blocks": [[_ring_element_hex(el.blocks[i][j]) for j in range(3)]
-                       for i in range(3)]}
+    return {"blocks": [[_ring_element_hex(block) for block in row] for row in el.blocks]}
 
 
 def write_gens_json(genset, path):
@@ -131,8 +130,9 @@ def write_gens_json(genset, path):
         entry = {"label": spec.label, "axis": spec.axis,
                  "provenance": spec.provenance, "kind": spec.kind}
         data["generators"].append(entry)
-    if genset.el3_elements is not None:
-        data["involution_set"] = [_el3_to_json(el) for el in genset.el3_elements]
+    involutions = genset.el3_elements
+    if involutions is not None:
+        data["involution_set"] = [_el3_to_json(el) for el in involutions]
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
 

@@ -9,6 +9,7 @@ for general degrees.
 
 import numpy as np
 
+from .errors import require
 from .geometry import CubeGeometry
 from .gf2 import SideFieldAction
 from .perms import Permutation, cycle_labels
@@ -111,7 +112,7 @@ def el3_line_actions(model, el3):
     """Per-line actions of an EL3 element: (variant ids, variant K-perms).
 
     Variants are the distinct copy matrices in lexicographic order of their
-    block rows, each represented by its first copy.
+    rows, each represented by its first copy.
     """
     geo = model.geometry
     if el3.m != geo.lines_per_axis:
@@ -127,26 +128,22 @@ def el3_line_actions(model, el3):
     rep_idx = order[new]
     tables = np.empty((len(rep_idx), geo.K), dtype=np.int64)
     for v, rep in enumerate(rep_idx):
-        perm = model.action.matrix_to_permutation(el3.copy_matrix(int(rep)))
-        tables[v] = perm.table
+        tables[v] = model.action.matrix_to_permutation(el3[rep]).table
     return vid, tables
 
 
 def _copy_keys(el3):
-    """(words, m) uint64 keys whose lexicographic order is that of the rows.
+    """(words, m) uint64 keys whose lexicographic order is that of the copies' rows.
 
-    The 9s block rows of s bits each are packed first row highest, 64 // s
-    rows to a word, so comparing keys word by word compares the rows in order.
+    The 3s rows of 3s bits each are packed first row highest, 64 // 3s rows
+    to a word, so comparing keys word by word compares the rows in order.
     """
-    s = el3.s
-    sig = np.concatenate(
-        [el3.blocks[i][j].rows for i in range(3) for j in range(3)],
-        axis=1).astype(np.uint64)
-    per_word = 64 // s
+    n = el3.n
+    per_word = 64 // n
     words = []
-    for start in range(0, sig.shape[1], per_word):
-        chunk = sig[:, start:start + per_word]
-        shifts = np.uint64(s) * np.arange(chunk.shape[1] - 1, -1, -1, dtype=np.uint64)
+    for start in range(0, n, per_word):
+        chunk = el3.rows[:, start:start + per_word]
+        shifts = np.uint64(n) * np.arange(chunk.shape[1] - 1, -1, -1, dtype=np.uint64)
         words.append(np.bitwise_or.reduce(chunk << shifts, axis=1))
     return np.array(words)
 
@@ -169,15 +166,26 @@ class GeneratorSpec:
 class GeneratingSet:
     """Labeled generators with provenance, realizable as permutations."""
 
-    def __init__(self, model, specs, regime="desk", name="", el3_elements=None):
+    def __init__(self, model, specs, regime="desk", name="", from_el3=False):
         self.model = model
         self.specs = list(specs)
         self.regime = regime
         self.name = name
-        self.el3_elements = el3_elements
+        self._from_el3 = from_el3
         labels = [s.label for s in self.specs]
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be unique")
+
+    @property
+    def el3_elements(self):
+        """The EL3 involutions a build_SN set pulls through its axes, else None.
+
+        Built again on each access rather than kept: one dense (m, 3s) array
+        each, 43 MB in all at s = 1, d = 6.
+        """
+        if not self._from_el3:
+            return None
+        return el3_generating_set(self.model.s, self.model.geometry.lines_per_axis)
 
     def __len__(self):
         return len(self.specs)
@@ -280,11 +288,11 @@ def build_SN(s, d=6):
                 f"pi{axis}.{gen_names[k]}", axis, "lines", (axis, vid, tables),
                 provenance=f"axis {axis}, involution {gen_names[k]}"))
     return GeneratingSet(model, specs, regime=regime,
-                         name=f"S_N(s={s},d={d})", el3_elements=sbar)
+                         name=f"S_N(s={s},d={d})", from_el3=True)
 
 
 def _involution_labels(s, m):
-    from .ring import ring_generators, tuple_length
+    from .ring import tuple_length
     t = tuple_length(s, m)
     names = [f"e{p}" for p in _POSITION_NAMES]
     ring_names = ["a", "b"] + [f"g{i}" for i in range(t)]
@@ -326,7 +334,7 @@ def build_Fn(n, base_perms, m, base_labels=None):
     specs = []
     for w_idx, window in enumerate(windows):
         points = np.asarray(window, dtype=np.int64)
-        assert len(points) == m
+        require(len(points) == m, f"window {w_idx} has {len(points)} points, not {m}")
         for k, g in enumerate(base_perms):
             if g.n != m:
                 raise ValueError("base generators must act on [0, m)")

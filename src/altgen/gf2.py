@@ -1,189 +1,146 @@
-"""GF(2) linear algebra: bit-packed square matrices and the side-field action.
+"""GF(2) linear algebra: batches of bit-packed square matrices and the side-field action.
 
-A matrix row is an int whose bit j is the entry in column j.  Vectors are
-ints (bit i = coordinate i) and matrices act on them from the left.
+A matrix row is a word whose bit j is the entry in column j.  Vectors are
+words too (bit i = coordinate i) and matrices act on them from the left.
 """
 
 import numpy as np
 
+from .errors import require
 from .perms import Permutation
+
+_BIT = np.arange(64, dtype=np.uint64)
+_ONE = np.uint64(1)
+_UNIT = _ONE << _BIT  # row i of the identity is _UNIT[i]
+_UNIT.setflags(write=False)
 
 
 class MatGF2:
-    """Square matrix over GF(2) with bit-packed rows; immutable."""
+    """Immutable batch of m square n x n matrices over GF(2).
 
-    __slots__ = ("n", "rows")
+    `rows` is an (m, n) uint64 array; bit j of rows[c, i] is entry (i, j) of
+    copy c.  MatGF2(n, rows) with n row ints is a single matrix (m = 1).
+    Every operation acts on all copies at once; + and * also pair a single
+    matrix with every copy of a batch.
+    """
+
+    __slots__ = ("n", "m", "rows")
 
     def __init__(self, n, rows):
-        rows = tuple(int(r) for r in rows)
-        if len(rows) != n:
+        arr = np.array(rows, dtype=np.uint64, ndmin=2)
+        if arr.ndim != 2 or arr.shape[1] != n:
             raise ValueError("row count must equal n")
-        mask = (1 << n) - 1
-        if any(r & ~mask for r in rows):
+        if (arr >> np.uint64(n)).any():
             raise ValueError("row has bits outside the matrix width")
-        self.n = n
-        self.rows = rows
+        arr.setflags(write=False)
+        self.n, self.m, self.rows = n, arr.shape[0], arr
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, [1 << i for i in range(n)])
+    def _wrap(cls, n, rows):
+        """Wrap trusted (m, n) uint64 rows without a copy or checks."""
+        out = object.__new__(cls)
+        rows.setflags(write=False)
+        out.n, out.m, out.rows = n, rows.shape[0], rows
+        return out
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, [0] * n)
+    def identity(cls, n, m=1):
+        return cls._wrap(n, np.repeat(_UNIT[None, :n], m, axis=0))
 
     @classmethod
-    def unit(cls, n, i, j):
-        """Matrix with a single 1 at (i, j)."""
-        rows = [0] * n
-        rows[i] = 1 << j
-        return cls(n, rows)
+    def from_int(cls, n, values):
+        """One matrix per value, unpacking n*n bits row-major (row i = bits [i*n, (i+1)*n))."""
+        values = np.asarray(values, dtype=np.uint64).reshape(-1, 1)
+        return cls(n, (values >> (np.uint64(n) * _BIT[:n])) & ((_ONE << np.uint64(n)) - _ONE))
 
-    @classmethod
-    def from_int(cls, n, value):
-        """Unpack n*n bits, row-major (row i = bits [i*n, (i+1)*n))."""
-        mask = (1 << n) - 1
-        return cls(n, [(value >> (i * n)) & mask for i in range(n)])
-
-    def to_int(self):
-        value = 0
-        for i, r in enumerate(self.rows):
-            value |= r << (i * self.n)
-        return value
+    def __getitem__(self, idx):
+        """The copies selected by an index, slice or mask, as a batch."""
+        return self._wrap(self.n, self.rows[idx].reshape(-1, self.n))
 
     def __eq__(self, other):
-        return isinstance(other, MatGF2) and self.n == other.n and self.rows == other.rows
+        return (isinstance(other, MatGF2) and self.n == other.n and self.m == other.m
+                and self.rows.tobytes() == other.rows.tobytes())
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash((self.n, self.m, self.rows.tobytes()))
 
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return MatGF2(self.n, [a ^ b for a, b in zip(self.rows, other.rows)])
+        return self._wrap(self.n, self.rows ^ other.rows)
 
     def __mul__(self, other):
         if not isinstance(other, MatGF2):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("size mismatch")
-        out = []
-        for r in self.rows:
-            acc = 0
-            j = 0
-            while r:
-                if r & 1:
-                    acc ^= other.rows[j]
-                r >>= 1
-                j += 1
-            out.append(acc)
-        return MatGF2(self.n, out)
+        # row i of A*B is the XOR of B's rows at the set bits of A's row i
+        bits = (self.rows[:, :, None] >> _BIT[:self.n]) & _ONE
+        return self._wrap(self.n, np.bitwise_xor.reduce(bits * other.rows[:, None, :], axis=2))
+
+    def is_zero(self):
+        return not self.rows.any()
+
+    def identity_mask(self):
+        """(m,) bool: which copies are the identity."""
+        return (self.rows == _UNIT[:self.n]).all(axis=1)
+
+    def _single(self):
+        if self.m != 1:
+            raise ValueError("operation needs a single matrix")
+        return self.rows[0]
 
     def apply(self, vec):
-        """Matrix times column vector (vector = int bitmask)."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            if bin(r & vec).count("1") & 1:
-                out |= 1 << i
-        return out
-
-    def transpose(self):
-        out = [0] * self.n
-        for i, r in enumerate(self.rows):
-            for j in range(self.n):
-                if (r >> j) & 1:
-                    out[j] |= 1 << i
-        return MatGF2(self.n, out)
+        """Matrix times column vectors: vec is an int bitmask or an array of them."""
+        # bit i of the image is the parity of vec & row i, XOR-folded down to bit 0
+        x = np.asarray(vec, dtype=np.uint64)[..., None] & self._single()
+        for shift in (32, 16, 8, 4, 2, 1):
+            x ^= x >> np.uint64(shift)
+        out = np.bitwise_or.reduce((x & _ONE) << _BIT[:self.n], axis=-1)
+        return int(out) if out.ndim == 0 else out
 
     def rank(self):
-        return len(self.row_space_basis())
+        return len(_span_basis(int(r) for r in self._single()))
+
+    def invertible_mask(self):
+        """(m,) bool: which copies are invertible."""
+        return self._gauss_jordan()[0]
 
     def is_invertible(self):
-        return self._eliminate()[1] is not None
+        return bool(self.invertible_mask().all())
 
     def inverse(self):
-        inv = self._eliminate()[1]
-        if inv is None:
+        ok, inv = self._gauss_jordan()
+        if not ok.all():
             raise ValueError("matrix is singular")
-        return MatGF2(self.n, inv)
+        return self._wrap(self.n, inv)
 
-    def _eliminate(self):
-        """Gauss-Jordan; returns (reduced rows, inverse rows or None)."""
-        n = self.n
-        a = list(self.rows)
-        b = [1 << i for i in range(n)]
-        row = 0
-        for col in range(n):
-            pivot = next((r for r in range(row, n) if (a[r] >> col) & 1), None)
-            if pivot is None:
-                return a, None
-            a[row], a[pivot] = a[pivot], a[row]
-            b[row], b[pivot] = b[pivot], b[row]
-            for r in range(n):
-                if r != row and (a[r] >> col) & 1:
-                    a[r] ^= a[row]
-                    b[r] ^= b[row]
-            row += 1
-        return a, b
+    def _gauss_jordan(self):
+        """Batched elimination: (invertible mask, inverse rows valid where invertible)."""
+        a = self.rows.copy()
+        inv = np.repeat(_UNIT[None, :self.n], self.m, axis=0)
+        ok = np.ones(self.m, dtype=bool)
+        at = np.arange(self.m)
+        for col in range(self.n):
+            bit = (a >> _BIT[col]) & _ONE
+            ok &= bit[:, col:].any(axis=1)
+            # give row col the pivot bit by adding the first row at or below it that has it
+            piv = col + bit[:, col:].argmax(axis=1)
+            fix = _ONE - bit[:, col]
+            a[:, col] ^= fix * a[at, piv]
+            inv[:, col] ^= fix * inv[at, piv]
+            bit[:, col] = 0
+            a ^= bit * a[:, col, None]
+            inv ^= bit * inv[:, col, None]
+        return ok, inv
 
     def nullspace_basis(self):
-        """Basis vectors (ints) of the right kernel."""
-        n = self.n
-        a = list(self.rows)
-        pivots = {}
-        row = 0
-        for col in range(n):
-            pivot = next((r for r in range(row, n) if (a[r] >> col) & 1), None)
-            if pivot is None:
-                continue
-            a[row], a[pivot] = a[pivot], a[row]
-            for r in range(n):
-                if r != row and (a[r] >> col) & 1:
-                    a[r] ^= a[row]
-            pivots[col] = row
-            row += 1
-        basis = []
-        for col in range(n):
-            if col in pivots:
-                continue
-            vec = 1 << col
-            for pcol, prow in pivots.items():
-                if (a[prow] >> col) & 1:
-                    vec |= 1 << pcol
-            basis.append(vec)
-        return basis
-
-    def column_space_basis(self):
-        return self.transpose().row_space_basis()
-
-    def row_space_basis(self):
-        rows = [r for r in self.rows if r]
-        basis = []
-        for r in rows:
-            cur = r
-            for b in basis:
-                cur = min(cur, cur ^ b)
-            if cur:
-                basis.append(cur)
-                basis.sort(reverse=True)
-        return basis
-
-    def order(self, limit=None):
-        """Multiplicative order; requires invertibility."""
-        if not self.is_invertible():
-            raise ValueError("singular matrix has no multiplicative order")
-        ident = MatGF2.identity(self.n)
-        acc = self
-        k = 1
-        while acc != ident:
-            acc = acc * self
-            k += 1
-            if limit is not None and k > limit:
-                raise ValueError("order exceeds limit")
-        return k
+        """Basis vectors (ints) of the right kernel of a single matrix, by enumeration."""
+        vecs = np.arange(1 << self.n, dtype=np.uint64)
+        return _span_basis(int(v) for v in vecs[self.apply(vecs) == 0])
 
     def power(self, e):
-        result = MatGF2.identity(self.n)
+        result = MatGF2.identity(self.n, self.m)
         base = self
         while e:
             if e & 1:
@@ -193,39 +150,38 @@ class MatGF2:
         return result
 
     def __repr__(self):
-        lines = ["".join(str((r >> j) & 1) for j in range(self.n)) for r in self.rows]
-        return f"MatGF2({self.n}, [{' '.join(lines)}])"
+        lines = [" ".join("".join(str((int(r) >> j) & 1) for j in range(self.n)) for r in copy)
+                 for copy in self.rows]
+        return f"{type(self).__name__}({self.n}, [{' | '.join(lines)}])"
+
+
+def _span_basis(vectors, basis=()):
+    """Reduced basis (ints, largest first) of the span of basis and vectors."""
+    basis = list(basis)
+    for cur in vectors:
+        for b in basis:
+            cur = min(cur, cur ^ b)
+        if cur:
+            basis.append(cur)
+            basis.sort(reverse=True)
+    return basis
 
 
 def projector_with_kernel(c):
     """Projector pi with ker(pi) = ker(c); needs a complement of the kernel."""
     n = c.n
     kernel = c.nullspace_basis()
-    # extend kernel basis to a full basis; the added vectors span the image side
-    basis = list(kernel)
+    # extend the kernel basis by unit vectors; the added ones span the image side
+    span = _span_basis(kernel)
     complement = []
-    span = []
-    for v in basis:
-        cur = v
-        for b in span:
-            cur = min(cur, cur ^ b)
-        if cur:
-            span.append(cur)
-            span.sort(reverse=True)
     for j in range(n):
-        v = 1 << j
-        cur = v
-        for b in span:
-            cur = min(cur, cur ^ b)
-        if cur:
-            span.append(cur)
-            span.sort(reverse=True)
-            complement.append(v)
+        grown = _span_basis([1 << j], span)
+        if len(grown) > len(span):
+            span = grown
+            complement.append(1 << j)
     # change of basis: columns are [complement | kernel]
-    cols = complement + kernel
-    P = MatGF2(n, [0] * n)
     rows = [0] * n
-    for j, v in enumerate(cols):
+    for j, v in enumerate(complement + kernel):
         for i in range(n):
             if (v >> i) & 1:
                 rows[i] |= 1 << j
@@ -234,30 +190,7 @@ def projector_with_kernel(c):
     return P * D * P.inverse()
 
 
-# -- polynomial arithmetic for primitive element search ----------------------
-
-
-def _poly_mul_mod(a, b, f, n):
-    """Carry-less multiply of a, b modulo f (deg f = n), all ints."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> n) & 1:
-            a ^= f
-    return result
-
-
-def _poly_pow_mod(a, e, f, n):
-    result = 1
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, a, f, n)
-        a = _poly_mul_mod(a, a, f, n)
-        e >>= 1
-    return result
+# -- primitive element search --------------------------------------------------
 
 
 def _prime_factors(k):
@@ -278,12 +211,13 @@ def primitive_polynomial(n):
     """Lowest primitive polynomial of degree n over GF(2), as an int."""
     K = (1 << n) - 1
     primes = _prime_factors(K)
-    # candidates have constant term 1; iterate in increasing numeric order
+    ident = MatGF2.identity(n)
+    # candidates have constant term 1; iterate in increasing numeric order.
+    # x^e = 1 modulo f exactly when the companion matrix of f has C^e = I
     for middle in range(0, 1 << (n - 1)):
         f = (1 << n) | (middle << 1) | 1
-        if _poly_pow_mod(2, K, f, n) != 1:
-            continue
-        if all(_poly_pow_mod(2, K // p, f, n) != 1 for p in primes):
+        C = companion_matrix(f, n)
+        if C.power(K) == ident and all(C.power(K // p) != ident for p in primes):
             return f
     raise AssertionError(f"no primitive polynomial of degree {n} found")
 
@@ -322,23 +256,25 @@ class SideFieldAction:
         self.n = 3 * s
         self.K = (1 << self.n) - 1
         self.generator = primitive_order_K_element(s)
-        vecs = []
-        v = 1  # e_0
-        for _ in range(self.K):
-            vecs.append(v)
-            v = self.generator.apply(v)
-        assert v == 1, "generator does not have order exactly K"
-        self.vectors = vecs
-        self.dlog = {vec: j for j, vec in enumerate(vecs)}
-        assert len(self.dlog) == self.K, "generator orbit does not cover all vectors"
+        # M^j e_0 for j <= K, doubling: the next 2^k vectors are M^(2^k) times the first 2^k
+        vecs = np.ones(1, dtype=np.uint64)
+        step = self.generator
+        while len(vecs) <= self.K:
+            vecs = np.concatenate([vecs, step.apply(vecs)])
+            step = step * step
+        require(vecs[self.K] == 1, "generator does not have order exactly K")
+        self.vectors = vecs[:self.K]
+        require(len(np.unique(self.vectors)) == self.K,
+                "generator orbit does not cover all vectors")
+        self.dlog = np.zeros(self.K + 1, dtype=np.int64)
+        self.dlog[self.vectors] = np.arange(self.K)
 
     def matrix_to_permutation(self, mat):
         """Permutation of the K labels induced by an invertible matrix."""
         if mat.n != self.n:
             raise ValueError("matrix size mismatch")
-        if not mat.is_invertible():
+        images = mat.apply(self.vectors)
+        # the vectors are all the nonzero ones, so mat is singular iff one maps to 0
+        if not images.all():
             raise ValueError("singular matrix does not permute the labels")
-        table = np.empty(self.K, dtype=np.int64)
-        for j, vec in enumerate(self.vectors):
-            table[j] = self.dlog[mat.apply(vec)]
-        return Permutation(table, _validate=False)
+        return Permutation(self.dlog[images], _validate=False)

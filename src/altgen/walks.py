@@ -12,6 +12,8 @@ from math import comb, sqrt
 
 import numpy as np
 
+from .errors import require
+
 
 # -- exact point distributions -------------------------------------------------
 
@@ -231,7 +233,7 @@ def tuple_walk(model, config, start, target=None):
         pts = start.copy()
         for k, axis in enumerate(axes):
             pts = apply_sampled_word(model, rng, [axis], pts)
-            assert len(np.unique(pts)) == h, "tuple lost distinctness"
+            require(len(np.unique(pts)) == h, "tuple lost distinctness")
             if k + 1 == q1_end and _distinct_first3(model, pts):
                 b1 += 1
             if k + 1 == q2_end and _distinct_last3(model, pts):

@@ -23,7 +23,7 @@ def test_embed_shift_structure():
     # the all-lines order-K element along axis 1 is 7 disjoint 7-cycles at d=2
     model = CubeModel(1, 2)
     M = primitive_order_K_element(1)
-    el = EL3Element.from_copy_matrices([M] * 7)
+    el = EL3Element(3, np.repeat(M.rows, 7, axis=0))
     p = embed_pi(model, 1, el)
     assert p.cycle_type() == (7,) * 7
     sv = ShiftVector(model, 1, np.ones(7, dtype=np.int64))
@@ -89,7 +89,7 @@ def test_line_actions_match_every_copy(s, d):
         vid, tables = el3_line_actions(model, el)
         assert vid.shape == (m,) and set(vid.tolist()) == set(range(len(tables)))
         for j in range(m):
-            expect = model.action.matrix_to_permutation(el.copy_matrix(j)).table
+            expect = model.action.matrix_to_permutation(el[j]).table
             assert np.array_equal(tables[vid[j]], expect)
 
 

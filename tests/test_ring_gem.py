@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from altgen.gf2 import MatGF2
-from altgen.ring import (EL3Element, RingElement, commutator_decompose,
+from altgen.ring import (EL3Element, commutator_decompose, commutator_pair,
                          el3_generating_set, el3_generating_set_size,
                          gem_factor, random_el3, ring_generators, tuple_length,
-                         _commutator_table, _gl_elements)
+                         _combine_invertible, _commutator_table, _gl_elements,
+                         _per_copy)
 
 
 def ring_closure_size(gens, s, m):
     """Oracle: dimension of the unital closure under + and *, as 2^dim."""
-    one = RingElement.one(s, m)
+    one = MatGF2.identity(s, m)
 
     def tovec(x):
         flat = 0
@@ -86,7 +87,7 @@ def test_generating_set_involutions():
 def test_gem_factor_identity_and_single_letter():
     g = EL3Element.identity(2, 2)
     assert len(gem_factor(g)) == 0
-    coeff = RingElement.one(1, 3)
+    coeff = MatGF2.identity(1, 3)
     e = EL3Element.elementary(1, 3, 0, 2, coeff)
     w = gem_factor(e)
     assert len(w) == 1 and w.verify()
@@ -123,14 +124,14 @@ def test_commutator_table_s2_covers_exactly_the_even_elements():
 
 def test_commutator_table_s3_is_complete():
     table = _commutator_table(3)
-    assert len(table) == len(_gl_elements(3)) == 168
+    assert len(table) == _gl_elements(3).m == 168
 
 
 def test_commutator_decompose_roundtrip():
     rng = np.random.default_rng(3)
     table = _commutator_table(2)
     comps = list(table.keys())
-    u = RingElement.from_components([comps[0], comps[1], comps[2]])
+    u = MatGF2(2, np.concatenate([c.rows for c in comps[:3]]))
     v, w = commutator_decompose(u)
     assert v * w * v.inverse() * w.inverse() == u
 
@@ -139,7 +140,7 @@ def test_commutator_decompose_rejects_odd_component():
     # a transvection is outside the commutator subgroup of GL_2(F2)
     odd = MatGF2(2, [0b11, 0b10])
     assert odd.is_invertible()
-    u = RingElement.from_components([odd])
+    u = odd
     with pytest.raises(ValueError, match="component 0"):
         commutator_decompose(u)
 
@@ -147,13 +148,119 @@ def test_commutator_decompose_rejects_odd_component():
 def test_el3_copy_matrix_roundtrip():
     rng = np.random.default_rng(4)
     g = random_el3(2, 3, rng, length=10)
-    mats = [g.copy_matrix(c) for c in range(3)]
-    assert EL3Element.from_copy_matrices(mats) == g
+    mats = [MatGF2(6, [int(r) for r in g.rows[c]]) for c in range(3)]
+    assert EL3Element(6, np.concatenate([mat.rows for mat in mats])) == g
     for mat in mats:
         assert mat.is_invertible()
+    # block (i, j) of copy c is the s x s slice of copy c's matrix
+    for c, mat in enumerate(mats):
+        for i in range(3):
+            for j in range(3):
+                want = [(mat.rows[0, 2 * i + r] >> (2 * j)) & 3 for r in range(2)]
+                assert g.blocks[i][j].rows[c].tolist() == want
 
 
 def test_el3_inverse():
     rng = np.random.default_rng(5)
     g = random_el3(2, 2, rng, length=12)
     assert (g * g.inverse()).is_identity()
+
+
+def test_el3_product_is_the_block_product():
+    # entry (i, j) of g*h over R is sum_k g_ik h_kj, computed on the blocks
+    rng = np.random.default_rng(7)
+    for s, m in [(1, 5), (2, 3), (3, 2)]:
+        g, h = random_el3(s, m, rng, length=8), random_el3(s, m, rng, length=8)
+        gb, hb, prod = g.blocks, h.blocks, (g * h).blocks
+        for i in range(3):
+            for j in range(3):
+                want = gb[i][0] * hb[0][j] + gb[i][1] * hb[1][j] + gb[i][2] * hb[2][j]
+                assert prod[i][j] == want
+
+
+def test_batched_searches_match_loop_references():
+    # first invertible coefficient tuple in lex order, as a plain loop finds it
+    rng = np.random.default_rng(8)
+    every = MatGF2.from_int(2, np.arange(16))
+    for _ in range(30):
+        target, h1, h2 = (MatGF2(2, rng.integers(0, 4, size=2)) for _ in range(3))
+        for helpers in ((h1,), (h1, h2)):
+            want = None
+            for packed in range(16 ** len(helpers)):
+                coeffs = [every[(packed >> (4 * i)) & 15] for i in range(len(helpers))]
+                acc = target
+                for coef, helper in zip(coeffs, helpers):
+                    acc = acc + coef * helper
+                if acc.is_invertible():
+                    want = coeffs
+                    break
+            if want is None:
+                with pytest.raises(ValueError, match="not unimodular"):
+                    _combine_invertible(target, *helpers)
+            else:
+                assert list(_combine_invertible(target, *helpers)) == want
+    # the commutator table keeps each p's first (v, w) in v-major pair order
+    els = _gl_elements(2)
+    first = {}
+    for v in range(els.m):
+        for w in range(els.m):
+            p = els[v] * els[w] * els[v].inverse() * els[w].inverse()
+            first.setdefault(p, (els[v], els[w]))
+    assert list(_commutator_table(2).items()) == list(first.items())
+
+
+def test_per_copy_search_runs_once_per_distinct_copy():
+    # repeated copies share one search; results land on every copy
+    comps = list(_commutator_table(2).keys())
+    u = MatGF2(2, np.concatenate([comps[k].rows for k in (1, 0, 1, 2, 0, 1)]))
+    calls = []
+
+    def search(x):
+        calls.append(x)
+        return commutator_pair(x)
+
+    v, w = _per_copy(search, u)
+    # one search per distinct copy, in the order of the copies' first indices
+    assert calls == [u[0], u[1], u[3]]
+    assert v * w * v.inverse() * w.inverse() == u
+    for c in range(6):
+        assert (v[c], w[c]) == commutator_pair(u[c])
+
+
+def test_per_copy_names_the_lowest_index_failing_copy():
+    # copy 0 is the identity; copies 1 and 2 are singular, and copy 2 has the smallest byte key
+    u = MatGF2(2, [[0b01, 0b10], [0, 0b10], [0, 0b01]])
+    with pytest.raises(ValueError, match="component 1: not invertible"):
+        commutator_decompose(u)
+
+
+def test_randomized_commutator_pair_factors_a_non_real_seven_cycle():
+    # diag(C, 1) with C the companion matrix of x^3 + x + 1: order 7 in GL_4(2) = A_8
+    p = MatGF2(4, [0b0100, 0b0101, 0b0010, 0b1000])
+    ident = MatGF2.identity(4)
+    assert p.power(7) == ident and p != ident
+    # not a product of two involutions, so the corner search needs a commutator pair
+    els = _gl_elements(4)
+    t1 = els[(els * els).identity_mask()]
+    assert not ((t1 * p) * (t1 * p)).identity_mask().any()
+    v, w = commutator_pair(p)
+    assert v * w * v.inverse() * w.inverse() == p
+
+
+def test_randomized_commutator_budget_counts_invertible_pairs():
+    # the zero matrix is no commutator, so the search spends its whole budget;
+    # it must test exactly `budget` invertible pairs, drawing past the singular ones
+    class Recorder:
+        def __init__(self):
+            self.rng, self.draws = np.random.default_rng(5), []
+
+        def integers(self, *args, **kwargs):
+            self.draws.append(self.rng.integers(*args, **kwargs))
+            return self.draws[-1]
+
+    rec, budget = Recorder(), 3000
+    with pytest.raises(ValueError, match="budget"):
+        commutator_pair(MatGF2(4, [0] * 4), rng=rec, budget=budget)
+    counts = [int((MatGF2(4, v).invertible_mask() & MatGF2(4, w).invertible_mask()).sum())
+              for v, w in zip(rec.draws[::2], rec.draws[1::2])]
+    assert sum(counts[:-1]) < budget <= sum(counts)
