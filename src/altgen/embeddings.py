@@ -13,7 +13,7 @@ from .errors import require
 from .geometry import CubeGeometry
 from .gf2 import SideFieldAction
 from .perms import Permutation, cycle_labels
-from .ring import EL3Element, el3_generating_set, el3_generating_set_size
+from .ring import el3_generating_set, el3_generating_set_size, el3_involutions
 from . import blocks as _blocks
 
 # discrete-log tables get big past this side length
@@ -112,7 +112,8 @@ def el3_line_actions(model, el3):
     """Per-line actions of an EL3 element: (variant ids, variant K-perms).
 
     Variants are the distinct copy matrices in lexicographic order of their
-    rows, each represented by its first copy.
+    rows, each represented by its first copy.  The variant ids take the
+    narrowest unsigned dtype that holds them (uint8 at desk sizes).
     """
     geo = model.geometry
     if el3.m != geo.lines_per_axis:
@@ -123,9 +124,10 @@ def el3_line_actions(model, el3):
     ranked = keys[:, order]
     new = np.ones(el3.m, dtype=bool)
     new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    vid = np.empty(el3.m, dtype=np.int64)
-    vid[order] = np.cumsum(new) - 1
     rep_idx = order[new]
+    # one id per line in the narrowest dtype that holds them all
+    vid = np.empty(el3.m, dtype=np.min_scalar_type(len(rep_idx) - 1))
+    vid[order] = np.cumsum(new) - 1
     tables = np.empty((len(rep_idx), geo.K), dtype=np.int64)
     for v, rep in enumerate(rep_idx):
         tables[v] = model.action.matrix_to_permutation(el3[rep]).table
@@ -271,12 +273,13 @@ def build_SN(s, d=6):
                     provenance=f"axis {axis}, involution {k}"))
         return GeneratingSet(model, specs, regime=regime, name=f"S_N(s={s},d={d})")
 
-    sbar = el3_generating_set(s, m)
     gen_names = _involution_labels(s, m)
     # an involution acts on the lines of every axis alike, so its line
-    # actions are computed once and shared, read-only, by its d specs
+    # actions are computed once and shared, read-only, by its d specs; the
+    # involutions are built one at a time and dropped once their actions
+    # are known
     actions = []
-    for el in sbar:
+    for el in el3_involutions(s, m):
         vid, tables = el3_line_actions(model, el)
         vid.setflags(write=False)
         tables.setflags(write=False)
@@ -312,12 +315,15 @@ def delta_h_generating_set(model, h_perms, labels=None):
     for g in h_perms:
         if g.n != K:
             raise ValueError("pluggable generators must act on the K line points")
-    m = model.geometry.lines_per_axis
+    # one read-only (vid, tables) pair per h, shared by its d axis specs
+    vid = np.zeros(model.geometry.lines_per_axis, dtype=np.uint8)
+    vid.setflags(write=False)
+    stacks = [g.table[None, :] for g in h_perms]
+    for tables in stacks:
+        tables.setflags(write=False)
     for axis in range(1, model.d + 1):
-        for k, g in enumerate(h_perms):
+        for k, tables in enumerate(stacks):
             name = labels[k] if labels else f"h{k}"
-            vid = np.zeros(m, dtype=np.int64)
-            tables = g.table[None, :]
             specs.append(GeneratorSpec(
                 f"pi{axis}.{name}", axis, "lines", (axis, vid, tables),
                 provenance=f"axis {axis}, transitive-group generator {name}"))

@@ -142,9 +142,11 @@ class EdgeGraph(SparseGraph):
 class AxisBlockGraph(SparseGraph):
     """Schreier graph of an axis-embedded generating set, in implicit form.
 
-    Each axis stores one (lines, K, K) stochastic block: the average of the
+    Each axis has one (lines, K, K) stochastic block: the average of the
     per-line permutation matrices of all that axis's generators (and their
-    inverses).  Matvec cost is a few gathers per axis.
+    inverses).  Axes whose generators carry the same (vid, tables) objects
+    share one block.  A vector reaches the axis-i lines as a view of the
+    K^d cube with axis i moved last, so no index table is built.
     """
 
     def __init__(self, genset):
@@ -164,64 +166,82 @@ class AxisBlockGraph(SparseGraph):
         if estimate > AXIS_BLOCK_BUDGET:
             raise ValueError(f"axis blocks need about {estimate} bytes, over the "
                              f"budget of {AXIS_BLOCK_BUDGET} bytes")
-        counts = {axis: np.zeros((m, K, K), dtype=count_type) for axis in axes}
-        self._variants = {axis: {} for axis in axes}
-        rows = np.arange(K)
+        actions = {axis: [] for axis in axes}
         for spec in genset.specs:
             if spec.kind != "lines":
                 raise ValueError("axis-block form needs line-structured generators")
             axis, vid, tables = spec.payload
+            actions[axis].append((vid, tables))
+        # the counts are integers, so axes listing the same pairs in any
+        # order have equal blocks
+        shared = {}
+        self._blocks, self._variants = {}, {}
+        for axis in axes:
+            key = tuple(sorted((id(vid), id(tables)) for vid, tables in actions[axis]))
+            if key not in shared:
+                shared[key] = self._axis_block(actions[axis], count_type)
+            self._blocks[axis], self._variants[axis] = shared[key]
+        self._axes = axes
+        self._shape = (K,) * geo.d
+
+    def _axis_block(self, actions, count_type):
+        """The block of one axis's (vid, tables) pairs, and each distinct
+        line table with the mask of lines it acts on."""
+        m, K = self.model.geometry.lines_per_axis, self.model.K
+        counts = np.zeros((m, K, K), dtype=count_type)
+        variants = {}
+        rows = np.arange(K)
+        for vid, tables in actions:
             onehots = np.zeros((len(tables), K, K), dtype=count_type)
             for v, t in enumerate(tables):
                 onehots[v, rows, t] = 1
             # generator and its inverse (transpose of each onehot)
-            counts[axis] += (onehots + onehots.transpose(0, 2, 1))[vid]
-            store = self._variants[axis]
+            counts += (onehots + onehots.transpose(0, 2, 1))[vid]
             for v, t in enumerate(tables):
                 key = t.tobytes()
-                if key not in store:
-                    store[key] = (t.copy(), np.zeros(m, dtype=bool))
-                store[key][1][vid == v] = True
-        self._blocks = {axis: counts[axis] / self.degree for axis in axes}
-        self._axes = axes
+                if key not in variants:
+                    variants[key] = (t.copy(), np.zeros(m, dtype=bool))
+                variants[key][1][vid == v] = True
+        return counts / self.degree, variants
+
+    def _cube(self, x, axis):
+        """x as the K^d cube with `axis` last: lines in line-id order."""
+        return np.moveaxis(x.reshape(self._shape), len(self._shape) - axis, -1)
 
     def matvec(self, v):
-        geo = self.model.geometry
+        K = self.model.K
         out = np.zeros(self.n, dtype=float)
         for axis in self._axes:
-            lp = geo.line_points(axis)
-            vl = v[lp]
-            out[lp] += np.einsum("mab,mb->ma", self._blocks[axis], vl)
+            # a fresh C-contiguous copy: einsum's summation order depends on
+            # the operand's layout, and this one fixes the report's bits
+            vl = self._cube(v, axis).copy().reshape(-1, K)
+            lines = self._cube(out, axis)
+            lines += np.einsum("mab,mb->ma", self._blocks[axis], vl).reshape(self._shape)
         return out
 
     def displacements(self, v):
-        # v on each axis's (line, coordinate) grid, and the grid index of
-        # every point; the d specs sharing one (vid, tables) pair share one
-        # gather index, so generators come grouped by line action
-        geo = self.model.geometry
-        grids = {}
-        for axis in self._axes:
-            lp = geo.line_points(axis)
-            back = np.empty(self.n, dtype=np.int64)
-            back[lp.ravel()] = np.arange(self.n)
-            grids[axis] = (v.take(lp).ravel(), back)
+        # v on each axis's (line, coordinate) grid; the d specs sharing one
+        # (vid, tables) pair share one gather index, so generators come
+        # grouped by line action
+        grids = {axis: self._cube(v, axis).copy().ravel() for axis in self._axes}
         groups = {}
         for spec in self.genset.specs:
             axis, vid, tables = spec.payload
             groups.setdefault((id(vid), id(tables)), (vid, tables, []))[2].append(axis)
-        rows = np.arange(geo.lines_per_axis)[:, None] * geo.K
+        rows = np.arange(self.model.geometry.lines_per_axis)[:, None] * self.model.K
         moved = np.empty(self.n)
         for vid, tables, axes in groups.values():
             index = (rows + tables[vid]).ravel()
             for axis in axes:
-                vl, back = grids[axis]
-                np.subtract(vl.take(index, out=moved), vl, out=moved)
-                yield moved.take(back)
+                np.subtract(grids[axis].take(index, out=moved), grids[axis], out=moved)
+                diff = np.empty(self.n)
+                self._cube(diff, axis)[...] = moved.reshape(self._shape)
+                yield diff
 
     def edge_counts(self):
         # the blocks are counts / degree; recover the counts and insist that
         # dividing them again gives the stored block bit for bit
-        geo = self.model.geometry
+        points = np.arange(self.n, dtype=np.int64)
         for axis in self._axes:
             block = self._blocks[axis]
             line, a, b = np.nonzero(block)
@@ -229,20 +249,22 @@ class AxisBlockGraph(SparseGraph):
             count = np.rint(weight * self.degree).astype(np.int64)
             require(np.array_equal(count / self.degree, weight),
                     f"axis {axis} block is not integer edge counts over the degree")
-            lp = geo.line_points(axis)
+            lp = self._cube(points, axis).reshape(-1, self.model.K)
             yield lp[line, a], lp[line, b], count
 
     def neighbors(self, xs):
-        geo = self.model.geometry
+        # point x sits at coordinate pos of line lid; moving it to coordinate
+        # t[pos] moves it by (t[pos] - pos) strides
+        K = self.model.K
         out = [xs]
         for axis in self._axes:
-            lp = geo.line_points(axis)
-            lid = geo.line_id_array(axis)[xs]
-            pos = geo.coord_array(axis)[xs]
+            stride = K ** (axis - 1)
+            pos = (xs // stride) % K
+            lid = (xs // (stride * K)) * stride + xs % stride
             for table, avail in self._variants[axis].values():
                 sel = avail[lid]
                 if sel.any():
-                    out.append(lp[lid[sel], table[pos[sel]]])
+                    out.append(xs[sel] + (table[pos[sel]] - pos[sel]) * stride)
         return np.concatenate(out)
 
 

@@ -136,18 +136,24 @@ def ring_generators(s, m):
 _POSITIONS = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 
-def el3_generating_set(s, m):
-    """The involution generating set of EL3(R): 18 + 6t elements.
+def el3_involutions(s, m):
+    """The involution generating set of EL3(R), one element at a time.
 
     Six plain elementary matrices plus one per (ring generator, position)
-    pair; every element squares to the identity in characteristic 2.
+    pair, 18 + 6t in all; every element squares to the identity in
+    characteristic 2.
     """
     one = MatGF2.identity(s)
-    out = [EL3Element.elementary(s, m, i, j, one) for i, j in _POSITIONS]
+    for i, j in _POSITIONS:
+        yield EL3Element.elementary(s, m, i, j, one)
     for gen in ring_generators(s, m):
         for i, j in _POSITIONS:
-            out.append(EL3Element.elementary(s, m, i, j, gen))
-    return out
+            yield EL3Element.elementary(s, m, i, j, gen)
+
+
+def el3_generating_set(s, m):
+    """The involution generating set of EL3(R) as a list: 18 + 6t elements."""
+    return list(el3_involutions(s, m))
 
 
 def el3_generating_set_size(s, d):

@@ -8,6 +8,7 @@ from altgen.embeddings import (CubeModel, GeneratingSet, GeneratorSpec,
                                delta_h_generating_set, el3_line_actions,
                                embed_pi)
 from altgen.gf2 import primitive_order_K_element
+from altgen.graphs import AxisBlockGraph
 from altgen.perms import Permutation
 from altgen.ring import EL3Element, el3_generating_set, random_el3
 from altgen.schreier_sims import group_order
@@ -188,3 +189,44 @@ def test_all_even_reads_each_shared_stack_once(monkeypatch):
     sn = build_SN(1, 2)
     assert sn.all_even()
     assert len(calls) == len(sn) // 2
+
+
+def test_line_action_ids_take_the_narrowest_dtype():
+    model = CubeModel(1, 3)
+    vid, tables = el3_line_actions(model, el3_generating_set(1, model.geometry.lines_per_axis)[6])
+    assert vid.dtype == np.uint8 and len(tables) <= 256
+
+
+def test_build_sn_builds_one_involution_at_a_time(monkeypatch):
+    import weakref
+    import altgen.embeddings as emb
+    from altgen.ring import el3_involutions
+    # build_SN holds the previous involution while the next one is built,
+    # and no other
+    refs = []
+
+    def tracked(s, m):
+        for el in el3_involutions(s, m):
+            refs.append(weakref.ref(el.rows))
+            assert sum(ref() is not None for ref in refs) <= 2
+            yield el
+
+    monkeypatch.setattr(emb, "el3_involutions", tracked)
+    sn = build_SN(1, 3)
+    assert len(refs) == len(sn) // 3 > 2
+
+
+def test_delta_h_axes_share_one_read_only_pair():
+    model = CubeModel(1, 3)
+    hs = [Permutation.from_cycles(7, [tuple(range(7))]),
+          Permutation.from_cycles(7, [(0, 1, 2)])]
+    genset = delta_h_generating_set(model, hs)
+    for k in range(len(hs)):
+        _, vid, tables = genset.specs[k].payload
+        assert vid.dtype == np.uint8 and not vid.any()
+        assert not vid.flags.writeable and not tables.flags.writeable
+        for axis in (2, 3):
+            spec = genset.specs[(axis - 1) * len(hs) + k]
+            assert spec.payload[1] is vid and spec.payload[2] is tables
+    blocks = AxisBlockGraph(genset)._blocks
+    assert blocks[2] is blocks[1] and blocks[3] is blocks[1]

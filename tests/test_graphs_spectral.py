@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altgen import graphs
-from altgen.embeddings import CubeModel, build_SN, delta_h_generating_set
+from altgen.embeddings import (CubeModel, GeneratingSet, GeneratorSpec, build_SN,
+                               delta_h_generating_set, el3_line_actions)
 from altgen.errors import VerificationError
 from altgen.graphs import (ActionGraph, AxisBlockGraph, EdgeGraph, cayley_graph,
                            read_edge_list, schreier_graph, write_edge_list)
 from altgen.perms import Permutation
-from altgen.spectral import (cheeger_sweep, exact_conductance, expansion_exact,
-                             kazhdan_bracket, kazhdan_upper, spectral_gap)
+from altgen.ring import el3_generating_set
+from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, exact_conductance,
+                             expansion_exact, kazhdan_bracket, kazhdan_upper,
+                             spectral_gap)
 
 
 def cyclic_graph(n, shifts=(1,)):
@@ -390,3 +393,146 @@ def test_oversized_axis_blocks_are_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# -- axis blocks on cube views, against the line-point tables ------------------
+
+
+def reference_blocks(genset):
+    """Each axis's block counted from its own specs through the line tables."""
+    geo = genset.model.geometry
+    lines = np.arange(geo.lines_per_axis)[:, None]
+    counts = {}
+    for spec in genset.specs:
+        axis, vid, tables = spec.payload
+        c = counts.setdefault(axis, np.zeros((geo.lines_per_axis, geo.K, geo.K),
+                                             dtype=np.int64))
+        forward = tables[vid]
+        for t in (forward, np.argsort(forward, axis=1)):   # generator, inverse
+            np.add.at(c, (lines, np.arange(geo.K), t), 1)
+    return {axis: c / (2 * len(genset.specs)) for axis, c in counts.items()}
+
+
+def reference_matvec(geo, blocks, v):
+    out = np.zeros(geo.N)
+    for axis in sorted(blocks):
+        lp = geo.line_points(axis)
+        out[lp] += np.einsum("mab,mb->ma", blocks[axis], v[lp])
+    return out
+
+
+def reference_edge_counts(geo, blocks, degree):
+    for axis, block in blocks.items():
+        line, a, b = np.nonzero(block)
+        lp = geo.line_points(axis)
+        yield lp[line, a], lp[line, b], np.rint(block[line, a, b] * degree)
+
+
+def sorted_triples(chunks):
+    rows = np.concatenate([np.stack([src, dst, np.broadcast_to(count, src.shape)], axis=1)
+                           for src, dst, count in chunks])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def reference_neighbors(geo, genset, xs):
+    """xs and the image of xs under every generator, from the line tables."""
+    out = [xs]
+    for spec in genset.specs:
+        axis, vid, tables = spec.payload
+        lid, pos = geo.line_id_array(axis)[xs], geo.coord_array(axis)[xs]
+        out.append(geo.line_points(axis)[lid, tables[vid][lid, pos]])
+    return np.unique(np.concatenate(out))
+
+
+def assert_matches_line_tables(genset, seed):
+    geo = genset.model.geometry
+    g = AxisBlockGraph(genset)
+    blocks = reference_blocks(genset)
+    assert sorted(g._blocks) == sorted(blocks)
+    for axis, block in blocks.items():
+        assert np.array_equal(g._blocks[axis], block)
+    rng = np.random.default_rng(seed)
+    vectors = [rng.standard_normal(geo.N) for _ in range(5)]
+    vectors.append((rng.random(geo.N) < 0.3).astype(float))
+    for v in vectors:
+        assert np.array_equal(g.matvec(v), reference_matvec(geo, blocks, v))
+    v = vectors[0]
+    perms = [genset.materialize(i).table for i in range(len(genset))]
+    got = sorted(d.tobytes() for d in g.displacements(v))
+    assert got == sorted((v[t] - v).tobytes() for t in perms)
+    assert np.array_equal(sorted_triples(g.edge_counts()),
+                          sorted_triples(reference_edge_counts(geo, blocks, g.degree)))
+    xs = rng.choice(geo.N, size=geo.N // 3, replace=False)
+    assert np.array_equal(np.unique(g.neighbors(xs)), reference_neighbors(geo, genset, xs))
+    return g
+
+
+@pytest.mark.parametrize("s, d", [(1, 3), (1, 4), (2, 2)])
+def test_axis_block_graph_matches_the_line_tables(s, d):
+    sn = build_SN(s, d)
+    g = assert_matches_line_tables(sn, seed=10 * s + d)
+    # every axis of a build_SN set lists the same involutions
+    for axis in range(1, d + 1):
+        assert g._blocks[axis] is g._blocks[1]
+        assert g._variants[axis] is g._variants[1]
+
+
+def test_axes_with_different_involutions_keep_their_own_blocks():
+    model = CubeModel(1, 3)
+    actions = [el3_line_actions(model, el)
+               for el in el3_generating_set(1, model.geometry.lines_per_axis)]
+    # axes 1 and 3 list the same pairs in different orders; axis 2 its own
+    members = {1: actions[:20], 2: actions[10:30], 3: actions[:20][::-1]}
+    specs = [GeneratorSpec(f"g{axis}.{k}", axis, "lines", (axis, vid, tables))
+             for axis, pairs in members.items() for k, (vid, tables) in enumerate(pairs)]
+    g = assert_matches_line_tables(GeneratingSet(model, specs), seed=4)
+    assert g._blocks[3] is g._blocks[1]
+    assert g._blocks[2] is not g._blocks[1]
+    assert not np.array_equal(g._blocks[2], g._blocks[1])
+
+
+def test_axis_block_graph_builds_no_index_tables():
+    sn = build_SN(1, 3)
+    geo = sn.model.geometry
+    g = AxisBlockGraph(sn)
+    assert g.is_connected()
+    spectral_gap(g, method="lanczos", seed=2)
+    assert geo._tables == {}
+
+
+def reference_power(graph, tol, seed, budget):
+    """The power loop that formed each iterate's lazy product twice."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(graph.n)
+    v = v - v.mean()
+    v /= np.linalg.norm(v)
+    mu_prev = None
+    for it in range(1, budget + 1):
+        w = 0.5 * (v + graph.matvec(v))
+        w = w - w.mean()
+        w /= np.linalg.norm(w)
+        mu = float(w @ (0.5 * (w + graph.matvec(w))))
+        if mu_prev is not None and abs(mu - mu_prev) < tol:
+            return 2.0 * mu - 1.0, w, it
+        mu_prev = mu
+        v = w
+
+
+def test_power_iteration_reuses_its_last_product():
+    class Counted:
+        def __init__(self, graph):
+            self.graph, self.n, self.calls = graph, graph.n, 0
+
+        def matvec(self, v):
+            self.calls += 1
+            return self.graph.matvec(v)
+
+    rng = np.random.default_rng(12)
+    small = ActionGraph([Permutation.random(60, rng) for _ in range(2)])
+    for graph, seed in [(small, 0), (small, 1), (schreier_graph(build_SN(1, 2)), 0)]:
+        counted = Counted(graph)
+        lam2, vec, iterations = _power_second_eigenpair(counted, 1e-12, seed)
+        ref_lam2, ref_vec, ref_iterations = reference_power(graph, 1e-12, seed, 10**5)
+        assert (lam2, iterations) == (ref_lam2, ref_iterations)
+        assert np.array_equal(vec, ref_vec)
+        assert counted.calls == iterations + 1
