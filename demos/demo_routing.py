@@ -32,7 +32,7 @@ else:
     g, h = result
     final = h.materialize().table[g.materialize().table[np.sort(points)]]
     print("all points landed on the face:",
-          bool((model.geometry.coord_array(1)[final] == 0).all()))
+          bool((model.geometry.line_coords(final, 1)[1] == 0).all()))
 
 print()
 print("== the standard face cycle and a full conjugation word ==")

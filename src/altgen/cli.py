@@ -130,11 +130,23 @@ def write_gens_json(genset, path):
         entry = {"label": spec.label, "axis": spec.axis,
                  "provenance": spec.provenance, "kind": spec.kind}
         data["generators"].append(entry)
-    involutions = genset.el3_elements
-    if involutions is not None:
-        data["involution_set"] = [_el3_to_json(el) for el in involutions]
+    involutions = genset.el3_involutions()
+    if involutions is None:
+        with open(path, "w") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+        return
+    # the involutions are written one at a time, each in the layout json.dump
+    # gives an item of a list one level below the top (indent 1), so the file
+    # is the one json.dump would write for the whole list
+    data["involution_set"] = None
+    head, tail = json.dumps(data, indent=1, sort_keys=True).split(
+        '"involution_set": null')
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write(head + '"involution_set": [')
+        for k, el in enumerate(involutions):
+            entry = json.dumps(_el3_to_json(el), indent=1, sort_keys=True)
+            fh.write(("," if k else "") + "\n  " + entry.replace("\n", "\n  "))
+        fh.write("\n ]" + tail)
 
 
 # -- the transitive-group helper ---------------------------------------------------
@@ -203,8 +215,8 @@ def cmd_construct(args):
     report.check("regime", "explicit bounds hold for s > 6 at d = 6",
                  genset.regime, reported=True)
     if genset.materializable:
-        report.check("all-even", "product-group elements act evenly",
-                     genset.all_even(), ok=genset.all_even())
+        even = genset.all_even()
+        report.check("all-even", "product-group elements act evenly", even, ok=even)
     if args.out:
         write_gens_json(genset, args.out)
         report.check("gens-json", "serialized generating set", args.out, ok=True)
@@ -500,10 +512,11 @@ def _route_is_exact(model, sigma):
 
     Off-face points are unconstrained, so only the face's images are checked.
     """
-    from .words import grid_route
+    from .words import face_points, grid_route
     word = grid_route(model, sigma)
-    images = word.product().table[np.arange(len(sigma)) * model.K]
-    return (not (images % model.K).any() and np.array_equal(images // model.K, sigma)
+    images = word.product().table[face_points(model)]
+    line, coord = model.geometry.line_coords(images, 1)
+    return (not coord.any() and np.array_equal(line, sigma)
             and len(word) == 4 * model.d - 5)
 
 
@@ -598,8 +611,6 @@ def build_parser():
     sp.add_argument("--h", type=int)
     sp.add_argument("--samples", type=int)
     sp.add_argument("--trials", type=int)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--limit", type=int)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

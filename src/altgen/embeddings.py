@@ -13,7 +13,7 @@ from .errors import require
 from .geometry import CubeGeometry
 from .gf2 import SideFieldAction
 from .perms import Permutation, cycle_labels
-from .ring import el3_generating_set, el3_generating_set_size, el3_involutions
+from .ring import el3_generating_set_size, el3_involutions
 from . import blocks as _blocks
 
 # discrete-log tables get big past this side length
@@ -49,10 +49,11 @@ class CubeModel:
         line_perms: (lines, K) int array, each row a permutation of [0, K).
         """
         geo = self.geometry
-        lp = geo.line_points(axis)
-        lid = geo.line_id_array(axis)
-        pos = geo.coord_array(axis)
-        table = lp[lid, np.asarray(line_perms)[lid, pos]]
+        points = geo.lines(geo.points(), axis)
+        # the point at coordinate c is the line's first point moved c places
+        table = np.empty(geo.N, dtype=np.int64)
+        geo.lines(table, axis)[...] = geo.move(
+            points[..., :1], axis, np.asarray(line_perms).reshape(points.shape))
         return Permutation(table, _validate=False)
 
 
@@ -73,12 +74,9 @@ class ShiftVector:
         self.shifts = shifts
 
     def materialize(self):
-        geo = self.model.geometry
-        lp = geo.line_points(self.axis)
-        lid = geo.line_id_array(self.axis)
-        pos = geo.coord_array(self.axis)
-        table = lp[lid, (pos + self.shifts[lid]) % geo.K]
-        return Permutation(table, _validate=False)
+        K = self.model.K
+        return self.model.lines_to_permutation(
+            self.axis, (np.arange(K) + self.shifts[:, None]) % K)
 
     def inverse(self):
         return ShiftVector(self.model, self.axis, -self.shifts)
@@ -156,7 +154,7 @@ class GeneratorSpec:
     __slots__ = ("label", "axis", "kind", "payload", "provenance")
 
     def __init__(self, label, axis, kind, payload, provenance=""):
-        if kind not in ("lines", "shift", "perm", "symbolic"):
+        if kind not in ("lines", "perm", "symbolic"):
             raise ValueError(f"unknown generator kind {kind!r}")
         self.label = label
         self.axis = axis
@@ -178,16 +176,22 @@ class GeneratingSet:
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be unique")
 
-    @property
-    def el3_elements(self):
-        """The EL3 involutions a build_SN set pulls through its axes, else None.
+    def el3_involutions(self):
+        """The EL3 involutions a build_SN set pulls through its axes, one at
+        a time, else None.
 
-        Built again on each access rather than kept: one dense (m, 3s) array
+        Built again on each call rather than kept: one dense (m, 3s) array
         each, 43 MB in all at s = 1, d = 6.
         """
         if not self._from_el3:
             return None
-        return el3_generating_set(self.model.s, self.model.geometry.lines_per_axis)
+        return el3_involutions(self.model.s, self.model.geometry.lines_per_axis)
+
+    @property
+    def el3_elements(self):
+        """The list form of `el3_involutions`, else None."""
+        involutions = self.el3_involutions()
+        return None if involutions is None else list(involutions)
 
     def __len__(self):
         return len(self.specs)
@@ -204,8 +208,6 @@ class GeneratingSet:
         if spec.kind == "lines":
             axis, vid, tables = spec.payload
             return self.model.lines_to_permutation(axis, tables[vid])
-        if spec.kind == "shift":
-            return spec.payload.materialize()
         if spec.kind == "perm":
             return spec.payload
         raise ValueError(f"generator {spec.label!r} is symbolic (shape-only set)")
@@ -225,12 +227,6 @@ class GeneratingSet:
             variant_par = (tables.shape[1] - cycles) % 2
             counts = np.bincount(vid, minlength=len(tables))
             return int(counts @ variant_par) % 2
-        if spec.kind == "shift":
-            sv = spec.payload
-            K = self.model.K
-            # a cyclic shift of an odd-length line is always even
-            par = [(K - np.gcd(int(r), K)) % 2 for r in sv.shifts if r]
-            return int(sum(par)) % 2
         if spec.kind == "perm":
             return spec.payload.parity
         raise ValueError("symbolic generator has no computable parity")

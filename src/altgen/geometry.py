@@ -4,39 +4,24 @@ Points are labeled 0..N-1 by the lexicographic codec with axis 1 fastest:
 index = sum_i coord_i * K^(i-1), coordinates 0-based in [0, K).  Coordinate
 value j stands for the j-th power of the fixed multiplicative generator of
 the side field, so the order-K cyclic shift acts as coordinate +1 mod K.
-"""
 
-import functools
+The axis-i lines are numbered by encoding the remaining d-1 coordinates with
+the same codec (first remaining axis fastest), so ids run 0..K^(d-1)-1.
+This module is the only one that knows the layout: a length-N vector
+reaches the lines through `lines`, a set of points through `line_coords`
+and `move`.
+"""
 
 import numpy as np
 
-# Above this many points the index tables are refused (shape-only geometry).
-DEFAULT_TABLE_LIMIT = 10**7
-
-
-def _cached_table(method):
-    """Cache a per-axis table on the geometry instance, read-only.
-
-    The cache lives and dies with the instance, so dropping a geometry frees
-    its N-sized tables.
-    """
-    @functools.wraps(method)
-    def cached(self, axis):
-        key = (method.__name__, axis)
-        table = self._tables.get(key)
-        if table is None:
-            table = method(self, axis)
-            table.setflags(write=False)
-            self._tables[key] = table
-        return table
-
-    return cached
+# Above this many points whole-cube arrays are refused (shape-only geometry).
+TABLE_LIMIT = 10**7
 
 
 class CubeGeometry:
     """Parameters (s, d) with side K = 2^(3s) - 1 and N = K^d points."""
 
-    def __init__(self, s, d, table_limit=DEFAULT_TABLE_LIMIT):
+    def __init__(self, s, d):
         if s < 1:
             raise ValueError("s must be a positive integer")
         if d < 2:
@@ -46,13 +31,11 @@ class CubeGeometry:
         self.K = (1 << (3 * s)) - 1
         self.N = self.K**d
         self.lines_per_axis = self.K ** (d - 1)
-        self.table_limit = table_limit
-        self._tables = {}   # (method name, axis) -> cached index table
 
     @property
     def materializable(self):
-        """Whether per-point index tables fit under the configured limit."""
-        return self.N <= self.table_limit
+        """Whether length-N arrays fit under the table limit."""
+        return self.N <= TABLE_LIMIT
 
     def __repr__(self):
         return f"CubeGeometry(s={self.s}, d={self.d}, K={self.K}, N={self.N})"
@@ -80,53 +63,58 @@ class CubeGeometry:
             out.append(c)
         return tuple(out)
 
-    # -- vectorized helpers (desk-scale only) --------------------------------
+    # -- line layout ---------------------------------------------------------
 
-    def _require_tables(self):
-        if not self.materializable:
-            raise ValueError(
-                f"N = {self.N} exceeds the table limit {self.table_limit}; "
-                "this geometry supports shape-only use"
-            )
-
-    @_cached_table
-    def coord_array(self, axis):
-        """Coordinate along `axis` (1-based) of every point, shape (N,)."""
-        self._require_tables()
+    def _stride(self, axis):
         if not 1 <= axis <= self.d:
             raise ValueError(f"axis {axis} out of range [1, {self.d}]")
-        idx = np.arange(self.N, dtype=np.int64)
-        return (idx // self.K ** (axis - 1)) % self.K
+        return self.K ** (axis - 1)
 
-    @_cached_table
-    def line_id_array(self, axis):
-        """Axis-`axis` line id of every point, shape (N,).
+    def points(self):
+        """Every point index, 0..N-1; refused past the table limit."""
+        if not self.materializable:
+            raise ValueError(
+                f"N = {self.N} exceeds the table limit {TABLE_LIMIT}; "
+                "this geometry supports shape-only use"
+            )
+        return np.arange(self.N, dtype=np.int64)
 
-        Lines are numbered by encoding the remaining d-1 coordinates with the
-        same codec (first remaining axis fastest), so ids run 0..K^(d-1)-1.
+    def lines(self, x, axis):
+        """The length-N array x as the (K,)*d cube with `axis` moved last.
+
+        A view of x, so writes go through.  Its first d-1 axes, flattened in
+        C order, run over the axis-`axis` lines in line-id order; the last
+        runs along each line in coordinate order.
         """
-        self._require_tables()
-        idx = np.arange(self.N, dtype=np.int64)
-        lid = np.zeros(self.N, dtype=np.int64)
-        mult = 1
-        for j in range(1, self.d + 1):
-            if j == axis:
-                continue
-            lid += ((idx // self.K ** (j - 1)) % self.K) * mult
-            mult *= self.K
-        return lid
+        self._stride(axis)   # checks the axis
+        return np.moveaxis(x.reshape((self.K,) * self.d), self.d - axis, -1)
 
-    @_cached_table
+    def line_coords(self, x, axis):
+        """(line id, coordinate along `axis`) of point index or indices x."""
+        stride = self._stride(axis)
+        high, low = divmod(x, stride)
+        high, coord = divmod(high, self.K)
+        return high * stride + low, coord
+
+    def move(self, x, axis, delta):
+        """Point indices x moved `delta` places along their axis-`axis` lines.
+
+        Nothing wraps around: each coordinate plus its delta stays in [0, K).
+        """
+        return x + delta * self._stride(axis)
+
+    # -- whole-cube index tables, derived from the layout above ---------------
+    # No module in the package calls these; perfbench/tracer.py wraps them by
+    # name.
+
+    def coord_array(self, axis):
+        """Coordinate along `axis` (1-based) of every point, shape (N,)."""
+        return self.line_coords(self.points(), axis)[1]
+
+    def line_id_array(self, axis):
+        """Axis-`axis` line id of every point, shape (N,)."""
+        return self.line_coords(self.points(), axis)[0]
+
     def line_points(self, axis):
-        """Table (K^(d-1), K): point index of (line, coordinate value)."""
-        self._require_tables()
-        lid = self.line_id_array(axis)
-        pos = self.coord_array(axis)
-        table = np.empty((self.lines_per_axis, self.K), dtype=np.int64)
-        table[lid, pos] = np.arange(self.N, dtype=np.int64)
-        return table
-
-    def face_points(self, axis=1, value=0):
-        """Sorted indices of the face {coordinate_axis = value}."""
-        self._require_tables()
-        return np.flatnonzero(self.coord_array(axis) == value).astype(np.int64)
+        """C-contiguous table (K^(d-1), K): point index of (line, coordinate)."""
+        return np.ascontiguousarray(self.lines(self.points(), axis)).reshape(-1, self.K)

@@ -145,8 +145,8 @@ class AxisBlockGraph(SparseGraph):
     Each axis has one (lines, K, K) stochastic block: the average of the
     per-line permutation matrices of all that axis's generators (and their
     inverses).  Axes whose generators carry the same (vid, tables) objects
-    share one block.  A vector reaches the axis-i lines as a view of the
-    K^d cube with axis i moved last, so no index table is built.
+    share one block.  A vector reaches the axis-i lines through the
+    geometry's `lines` view, so no index table is built.
     """
 
     def __init__(self, genset):
@@ -182,7 +182,6 @@ class AxisBlockGraph(SparseGraph):
                 shared[key] = self._axis_block(actions[axis], count_type)
             self._blocks[axis], self._variants[axis] = shared[key]
         self._axes = axes
-        self._shape = (K,) * geo.d
 
     def _axis_block(self, actions, count_type):
         """The block of one axis's (vid, tables) pairs, and each distinct
@@ -204,44 +203,43 @@ class AxisBlockGraph(SparseGraph):
                 variants[key][1][vid == v] = True
         return counts / self.degree, variants
 
-    def _cube(self, x, axis):
-        """x as the K^d cube with `axis` last: lines in line-id order."""
-        return np.moveaxis(x.reshape(self._shape), len(self._shape) - axis, -1)
-
     def matvec(self, v):
-        K = self.model.K
+        geo = self.model.geometry
         out = np.zeros(self.n, dtype=float)
         for axis in self._axes:
             # a fresh C-contiguous copy: einsum's summation order depends on
             # the operand's layout, and this one fixes the report's bits
-            vl = self._cube(v, axis).copy().reshape(-1, K)
-            lines = self._cube(out, axis)
-            lines += np.einsum("mab,mb->ma", self._blocks[axis], vl).reshape(self._shape)
+            vl = geo.lines(v, axis).copy().reshape(-1, geo.K)
+            lines = geo.lines(out, axis)
+            lines += np.einsum("mab,mb->ma", self._blocks[axis], vl).reshape(lines.shape)
         return out
 
     def displacements(self, v):
         # v on each axis's (line, coordinate) grid; the d specs sharing one
         # (vid, tables) pair share one gather index, so generators come
         # grouped by line action
-        grids = {axis: self._cube(v, axis).copy().ravel() for axis in self._axes}
+        geo = self.model.geometry
+        grids = {axis: geo.lines(v, axis).copy().ravel() for axis in self._axes}
         groups = {}
         for spec in self.genset.specs:
             axis, vid, tables = spec.payload
             groups.setdefault((id(vid), id(tables)), (vid, tables, []))[2].append(axis)
-        rows = np.arange(self.model.geometry.lines_per_axis)[:, None] * self.model.K
+        rows = np.arange(geo.lines_per_axis)[:, None] * geo.K
         moved = np.empty(self.n)
         for vid, tables, axes in groups.values():
             index = (rows + tables[vid]).ravel()
             for axis in axes:
                 np.subtract(grids[axis].take(index, out=moved), grids[axis], out=moved)
                 diff = np.empty(self.n)
-                self._cube(diff, axis)[...] = moved.reshape(self._shape)
+                lines = geo.lines(diff, axis)
+                lines[...] = moved.reshape(lines.shape)
                 yield diff
 
     def edge_counts(self):
         # the blocks are counts / degree; recover the counts and insist that
         # dividing them again gives the stored block bit for bit
-        points = np.arange(self.n, dtype=np.int64)
+        geo = self.model.geometry
+        points = geo.points()
         for axis in self._axes:
             block = self._blocks[axis]
             line, a, b = np.nonzero(block)
@@ -249,22 +247,20 @@ class AxisBlockGraph(SparseGraph):
             count = np.rint(weight * self.degree).astype(np.int64)
             require(np.array_equal(count / self.degree, weight),
                     f"axis {axis} block is not integer edge counts over the degree")
-            lp = self._cube(points, axis).reshape(-1, self.model.K)
+            lp = geo.lines(points, axis).reshape(-1, geo.K)
             yield lp[line, a], lp[line, b], count
 
     def neighbors(self, xs):
-        # point x sits at coordinate pos of line lid; moving it to coordinate
-        # t[pos] moves it by (t[pos] - pos) strides
-        K = self.model.K
+        # point x sits at coordinate pos of its line; a line table t moves
+        # it to coordinate t[pos] of the same line
+        geo = self.model.geometry
         out = [xs]
         for axis in self._axes:
-            stride = K ** (axis - 1)
-            pos = (xs // stride) % K
-            lid = (xs // (stride * K)) * stride + xs % stride
+            lid, pos = geo.line_coords(xs, axis)
             for table, avail in self._variants[axis].values():
                 sel = avail[lid]
                 if sel.any():
-                    out.append(xs[sel] + (table[pos[sel]] - pos[sel]) * stride)
+                    out.append(geo.move(xs[sel], axis, table[pos[sel]] - pos[sel]))
         return np.concatenate(out)
 
 

@@ -45,14 +45,10 @@ class ExactDistribution:
     def axis_average(self, axis):
         """Replace each axis line's weights by their average, exactly."""
         geo = self.model.geometry
-        lid = geo.line_id_array(axis)
-        K = geo.K
-        sums = [0] * geo.lines_per_axis
-        for x, w in enumerate(self.num):
-            if w:
-                sums[lid[x]] += w
-        new = [sums[lid[x]] for x in range(self.model.N)]
-        return ExactDistribution(self.model, new, self.den * K)
+        lines = geo.lines(np.array(self.num, dtype=object), axis)
+        new = np.empty(self.model.N, dtype=object)
+        geo.lines(new, axis)[...] = lines.sum(axis=-1, keepdims=True)
+        return ExactDistribution(self.model, new.tolist(), self.den * geo.K)
 
     def tv_to_uniform(self):
         """Total variation distance to uniform, as an exact Fraction."""
@@ -95,9 +91,14 @@ class FloatDistribution:
 
     def axis_average(self, axis):
         geo = self.model.geometry
-        lid = geo.line_id_array(axis)
-        sums = np.bincount(lid, weights=self.weights, minlength=geo.lines_per_axis)
-        return FloatDistribution(self.model, sums[lid] / geo.K)
+        lines = geo.lines(self.weights, axis)
+        # each line summed in coordinate order, from zero
+        sums = np.zeros(lines.shape[:-1])
+        for c in range(geo.K):
+            sums += lines[..., c]
+        new = np.empty(self.model.N)
+        geo.lines(new, axis)[...] = (sums / geo.K)[..., None]
+        return FloatDistribution(self.model, new)
 
     def tv_to_uniform(self):
         return 0.5 * float(np.abs(self.weights - 1.0 / self.model.N).sum())
@@ -180,12 +181,10 @@ def apply_sampled_word(model, rng, axes, points):
     K = geo.K
     pts = np.array(points, dtype=np.int64)
     for axis in axes:
-        lid = geo.line_id_array(axis)[pts]
+        lid, pos = geo.line_coords(pts, axis)
         uniq, inverse = np.unique(lid, return_inverse=True)
         shifts = rng.integers(0, K, size=len(uniq))
-        weight = K ** (axis - 1)
-        digit = (pts // weight) % K
-        pts = pts + ((digit + shifts[inverse]) % K - digit) * weight
+        pts = geo.move(pts, axis, (pos + shifts[inverse]) % K - pos)
     return pts
 
 
@@ -261,13 +260,12 @@ def point_walk_batch(model, seed, samples, start_point, axes):
     uniforms, so one draw per (sample, letter) is the exact law.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    K = model.K
+    geo = model.geometry
     pts = np.full(samples, start_point, dtype=np.int64)
     for axis in axes:
-        weight = K ** (axis - 1)
-        digit = (pts // weight) % K
-        shifts = rng.integers(0, K, size=samples)
-        pts = pts + ((digit + shifts) % K - digit) * weight
+        pos = geo.line_coords(pts, axis)[1]
+        shifts = rng.integers(0, geo.K, size=samples)
+        pts = geo.move(pts, axis, (pos + shifts) % geo.K - pos)
     return pts
 
 

@@ -93,33 +93,33 @@ def butterfly_factor(g, a_size, b_size):
 # -- face routing ---------------------------------------------------------------
 
 
-def face_point(model, f):
-    """Cube index of the face point with face index f (first coordinate 0)."""
-    return model.K * f
+def face_points(model):
+    """The face, the points with first coordinate 0, in face-index order.
+
+    Face index f names the point's axis-1 line.
+    """
+    geo = model.geometry
+    return geo.lines(geo.points(), 1)[..., 0].ravel()
 
 
 def face_restriction(model, perm):
     """Face permutation induced by a cube permutation supported on the face."""
-    K, d = model.K, model.d
-    L = K ** (d - 1)
-    face_idx = np.arange(L, dtype=np.int64) * K
+    face_idx = face_points(model)
     images = perm.table[face_idx]
-    if (images % K).any():
+    line, coord = model.geometry.line_coords(images, 1)
+    if coord.any():
         raise ValueError("permutation does not preserve the face")
     off_face = np.delete(perm.table, face_idx)
     if (off_face != np.delete(np.arange(model.N), face_idx)).any():
         raise ValueError("permutation moves points outside the face")
-    return images // K
+    return line
 
 
 def _axis_level_shifts(model, axis):
-    """Shift of each axis-`axis` line by its own first coordinate."""
+    """Shift of each axis-`axis` line (axis > 1) by its own first coordinate."""
     geo = model.geometry
-    lid = geo.line_id_array(axis)
-    x1 = geo.coord_array(1)
-    shifts = np.zeros(geo.lines_per_axis, dtype=np.int64)
-    shifts[lid] = x1
-    return shifts
+    first = geo.lines(geo.points(), axis)[..., 0].ravel()
+    return geo.line_coords(first, 1)[1]
 
 
 def _round_letters(model, axis, targets):
@@ -231,23 +231,22 @@ def tosquare_word(model, points):
     if points.min() < 0 or points.max() >= geo.N:
         raise ValueError("point index out of range")
 
-    lid1 = geo.line_id_array(1)
-    lid2 = geo.line_id_array(2)
-    x2 = geo.coord_array(2)
+    lid2, x2 = geo.line_coords(points, 2)
+    # landing[p][t]: the axis-1 line point p lands on when its axis-2 line
+    # is shifted by t
+    shifted = geo.move(points, 2, (x2 + np.arange(K)[:, None]) % K - x2)
+    landing = geo.line_coords(shifted, 1)[0].T.tolist()
 
     by_line = {}
-    for p in points:
-        by_line.setdefault(int(lid2[p]), []).append(int(p))
+    for line, slots in zip(lid2.tolist(), landing):
+        by_line.setdefault(line, []).append(slots)
 
     shifts2 = np.zeros(geo.lines_per_axis, dtype=np.int64)
     occupied = set()
     for line in sorted(by_line):
-        pts = by_line[line]
-        slots = [int(lid1[p]) for p in pts]
-        digits = [int(x2[p]) for p in pts]
         good = -1
         for t in range(K):
-            trial = [s - dg + (dg + t) % K for s, dg in zip(slots, digits)]
+            trial = [landed[t] for landed in by_line[line]]
             if all(sl not in occupied for sl in trial):
                 good = t
                 occupied.update(trial)
@@ -258,13 +257,13 @@ def tosquare_word(model, points):
 
     g = ShiftVector(model, 2, shifts2)
     gp = g.materialize()
-    x1 = geo.coord_array(1)
     shifts1 = np.zeros(geo.lines_per_axis, dtype=np.int64)
     moved = gp.table[points]
-    shifts1[lid1[moved]] = (K - x1[moved]) % K
+    lid1, x1 = geo.line_coords(moved, 1)
+    shifts1[lid1] = (K - x1) % K
     h = ShiftVector(model, 1, shifts1)
     final = h.materialize().table[moved]
-    require((x1[final] == 0).all(), "points did not land in the face")
+    require((geo.line_coords(final, 1)[1] == 0).all(), "points did not land in the face")
     return g, h
 
 
@@ -293,26 +292,13 @@ def comb_tree_lines(model, count):
             for j in range(K):
                 tooth = prefix + (j,)
                 new_prefixes.append(tooth)
-                lines.append((axis, _tooth_line_id(geo, axis, tooth)))
+                # a point of the tooth: x1 = 0, the tooth on axes 2.., zeros after
+                corner = geo.index((0,) + tooth + (0,) * (d - 1 - len(tooth)))
+                lines.append((axis, geo.line_coords(corner, axis)[0]))
                 if len(lines) == count:
                     return lines
         level_prefixes = new_prefixes
     raise AssertionError("capacity check should have caught this")
-
-
-def _tooth_line_id(geo, axis, prefix):
-    """Line id (axis `axis`) of the tooth with coordinates prefix on axes 2.."""
-    coords = [0] * geo.d  # x1 = 0, trailing coordinates 0
-    for k, val in enumerate(prefix):
-        coords[1 + k] = val
-    lid = 0
-    mult = 1
-    for j in range(1, geo.d + 1):
-        if j == axis:
-            continue
-        lid += coords[j - 1] * mult
-        mult *= geo.K
-    return lid
 
 
 def cycle_word(model, a):
@@ -333,7 +319,7 @@ def cycle_word(model, a):
     support = perm.support()
     expected = 1 + a * (K - 1)
     require(len(support) == expected, "tree union has the wrong size")
-    require((geo.coord_array(1)[support] == 0).all(), "cycle leaves the face")
+    require((geo.line_coords(support, 1)[1] == 0).all(), "cycle leaves the face")
     require(perm.cycle_type()[0] == expected, "product is not a single cycle")
     return word
 

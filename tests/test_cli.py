@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import altgen
 from altgen import graphs
-from altgen.cli import desk_base, fixed_point_free_element, main
+from altgen.cli import (_el3_to_json, desk_base, fixed_point_free_element, main,
+                        write_gens_json)
+from altgen.embeddings import GeneratingSet, build_SN
 from altgen.perms import Permutation
 
 
@@ -41,6 +44,45 @@ def test_construct_desk(tmp_path, capsys):
     data = json.loads(gens.read_text())
     assert data["count"] == 72 and data["K"] == 7
     assert len(data["involution_set"]) == 36
+
+
+def test_construct_checks_evenness_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    all_even = GeneratingSet.all_even
+
+    def counted(self):
+        calls.append(self)
+        return all_even(self)
+
+    monkeypatch.setattr(GeneratingSet, "all_even", counted)
+    code, report = run_cli(["construct", "--s", "1", "--d", "2"], tmp_path, "even")
+    capsys.readouterr()
+    assert code == 0 and len(calls) == 1
+    recs = {r["name"]: r for r in report["records"]}
+    assert recs["all-even"]["computed"] is True and recs["all-even"]["verdict"] == "pass"
+
+
+def test_gens_json_is_the_whole_document_dumped_at_once(tmp_path):
+    # reference: the file json.dump writes from the list form
+    sn = build_SN(1, 2)
+    path = tmp_path / "gens.json"
+    write_gens_json(sn, path)
+    data = json.loads(path.read_text())
+    data["involution_set"] = [_el3_to_json(el) for el in sn.el3_elements]
+    assert path.read_text() == json.dumps(data, indent=1, sort_keys=True)
+
+
+def test_gens_json_streams_the_involutions(tmp_path):
+    # all of S_N(1, 5)'s involutions held at once peak near 6 MB here; one
+    # at a time, under 1 MB
+    sn = build_SN(1, 5)
+    tracemalloc.start()
+    try:
+        write_gens_json(sn, tmp_path / "gens.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_construct_certified_shape(tmp_path, capsys):

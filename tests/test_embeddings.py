@@ -12,6 +12,7 @@ from altgen.graphs import AxisBlockGraph
 from altgen.perms import Permutation
 from altgen.ring import EL3Element, el3_generating_set, random_el3
 from altgen.schreier_sims import group_order
+from line_tables import line_and_coord, line_table
 
 
 def test_embed_identity():
@@ -45,9 +46,28 @@ def test_embed_acts_per_line():
     rng = np.random.default_rng(1)
     g = random_el3(1, 7, rng, length=8)
     p = embed_pi(model, 1, g)
-    lid = model.geometry.line_id_array(1)
+    lid, _ = line_and_coord(model.geometry, 1)
     for x in range(model.N):
         assert lid[p.table[x]] == lid[x]
+
+
+@pytest.mark.parametrize("s, d", [(1, 3), (2, 2), (1, 4)])
+def test_line_permutations_match_the_line_tables(s, d):
+    # the point at (line, c) goes to (line, perms[line, c]) of the same line
+    model = CubeModel(s, d)
+    geo = model.geometry
+    rng = np.random.default_rng(10 * s + d)
+    for axis in range(1, d + 1):
+        lp = line_table(geo, axis)
+        perms = np.array([rng.permutation(geo.K) for _ in range(geo.lines_per_axis)])
+        expected = np.empty(geo.N, dtype=np.int64)
+        expected[lp] = np.take_along_axis(lp, perms, axis=1)
+        assert np.array_equal(model.lines_to_permutation(axis, perms).table, expected)
+        shifts = rng.integers(0, geo.K, size=geo.lines_per_axis)
+        rolled = (np.arange(geo.K) + shifts[:, None]) % geo.K
+        expected[lp] = np.take_along_axis(lp, rolled, axis=1)
+        assert np.array_equal(ShiftVector(model, axis, shifts).materialize().table,
+                              expected)
 
 
 def test_shift_vector_even_and_inverse():

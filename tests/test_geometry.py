@@ -4,7 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
+from altgen.embeddings import CubeModel, ShiftVector, build_SN
 from altgen.geometry import CubeGeometry
+from altgen.graphs import schreier_graph
+from altgen.spectral import spectral_gap
+from altgen.walks import (ExactDistribution, FloatDistribution, WalkConfig,
+                          full_sweep, point_walk_batch, tuple_walk)
+from altgen.words import conjugacy_word47, cycle_word, grid_route, tosquare_word
 
 
 def test_basic_parameters():
@@ -72,10 +78,44 @@ def test_lines_partition_points():
                     assert len(set(coords[:, j])) == 1
 
 
+@pytest.mark.parametrize("s, d", [(1, 3), (2, 2), (1, 4)])
+def test_line_layout_agrees_with_the_scalar_codec(s, d):
+    # a line of axis i is named by its other coordinates, first remaining
+    # axis fastest; the oracle is CubeGeometry.coords and .index alone
+    g = CubeGeometry(s, d)
+    K = g.K
+    points = np.arange(g.N)
+    coords = [g.coords(x) for x in range(g.N)]
+    for axis in range(1, d + 1):
+        def line_id(c):
+            rest = c[:axis - 1] + c[axis:]
+            return sum(v * K**j for j, v in enumerate(rest))
+
+        lines, pos = g.line_coords(points, axis)
+        assert lines.tolist() == [line_id(c) for c in coords]
+        assert pos.tolist() == [c[axis - 1] for c in coords]
+        for delta in (1, 3):
+            on_line = pos + delta < K
+            moved = g.move(points[on_line], axis, delta)
+            assert np.array_equal(moved, [g.index(c[:axis - 1] + (c[axis - 1] + delta,)
+                                                  + c[axis:])
+                                          for c, ok in zip(coords, on_line) if ok])
+        for x in (0, g.N // 2, g.N - 1):   # scalars stay Python ints
+            assert g.line_coords(x, axis) == (line_id(coords[x]), coords[x][axis - 1])
+        cube = g.lines(points, axis)
+        assert cube.shape == (K,) * d and np.shares_memory(cube, points)
+        table = cube.reshape(-1, K)
+        for line in range(g.lines_per_axis):
+            for c in range(K):
+                x = int(table[line, c])
+                assert line_id(coords[x]) == line and coords[x][axis - 1] == c
+        assert np.array_equal(g.line_points(axis), table)
+        assert g.line_points(axis).flags.c_contiguous
+
+
 def test_cached_tables_die_with_the_geometry():
     g = CubeGeometry(1, 3)
-    assert g.line_points(1) is g.line_points(1)
-    assert not g.line_points(1).flags.writeable
+    g.line_points(1)
     ref = weakref.ref(g)
     del g
     gc.collect()
@@ -86,6 +126,12 @@ def test_shape_only_geometry_refuses_tables():
     g = CubeGeometry(7, 6)
     with pytest.raises(ValueError):
         g.line_points(1)
+    # N = 63^4 is over the table limit, but one shift per line still fits
+    model = CubeModel(2, 4)
+    assert not model.geometry.materializable
+    shift = ShiftVector(model, 1, np.ones(model.geometry.lines_per_axis, dtype=np.int64))
+    with pytest.raises(ValueError, match="table limit"):
+        shift.materialize()
 
 
 def test_dimension_validation():
@@ -93,3 +139,34 @@ def test_dimension_validation():
         CubeGeometry(0, 6)
     with pytest.raises(ValueError):
         CubeGeometry(1, 1)
+
+
+def test_the_package_builds_no_index_tables(monkeypatch):
+    # the package reaches the lines through `lines`, `line_coords` and `move`
+    # alone; the whole-cube tables are kept for callers outside it
+    def refuse(self, axis):
+        raise RuntimeError("whole-cube index table requested")
+
+    for name in ("coord_array", "line_id_array", "line_points"):
+        monkeypatch.setattr(CubeGeometry, name, refuse)
+    sn = build_SN(1, 3)
+    model = sn.model
+    rng = np.random.default_rng(0)
+    action = schreier_graph(sn)                      # materializes every generator
+    blocks = schreier_graph(sn, dense_threshold=0)   # the axis-block form
+    assert action.is_connected() and blocks.is_connected()
+    spectral_gap(blocks, method="lanczos", seed=2)
+    v = rng.standard_normal(model.N)
+    assert len(list(blocks.displacements(v))) == len(sn)
+    counts = sum(np.broadcast_to(c, src.shape).sum() for src, _, c in blocks.edge_counts())
+    assert counts == model.N * blocks.degree
+    grid_route(model, rng.permutation(model.geometry.lines_per_axis)).product()
+    assert tosquare_word(model, rng.choice(model.N, size=5, replace=False)) is not None
+    c0 = cycle_word(model, 1).product()
+    assert conjugacy_word47(model, c0).product() == c0
+    six = CubeModel(1, 6)
+    start = np.array([six.geometry.index((0, 0, 0, i, 0, 0)) for i in range(5)])
+    assert tuple_walk(six, WalkConfig(seed=1, samples=3), start).samples == 3
+    assert len(point_walk_batch(model, 3, 10, 5, [1, 2, 3])) == 10
+    assert full_sweep(ExactDistribution.point_mass(model, 0)).tv_to_uniform() == 0
+    assert full_sweep(FloatDistribution.point_mass(model, 0)).tv_to_uniform() < 1e-12

@@ -18,6 +18,7 @@ from altgen.ring import el3_generating_set
 from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, exact_conductance,
                              expansion_exact, kazhdan_bracket, kazhdan_upper,
                              spectral_gap)
+from line_tables import line_and_coord, line_table
 
 
 def cyclic_graph(n, shifts=(1,)):
@@ -211,7 +212,7 @@ def test_axis_blocks_are_exact_edge_counts():
     geo = sn.model.geometry
     assert g.degree == 2 * len(sn)
     for axis in (1, 2, 3):
-        lid, pos = geo.line_id_array(axis), geo.coord_array(axis)
+        lid, pos = line_and_coord(geo, axis)
         counts = np.zeros((geo.lines_per_axis, geo.K, geo.K), dtype=np.int64)
         for i, spec in enumerate(sn.specs):
             if spec.axis == axis:
@@ -416,7 +417,7 @@ def reference_blocks(genset):
 def reference_matvec(geo, blocks, v):
     out = np.zeros(geo.N)
     for axis in sorted(blocks):
-        lp = geo.line_points(axis)
+        lp = line_table(geo, axis)
         out[lp] += np.einsum("mab,mb->ma", blocks[axis], v[lp])
     return out
 
@@ -424,7 +425,7 @@ def reference_matvec(geo, blocks, v):
 def reference_edge_counts(geo, blocks, degree):
     for axis, block in blocks.items():
         line, a, b = np.nonzero(block)
-        lp = geo.line_points(axis)
+        lp = line_table(geo, axis)
         yield lp[line, a], lp[line, b], np.rint(block[line, a, b] * degree)
 
 
@@ -439,8 +440,8 @@ def reference_neighbors(geo, genset, xs):
     out = [xs]
     for spec in genset.specs:
         axis, vid, tables = spec.payload
-        lid, pos = geo.line_id_array(axis)[xs], geo.coord_array(axis)[xs]
-        out.append(geo.line_points(axis)[lid, tables[vid][lid, pos]])
+        lid, pos = (a[xs] for a in line_and_coord(geo, axis))
+        out.append(line_table(geo, axis)[lid, tables[vid][lid, pos]])
     return np.unique(np.concatenate(out))
 
 
@@ -489,15 +490,6 @@ def test_axes_with_different_involutions_keep_their_own_blocks():
     assert g._blocks[3] is g._blocks[1]
     assert g._blocks[2] is not g._blocks[1]
     assert not np.array_equal(g._blocks[2], g._blocks[1])
-
-
-def test_axis_block_graph_builds_no_index_tables():
-    sn = build_SN(1, 3)
-    geo = sn.model.geometry
-    g = AxisBlockGraph(sn)
-    assert g.is_connected()
-    spectral_gap(g, method="lanczos", seed=2)
-    assert geo._tables == {}
 
 
 def reference_power(graph, tol, seed, budget):

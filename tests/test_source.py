@@ -13,3 +13,18 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in altgen: {found}"
+
+
+def test_only_geometry_calls_the_index_tables():
+    # the cube layout is known to geometry.py alone: other modules reach the
+    # lines through `lines`, `line_coords` and `move`
+    tables = {"coord_array", "line_id_array", "line_points"}
+    found = []
+    for path in sorted(Path(altgen.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in tables]
+    assert not found, f"index-table calls outside geometry.py: {found}"
