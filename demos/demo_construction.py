@@ -29,8 +29,8 @@ print("equal:", order == expected)
 
 print()
 print("== a closer look at one generator ==")
-spec = genset.specs[10]
+label, axis, provenance = list(genset.describe())[10]
 p = genset.materialize(10)
-print(f"label {spec.label}: axis {spec.axis}, provenance: {spec.provenance}")
+print(f"label {label}: axis {axis}, provenance: {provenance}")
 print("cycle type:", p.cycle_type()[:10], "... (fixed points suppressed)")
 print("is involution:", (p * p).is_identity())

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import blocks as blocks_mod
 from . import walks
-from .embeddings import CubeModel, build_SN, build_Fn, build_sym, delta_h_generating_set
+from .embeddings import CubeModel, build_SN, build_Fn, build_sym
 from .errors import require
-from .geometry import CubeGeometry
 from .perms import Permutation
 from .schreier_sims import group_order
 
@@ -126,10 +125,10 @@ def write_gens_json(genset, path):
         "count": len(genset),
         "generators": [],
     }
-    for spec in genset.specs:
-        entry = {"label": spec.label, "axis": spec.axis,
-                 "provenance": spec.provenance, "kind": spec.kind}
-        data["generators"].append(entry)
+    kind = "lines" if genset.materializable else "symbolic"
+    for label, axis, provenance in genset.describe():
+        data["generators"].append({"label": label, "axis": axis,
+                                   "provenance": provenance, "kind": kind})
     involutions = genset.el3_involutions()
     if involutions is None:
         with open(path, "w") as fh:
@@ -227,19 +226,19 @@ def cmd_construct_general(args):
     report = Report(config=_config(args))
     n, m = args.n, args.base_m
     base = desk_base(m)
-    specs, windows = build_Fn(n, base, m)
+    perms, windows = build_Fn(n, base, m)
     bound = blocks_mod.factor_count_bound(n, m)
     report.check("window-count", "at most 3 ceil(n/m) + 3 window images",
                  len(windows), bound=bound, ok=len(windows) <= bound)
     report.check("generator-count", "union bound: windows times base size",
-                 len(specs), bound=len(windows) * len(base),
-                 ok=len(specs) <= len(windows) * len(base))
+                 len(perms), bound=len(windows) * len(base),
+                 ok=len(perms) <= len(windows) * len(base))
     if args.sym:
-        specs = build_sym(n, specs)
+        perms = build_sym(n, perms)
+        # the appended generator is the transposition of points 0 and 1
         report.check("odd-extension", "one odd generator extends to the full group",
-                     specs[-1].label, ok=True)
+                     "t01", ok=True)
     if n <= 2000:
-        perms = [s.payload for s in specs]
         order = group_order(perms, limit=max(2000, n))
         import math
         expect = math.factorial(n) if args.sym else math.factorial(n) // 2

@@ -148,33 +148,34 @@ def _copy_keys(el3):
     return np.array(words)
 
 
-class GeneratorSpec:
-    """One labeled generator; materializable as a Permutation on demand."""
-
-    __slots__ = ("label", "axis", "kind", "payload", "provenance")
-
-    def __init__(self, label, axis, kind, payload, provenance=""):
-        if kind not in ("lines", "perm", "symbolic"):
-            raise ValueError(f"unknown generator kind {kind!r}")
-        self.label = label
-        self.axis = axis
-        self.kind = kind
-        self.payload = payload
-        self.provenance = provenance
-
-
 class GeneratingSet:
-    """Labeled generators with provenance, realizable as permutations."""
+    """Line actions pulled through every axis, labeled, with provenance.
 
-    def __init__(self, model, specs, regime="desk", name="", from_el3=False):
+    With A actions, generator i is action i % A on axis i // A + 1: every
+    action on axis 1, then every action on axis 2, and so on.  `actions`
+    holds one read-only (vid, tables) pair per label, and the pair moves
+    line j of any axis by tables[vid[j]].  A shape-only set has labels but
+    no actions.
+    """
+
+    def __init__(self, model, labels, notes, actions=None, regime="desk", name="",
+                 from_el3=False):
+        if len(set(labels)) != len(labels):
+            raise ValueError("generator labels must be unique")
+        if actions is not None:
+            actions = tuple(actions)
+            if len(actions) != len(labels):
+                raise ValueError(f"{len(actions)} line actions for {len(labels)} labels")
+            for vid, tables in actions:
+                vid.setflags(write=False)
+                tables.setflags(write=False)
         self.model = model
-        self.specs = list(specs)
+        self._labels = list(labels)
+        self._notes = list(notes)
+        self.actions = actions
         self.regime = regime
         self.name = name
         self._from_el3 = from_el3
-        labels = [s.label for s in self.specs]
-        if len(set(labels)) != len(labels):
-            raise ValueError("generator labels must be unique")
 
     def el3_involutions(self):
         """The EL3 involutions a build_SN set pulls through its axes, one at
@@ -194,56 +195,57 @@ class GeneratingSet:
         return None if involutions is None else list(involutions)
 
     def __len__(self):
-        return len(self.specs)
+        return self.model.d * len(self._labels)
+
+    def describe(self):
+        """(label, axis, provenance) of every generator, in generator order."""
+        for axis in range(1, self.model.d + 1):
+            for label, note in zip(self._labels, self._notes):
+                yield f"pi{axis}.{label}", axis, f"axis {axis}, {note}"
 
     def labels(self):
-        return [s.label for s in self.specs]
+        return [label for label, _, _ in self.describe()]
 
     @property
     def materializable(self):
-        return all(s.kind != "symbolic" for s in self.specs)
+        return self.actions is not None
+
+    def _line_actions(self):
+        if self.actions is None:
+            raise ValueError(f"{self.name} is shape-only: its generators have no line actions")
+        return self.actions
+
+    def _axis_action(self, i):
+        """(axis, (vid, tables)) of generator i."""
+        actions = self._line_actions()
+        axis, k = divmod(range(len(self))[i], len(actions))
+        return axis + 1, actions[k]
 
     def materialize(self, i):
-        spec = self.specs[i]
-        if spec.kind == "lines":
-            axis, vid, tables = spec.payload
-            return self.model.lines_to_permutation(axis, tables[vid])
-        if spec.kind == "perm":
-            return spec.payload
-        raise ValueError(f"generator {spec.label!r} is symbolic (shape-only set)")
+        axis, (vid, tables) = self._axis_action(i)
+        return self.model.lines_to_permutation(axis, tables[vid])
 
     def permutations(self):
         return [self.materialize(i) for i in range(len(self))]
 
     def parity(self, i):
         """0 for even, 1 for odd, without materializing the full table."""
-        spec = self.specs[i]
-        if spec.kind == "lines":
-            axis, vid, tables = spec.payload
-            count, labels = cycle_labels(tables)
-            row_of_cycle = np.empty(count, dtype=np.int64)
-            row_of_cycle[labels] = np.arange(len(tables))[:, None]
-            cycles = np.bincount(row_of_cycle, minlength=len(tables))
-            variant_par = (tables.shape[1] - cycles) % 2
-            counts = np.bincount(vid, minlength=len(tables))
-            return int(counts @ variant_par) % 2
-        if spec.kind == "perm":
-            return spec.payload.parity
-        raise ValueError("symbolic generator has no computable parity")
+        return _action_parity(*self._axis_action(i)[1])
 
     def all_even(self):
-        # the d axis specs of an involution share one (vid, tables) pair;
-        # once one of them is found even the others are skipped
-        even_lines = set()
-        for i, spec in enumerate(self.specs):
-            if spec.kind == "lines":
-                key = (id(spec.payload[1]), id(spec.payload[2]))
-                if key in even_lines:
-                    continue
-                even_lines.add(key)
-            if self.parity(i):
-                return False
-        return True
+        # every axis image of an action has the action's parity
+        return not any(_action_parity(vid, tables) for vid, tables in self._line_actions())
+
+
+def _action_parity(vid, tables):
+    """Parity of the permutation moving line j by tables[vid[j]]."""
+    count, labels = cycle_labels(tables)
+    row_of_cycle = np.empty(count, dtype=np.int64)
+    row_of_cycle[labels] = np.arange(len(tables))[:, None]
+    cycles = np.bincount(row_of_cycle, minlength=len(tables))
+    variant_par = (tables.shape[1] - cycles) % 2
+    counts = np.bincount(vid, minlength=len(tables))
+    return int(counts @ variant_par) % 2
 
 
 _POSITION_NAMES = ["12", "13", "21", "23", "31", "32"]
@@ -257,37 +259,22 @@ def build_SN(s, d=6):
     """
     model = CubeModel(s, d)
     regime = "certified-shape" if (s > 6 and d == 6) else "desk"
+    name = f"S_N(s={s},d={d})"
     m = model.geometry.lines_per_axis
 
     if not model.materializable:
         size = el3_generating_set_size(s, d)
-        specs = []
-        for axis in range(1, d + 1):
-            for k in range(size):
-                specs.append(GeneratorSpec(
-                    f"pi{axis}.g{k}", axis, "symbolic", None,
-                    provenance=f"axis {axis}, involution {k}"))
-        return GeneratingSet(model, specs, regime=regime, name=f"S_N(s={s},d={d})")
+        return GeneratingSet(model, [f"g{k}" for k in range(size)],
+                             [f"involution {k}" for k in range(size)],
+                             regime=regime, name=name)
 
-    gen_names = _involution_labels(s, m)
+    names = _involution_labels(s, m)
     # an involution acts on the lines of every axis alike, so its line
-    # actions are computed once and shared, read-only, by its d specs; the
-    # involutions are built one at a time and dropped once their actions
-    # are known
-    actions = []
-    for el in el3_involutions(s, m):
-        vid, tables = el3_line_actions(model, el)
-        vid.setflags(write=False)
-        tables.setflags(write=False)
-        actions.append((vid, tables))
-    specs = []
-    for axis in range(1, d + 1):
-        for k, (vid, tables) in enumerate(actions):
-            specs.append(GeneratorSpec(
-                f"pi{axis}.{gen_names[k]}", axis, "lines", (axis, vid, tables),
-                provenance=f"axis {axis}, involution {gen_names[k]}"))
-    return GeneratingSet(model, specs, regime=regime,
-                         name=f"S_N(s={s},d={d})", from_el3=True)
+    # actions are computed once; the involutions are built one at a time
+    # and dropped once their actions are known
+    actions = [el3_line_actions(model, el) for el in el3_involutions(s, m)]
+    return GeneratingSet(model, names, [f"involution {n}" for n in names], actions,
+                         regime=regime, name=name, from_el3=True)
 
 
 def _involution_labels(s, m):
@@ -300,61 +287,47 @@ def _involution_labels(s, m):
     return names
 
 
-def delta_h_generating_set(model, h_perms, labels=None):
+def delta_h_generating_set(model, h_perms):
     """Generators of the pluggable-model product group, one per (axis, h).
 
     Each h is a permutation of the K line points; the generator applies h on
     every axis-i line simultaneously.
     """
     K = model.K
-    specs = []
     for g in h_perms:
         if g.n != K:
             raise ValueError("pluggable generators must act on the K line points")
-    # one read-only (vid, tables) pair per h, shared by its d axis specs
+    # every line takes variant 0, h itself, so one id array serves every h
     vid = np.zeros(model.geometry.lines_per_axis, dtype=np.uint8)
-    vid.setflags(write=False)
-    stacks = [g.table[None, :] for g in h_perms]
-    for tables in stacks:
-        tables.setflags(write=False)
-    for axis in range(1, model.d + 1):
-        for k, tables in enumerate(stacks):
-            name = labels[k] if labels else f"h{k}"
-            specs.append(GeneratorSpec(
-                f"pi{axis}.{name}", axis, "lines", (axis, vid, tables),
-                provenance=f"axis {axis}, transitive-group generator {name}"))
-    return GeneratingSet(model, specs, regime="desk", name="Delta(H)")
+    labels = [f"h{k}" for k in range(len(h_perms))]
+    return GeneratingSet(model, labels,
+                         [f"transitive-group generator {label}" for label in labels],
+                         [(vid, g.table[None, :]) for g in h_perms], name="Delta(H)")
 
 
-def build_Fn(n, base_perms, m, base_labels=None):
+def build_Fn(n, base_perms, m):
     """Union of the base set's images under the window embeddings of [0, n).
 
     `base_perms` act on [0, m); each window is an m-subset of [0, n) and the
-    embedded copy acts on the window's sorted points.
+    embedded copy acts on the window's sorted points.  Returns the
+    permutations, window by window, and the windows.
     """
     windows = _blocks.window_family(n, m)
-    specs = []
+    perms = []
     for w_idx, window in enumerate(windows):
         points = np.asarray(window, dtype=np.int64)
         require(len(points) == m, f"window {w_idx} has {len(points)} points, not {m}")
-        for k, g in enumerate(base_perms):
+        for g in base_perms:
             if g.n != m:
                 raise ValueError("base generators must act on [0, m)")
             table = np.arange(n, dtype=np.int64)
             table[points] = points[g.table]
-            name = base_labels[k] if base_labels else f"b{k}"
-            specs.append(GeneratorSpec(
-                f"w{w_idx}.{name}", None, "perm", Permutation(table, _validate=False),
-                provenance=f"window {w_idx}, base generator {name}"))
-    return specs, windows
+            perms.append(Permutation(table, _validate=False))
+    return perms, windows
 
 
-def build_sym(n, fn_specs):
+def build_sym(n, fn_perms):
     """Append one odd permutation (the transposition of the first two points)."""
     table = np.arange(n, dtype=np.int64)
     table[0], table[1] = 1, 0
-    out = list(fn_specs)
-    out.append(GeneratorSpec(
-        "t01", None, "perm", Permutation(table, _validate=False),
-        provenance="odd coset representative"))
-    return out
+    return list(fn_perms) + [Permutation(table, _validate=False)]

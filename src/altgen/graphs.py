@@ -142,10 +142,10 @@ class EdgeGraph(SparseGraph):
 class AxisBlockGraph(SparseGraph):
     """Schreier graph of an axis-embedded generating set, in implicit form.
 
-    Each axis has one (lines, K, K) stochastic block: the average of the
-    per-line permutation matrices of all that axis's generators (and their
-    inverses).  Axes whose generators carry the same (vid, tables) objects
-    share one block.  A vector reaches the axis-i lines through the
+    One (lines, K, K) stochastic block serves every axis: each line action
+    of the set acts on the lines of all d axes alike, so the block is the
+    average over the actions (and their inverses) of the per-line
+    permutation matrices.  A vector reaches the axis-i lines through the
     geometry's `lines` view, so no index table is built.
     """
 
@@ -157,40 +157,21 @@ class AxisBlockGraph(SparseGraph):
         self.n = geo.N
         K = geo.K
         m = geo.lines_per_axis
-        axes = sorted({spec.axis for spec in genset.specs})
-        self.degree = 2 * len(genset.specs)
+        self.degree = 2 * len(genset)
         # integer edge multiplicities per (line, row, column), divided once;
         # none exceeds the degree, which sets the narrowest exact dtype
         count_type = np.min_scalar_type(self.degree)
-        estimate = len(axes) * m * K * K * (8 + count_type.itemsize)
+        estimate = m * K * K * (8 + count_type.itemsize)
         if estimate > AXIS_BLOCK_BUDGET:
-            raise ValueError(f"axis blocks need about {estimate} bytes, over the "
+            raise ValueError(f"the axis block needs about {estimate} bytes, over the "
                              f"budget of {AXIS_BLOCK_BUDGET} bytes")
-        actions = {axis: [] for axis in axes}
-        for spec in genset.specs:
-            if spec.kind != "lines":
-                raise ValueError("axis-block form needs line-structured generators")
-            axis, vid, tables = spec.payload
-            actions[axis].append((vid, tables))
-        # the counts are integers, so axes listing the same pairs in any
-        # order have equal blocks
-        shared = {}
-        self._blocks, self._variants = {}, {}
-        for axis in axes:
-            key = tuple(sorted((id(vid), id(tables)) for vid, tables in actions[axis]))
-            if key not in shared:
-                shared[key] = self._axis_block(actions[axis], count_type)
-            self._blocks[axis], self._variants[axis] = shared[key]
-        self._axes = axes
-
-    def _axis_block(self, actions, count_type):
-        """The block of one axis's (vid, tables) pairs, and each distinct
-        line table with the mask of lines it acts on."""
-        m, K = self.model.geometry.lines_per_axis, self.model.K
+        if not genset.materializable:
+            raise ValueError("axis-block form needs line actions")
         counts = np.zeros((m, K, K), dtype=count_type)
-        variants = {}
+        # each distinct line table with the mask of lines it acts on
+        self._variants = {}
         rows = np.arange(K)
-        for vid, tables in actions:
+        for vid, tables in genset.actions:
             onehots = np.zeros((len(tables), K, K), dtype=count_type)
             for v, t in enumerate(tables):
                 onehots[v, rows, t] = 1
@@ -198,10 +179,11 @@ class AxisBlockGraph(SparseGraph):
             counts += (onehots + onehots.transpose(0, 2, 1))[vid]
             for v, t in enumerate(tables):
                 key = t.tobytes()
-                if key not in variants:
-                    variants[key] = (t.copy(), np.zeros(m, dtype=bool))
-                variants[key][1][vid == v] = True
-        return counts / self.degree, variants
+                if key not in self._variants:
+                    self._variants[key] = (t.copy(), np.zeros(m, dtype=bool))
+                self._variants[key][1][vid == v] = True
+        self._block = counts / self.degree
+        self._axes = range(1, geo.d + 1)
 
     def matvec(self, v):
         geo = self.model.geometry
@@ -211,42 +193,36 @@ class AxisBlockGraph(SparseGraph):
             # the operand's layout, and this one fixes the report's bits
             vl = geo.lines(v, axis).copy().reshape(-1, geo.K)
             lines = geo.lines(out, axis)
-            lines += np.einsum("mab,mb->ma", self._blocks[axis], vl).reshape(lines.shape)
+            lines += np.einsum("mab,mb->ma", self._block, vl).reshape(lines.shape)
         return out
 
     def displacements(self, v):
-        # v on each axis's (line, coordinate) grid; the d specs sharing one
-        # (vid, tables) pair share one gather index, so generators come
-        # grouped by line action
+        # v on each axis's (line, coordinate) grid; an action's gather index
+        # serves all d axes, so generators come grouped by action
         geo = self.model.geometry
-        grids = {axis: geo.lines(v, axis).copy().ravel() for axis in self._axes}
-        groups = {}
-        for spec in self.genset.specs:
-            axis, vid, tables = spec.payload
-            groups.setdefault((id(vid), id(tables)), (vid, tables, []))[2].append(axis)
+        grids = [(axis, geo.lines(v, axis).copy().ravel()) for axis in self._axes]
         rows = np.arange(geo.lines_per_axis)[:, None] * geo.K
         moved = np.empty(self.n)
-        for vid, tables, axes in groups.values():
+        for vid, tables in self.genset.actions:
             index = (rows + tables[vid]).ravel()
-            for axis in axes:
-                np.subtract(grids[axis].take(index, out=moved), grids[axis], out=moved)
+            for axis, grid in grids:
+                np.subtract(grid.take(index, out=moved), grid, out=moved)
                 diff = np.empty(self.n)
                 lines = geo.lines(diff, axis)
                 lines[...] = moved.reshape(lines.shape)
                 yield diff
 
     def edge_counts(self):
-        # the blocks are counts / degree; recover the counts and insist that
+        # the block is counts / degree; recover the counts and insist that
         # dividing them again gives the stored block bit for bit
         geo = self.model.geometry
+        line, a, b = np.nonzero(self._block)
+        weight = self._block[line, a, b]
+        count = np.rint(weight * self.degree).astype(np.int64)
+        require(np.array_equal(count / self.degree, weight),
+                "axis block is not integer edge counts over the degree")
         points = geo.points()
         for axis in self._axes:
-            block = self._blocks[axis]
-            line, a, b = np.nonzero(block)
-            weight = block[line, a, b]
-            count = np.rint(weight * self.degree).astype(np.int64)
-            require(np.array_equal(count / self.degree, weight),
-                    f"axis {axis} block is not integer edge counts over the degree")
             lp = geo.lines(points, axis).reshape(-1, geo.K)
             yield lp[line, a], lp[line, b], count
 
@@ -257,7 +233,7 @@ class AxisBlockGraph(SparseGraph):
         out = [xs]
         for axis in self._axes:
             lid, pos = geo.line_coords(xs, axis)
-            for table, avail in self._variants[axis].values():
+            for table, avail in self._variants.values():
                 sel = avail[lid]
                 if sel.any():
                     out.append(geo.move(xs[sel], axis, table[pos[sel]] - pos[sel]))

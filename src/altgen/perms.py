@@ -116,9 +116,6 @@ class Permutation:
             self._parity = (self.n - self.cycle_count()) % 2
         return self._parity
 
-    def is_even(self):
-        return self.parity == 0
-
     def support(self):
         """Sorted array of non-fixed points."""
         return np.flatnonzero(self.table != np.arange(self.n))

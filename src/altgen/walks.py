@@ -58,9 +58,6 @@ class ExactDistribution:
             total += abs(w * N - self.den)
         return Fraction(total, 2 * N * self.den)
 
-    def to_floats(self):
-        return np.array(self.num, dtype=float) / self.den
-
 
 class FloatDistribution:
     """Dense float weights; renormalization guards accumulated error."""
@@ -136,13 +133,8 @@ def sample_Ei(model, rng, axis):
 class WalkConfig:
     seed: int = 0
     samples: int = 1
-    h: int | None = None            # tuple size; default floor(K^(3/2)/2)
+    h: int | None = None            # tuple size; tuple_walk reads len(start)
     pattern: str = "Q2Q1"           # Q1 = U1U2U3, Q2 = U4U5U6
-
-    def resolved_h(self, model):
-        if self.h is not None:
-            return self.h
-        return int(model.K ** 1.5 // 2)
 
 
 def _pattern_axes(pattern, d):

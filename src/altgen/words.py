@@ -255,16 +255,15 @@ def tosquare_word(model, points):
             return None
         shifts2[line] = good
 
-    g = ShiftVector(model, 2, shifts2)
-    gp = g.materialize()
-    shifts1 = np.zeros(geo.lines_per_axis, dtype=np.int64)
-    moved = gp.table[points]
+    # each letter moves a point along its own line, so the points are moved
+    # by arithmetic rather than through N-sized tables
+    moved = geo.move(points, 2, (x2 + shifts2[lid2]) % K - x2)
     lid1, x1 = geo.line_coords(moved, 1)
+    shifts1 = np.zeros(geo.lines_per_axis, dtype=np.int64)
     shifts1[lid1] = (K - x1) % K
-    h = ShiftVector(model, 1, shifts1)
-    final = h.materialize().table[moved]
-    require((geo.line_coords(final, 1)[1] == 0).all(), "points did not land in the face")
-    return g, h
+    final_coord = (x1 + shifts1[lid1]) % K
+    require(not final_coord.any(), "points did not land in the face")
+    return ShiftVector(model, 2, shifts2), ShiftVector(model, 1, shifts1)
 
 
 # -- the face cycle -------------------------------------------------------------
@@ -303,6 +302,11 @@ def comb_tree_lines(model, count):
 
 def cycle_word(model, a):
     """At most d-1 letters whose product is a cycle of length 1+a(K-1) in the face."""
+    return _checked_cycle_word(model, a)[0]
+
+
+def _checked_cycle_word(model, a):
+    """(word, product) of cycle_word; its checks compute the product anyway."""
     geo = model.geometry
     K = geo.K
     lines = comb_tree_lines(model, a)
@@ -321,7 +325,7 @@ def cycle_word(model, a):
     require(len(support) == expected, "tree union has the wrong size")
     require((geo.line_coords(support, 1)[1] == 0).all(), "cycle leaves the face")
     require(perm.cycle_type()[0] == expected, "product is not a single cycle")
-    return word
+    return word, perm
 
 
 # -- conjugating an arbitrary cycle into the standard one -----------------------
@@ -347,13 +351,11 @@ def conjugacy_word47(model, cycle_perm):
     if moved is None:
         return None
     g, h = moved
-    gp, hp = g.materialize(), h.materialize()
-    t = hp * gp
+    t = h.materialize() * g.materialize()
     sigma_hat = t * cycle_perm * t.inverse()
     sigma_face = face_restriction(model, sigma_hat)
 
-    c0_word = cycle_word(model, a)
-    c0 = c0_word.product()
+    c0_word, c0 = _checked_cycle_word(model, a)
 
     rho = _match_cycles(model, c0, sigma_face)
     w = grid_route(model, rho)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from altgen.embeddings import (CubeModel, GeneratingSet, GeneratorSpec,
-                               ShiftVector, build_Fn, build_sym, build_SN,
+from altgen.embeddings import (CubeModel, GeneratingSet, ShiftVector,
+                               build_Fn, build_sym, build_SN,
                                delta_h_generating_set, el3_line_actions,
                                embed_pi)
 from altgen.gf2 import primitive_order_K_element
-from altgen.graphs import AxisBlockGraph
 from altgen.perms import Permutation
 from altgen.ring import EL3Element, el3_generating_set, random_el3
 from altgen.schreier_sims import group_order
@@ -115,16 +114,17 @@ def test_line_actions_match_every_copy(s, d):
 
 
 def test_build_sn_shares_read_only_line_actions():
+    # generator i is action i % A on axis i // A + 1, for A actions
     sn = build_SN(1, 3)
     per_axis = len(sn.el3_elements)
-    assert len(sn) == 3 * per_axis
-    for k in range(per_axis):
-        _, vid, tables = sn.specs[k].payload
+    assert len(sn.actions) == per_axis and len(sn) == 3 * per_axis
+    described = list(sn.describe())
+    for k, (vid, tables) in enumerate(sn.actions):
         assert not vid.flags.writeable and not tables.flags.writeable
-        for axis in (2, 3):
-            spec = sn.specs[(axis - 1) * per_axis + k]
-            assert spec.payload[0] == axis
-            assert spec.payload[1] is vid and spec.payload[2] is tables
+        for axis in (1, 2, 3):
+            i = (axis - 1) * per_axis + k
+            assert described[i][1] == axis
+            assert sn.materialize(i) == sn.model.lines_to_permutation(axis, tables[vid])
 
 
 def test_build_sn_generates_full_alternating_group():
@@ -135,25 +135,22 @@ def test_build_sn_generates_full_alternating_group():
 def test_window_embeddings():
     from altgen.cli import desk_base
     base = desk_base(10)
-    specs, windows = build_Fn(30, base, 10)
-    assert len(specs) <= len(windows) * len(base)
-    for spec in specs:
-        p = spec.payload
+    perms, windows = build_Fn(30, base, 10)
+    assert len(perms) <= len(windows) * len(base)
+    for p in perms:
         assert p.parity == 0
-    order = group_order([s.payload for s in specs])
+    order = group_order(perms)
     assert order == math.factorial(30) // 2
-    full = build_sym(30, specs)
-    assert group_order([s.payload for s in full]) == math.factorial(30)
+    full = build_sym(30, perms)
+    assert group_order(full) == math.factorial(30)
 
 
 def test_build_fn_trivial_window():
     from altgen.cli import desk_base
     base = desk_base(9)
-    specs, windows = build_Fn(9, base, 9)
+    perms, windows = build_Fn(9, base, 9)
     assert len(windows) == 1
-    assert len(specs) == len(base)
-    for spec, b in zip(specs, base):
-        assert spec.payload == b
+    assert perms == base
 
 
 def test_delta_h_pluggable_model():
@@ -169,13 +166,13 @@ def test_lines_parity_matches_the_materialized_generator():
     # odd and even line actions mixed, so the stacked-table count must be per row
     model = CubeModel(1, 2)
     rng = np.random.default_rng(7)
-    specs = []
-    for i in range(12):
+    actions = []
+    for _ in range(6):
         tables = np.array([rng.permutation(model.K) for _ in range(3)])
         vid = rng.integers(0, len(tables), size=model.geometry.lines_per_axis)
-        specs.append(GeneratorSpec(f"g{i}", 1 + i % 2, "lines",
-                                   (1 + i % 2, vid, tables)))
-    gs = GeneratingSet(model, specs)
+        actions.append((vid, tables))
+    labels = [f"g{k}" for k in range(6)]
+    gs = GeneratingSet(model, labels, labels, actions)
     parities = [gs.parity(i) for i in range(len(gs))]
     assert parities == [gs.materialize(i).parity for i in range(len(gs))]
     assert set(parities) == {0, 1}
@@ -191,10 +188,9 @@ def test_all_even_reads_each_shared_stack_once(monkeypatch):
     swap[[0, 1]] = swap[[1, 0]]
     even = [(np.zeros(m, dtype=np.int64), np.array([ident])) for _ in range(2)]
     odd = (np.r_[1, np.zeros(m - 1, dtype=np.int64)], np.array([ident, swap]))
-    for payloads, expect in ((even, True), (even + [odd], False)):
-        specs = [GeneratorSpec(f"g{axis}.{k}", axis, "lines", (axis, vid, tables))
-                 for axis in (1, 2) for k, (vid, tables) in enumerate(payloads)]
-        gs = GeneratingSet(model, specs)
+    for actions, expect in ((even, True), (even + [odd], False)):
+        labels = [f"g{k}" for k in range(len(actions))]
+        gs = GeneratingSet(model, labels, labels, actions)
         assert gs.all_even() == all(gs.parity(i) == 0 for i in range(len(gs)))
         assert gs.all_even() is expect
 
@@ -241,12 +237,16 @@ def test_delta_h_axes_share_one_read_only_pair():
     hs = [Permutation.from_cycles(7, [tuple(range(7))]),
           Permutation.from_cycles(7, [(0, 1, 2)])]
     genset = delta_h_generating_set(model, hs)
-    for k in range(len(hs)):
-        _, vid, tables = genset.specs[k].payload
+    assert len(genset.actions) == len(hs) and len(genset) == 3 * len(hs)
+    for (vid, tables), h in zip(genset.actions, hs):
         assert vid.dtype == np.uint8 and not vid.any()
         assert not vid.flags.writeable and not tables.flags.writeable
-        for axis in (2, 3):
-            spec = genset.specs[(axis - 1) * len(hs) + k]
-            assert spec.payload[1] is vid and spec.payload[2] is tables
-    blocks = AxisBlockGraph(genset)._blocks
-    assert blocks[2] is blocks[1] and blocks[3] is blocks[1]
+        assert np.array_equal(tables, h.table[None, :])
+    described = list(genset.describe())
+    m = model.geometry.lines_per_axis
+    for axis in (1, 2, 3):
+        for k, h in enumerate(hs):
+            i = (axis - 1) * len(hs) + k
+            assert described[i][:2] == (f"pi{axis}.h{k}", axis)
+            expect = model.lines_to_permutation(axis, np.tile(h.table, (m, 1)))
+            assert genset.materialize(i) == expect

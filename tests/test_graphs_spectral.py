@@ -1,20 +1,17 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from altgen import graphs
-from altgen.embeddings import (CubeModel, GeneratingSet, GeneratorSpec, build_SN,
-                               delta_h_generating_set, el3_line_actions)
+from altgen.embeddings import CubeModel, GeneratingSet, build_SN
 from altgen.errors import VerificationError
 from altgen.graphs import (ActionGraph, AxisBlockGraph, EdgeGraph, cayley_graph,
                            read_edge_list, schreier_graph, write_edge_list)
 from altgen.perms import Permutation
-from altgen.ring import el3_generating_set
 from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, exact_conductance,
                              expansion_exact, kazhdan_bracket, kazhdan_upper,
                              spectral_gap)
@@ -214,13 +211,13 @@ def test_axis_blocks_are_exact_edge_counts():
     for axis in (1, 2, 3):
         lid, pos = line_and_coord(geo, axis)
         counts = np.zeros((geo.lines_per_axis, geo.K, geo.K), dtype=np.int64)
-        for i, spec in enumerate(sn.specs):
-            if spec.axis == axis:
+        for i, (_, gen_axis, _) in enumerate(sn.describe()):
+            if gen_axis == axis:
                 p = sn.materialize(i)
                 for t in (p.table, p.inverse().table):
                     assert np.array_equal(lid[t], lid)
                     np.add.at(counts, (lid, pos, pos[t]), 1)
-        assert np.array_equal(g._blocks[axis], counts / g.degree)
+        assert np.array_equal(g._block, counts / g.degree)
 
 
 def test_matvec_doubly_stochastic():
@@ -365,31 +362,30 @@ def test_tampered_axis_block_fails_the_count_check():
     vec = np.random.default_rng(8).standard_normal(sn.model.N)
     g = AxisBlockGraph(sn)
     assert cheeger_sweep(g, vec) == cheeger_sweep(ActionGraph(sn.permutations()), vec)
-    clean = g._blocks[1]
+    clean = g._block
     entry = tuple(np.argwhere(clean)[0])
     off_grid = clean.copy()
     off_grid[entry] = np.nextafter(off_grid[entry], 1.0)   # one ulp off c / D
-    g._blocks[1] = off_grid
+    g._block = off_grid
     with pytest.raises(VerificationError, match="integer edge counts"):
         cheeger_sweep(g, vec)
     extra = clean.copy()
     extra[tuple(np.argwhere(clean == 0)[0])] = 1 / g.degree   # one edge too many
-    g._blocks[1] = extra
+    g._block = extra
     with pytest.raises(VerificationError, match="sum to"):
         cheeger_sweep(g, vec)
 
 
 def test_oversized_axis_blocks_are_refused_before_allocating():
     # the S_N(3, 2) shape (2 axes of 511 lines, K = 511, degree 96) through a
-    # stand-in set: its blocks and counts would need about 2.4 GB
-    specs = [SimpleNamespace(axis=axis, kind="lines") for axis in (1, 2)
-             for _ in range(24)]
-    stand_in = SimpleNamespace(model=CubeModel(3, 2), specs=specs)
+    # shape-only set: its block and counts would need about 1.2 GB
+    labels = [f"g{k}" for k in range(24)]
+    shape_only = GeneratingSet(CubeModel(3, 2), labels, labels)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"about 2401\d{6} bytes, over the "
+        with pytest.raises(ValueError, match=r"about 1200\d{6} bytes, over the "
                                              rf"budget of {graphs.AXIS_BLOCK_BUDGET} bytes"):
-            AxisBlockGraph(stand_in)
+            AxisBlockGraph(shape_only)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -400,18 +396,16 @@ def test_oversized_axis_blocks_are_refused_before_allocating():
 
 
 def reference_blocks(genset):
-    """Each axis's block counted from its own specs through the line tables."""
+    """Each axis's block, counted from the set's actions, every one of which
+    acts on every axis."""
     geo = genset.model.geometry
     lines = np.arange(geo.lines_per_axis)[:, None]
-    counts = {}
-    for spec in genset.specs:
-        axis, vid, tables = spec.payload
-        c = counts.setdefault(axis, np.zeros((geo.lines_per_axis, geo.K, geo.K),
-                                             dtype=np.int64))
+    c = np.zeros((geo.lines_per_axis, geo.K, geo.K), dtype=np.int64)
+    for vid, tables in genset.actions:
         forward = tables[vid]
         for t in (forward, np.argsort(forward, axis=1)):   # generator, inverse
             np.add.at(c, (lines, np.arange(geo.K), t), 1)
-    return {axis: c / (2 * len(genset.specs)) for axis, c in counts.items()}
+    return {axis: c / (2 * len(genset)) for axis in range(1, geo.d + 1)}
 
 
 def reference_matvec(geo, blocks, v):
@@ -438,10 +432,10 @@ def sorted_triples(chunks):
 def reference_neighbors(geo, genset, xs):
     """xs and the image of xs under every generator, from the line tables."""
     out = [xs]
-    for spec in genset.specs:
-        axis, vid, tables = spec.payload
-        lid, pos = (a[xs] for a in line_and_coord(geo, axis))
-        out.append(line_table(geo, axis)[lid, tables[vid][lid, pos]])
+    for vid, tables in genset.actions:
+        for axis in range(1, geo.d + 1):
+            lid, pos = (a[xs] for a in line_and_coord(geo, axis))
+            out.append(line_table(geo, axis)[lid, tables[vid][lid, pos]])
     return np.unique(np.concatenate(out))
 
 
@@ -449,9 +443,7 @@ def assert_matches_line_tables(genset, seed):
     geo = genset.model.geometry
     g = AxisBlockGraph(genset)
     blocks = reference_blocks(genset)
-    assert sorted(g._blocks) == sorted(blocks)
-    for axis, block in blocks.items():
-        assert np.array_equal(g._blocks[axis], block)
+    assert np.array_equal(g._block, blocks[1])
     rng = np.random.default_rng(seed)
     vectors = [rng.standard_normal(geo.N) for _ in range(5)]
     vectors.append((rng.random(geo.N) < 0.3).astype(float))
@@ -465,31 +457,11 @@ def assert_matches_line_tables(genset, seed):
                           sorted_triples(reference_edge_counts(geo, blocks, g.degree)))
     xs = rng.choice(geo.N, size=geo.N // 3, replace=False)
     assert np.array_equal(np.unique(g.neighbors(xs)), reference_neighbors(geo, genset, xs))
-    return g
 
 
 @pytest.mark.parametrize("s, d", [(1, 3), (1, 4), (2, 2)])
 def test_axis_block_graph_matches_the_line_tables(s, d):
-    sn = build_SN(s, d)
-    g = assert_matches_line_tables(sn, seed=10 * s + d)
-    # every axis of a build_SN set lists the same involutions
-    for axis in range(1, d + 1):
-        assert g._blocks[axis] is g._blocks[1]
-        assert g._variants[axis] is g._variants[1]
-
-
-def test_axes_with_different_involutions_keep_their_own_blocks():
-    model = CubeModel(1, 3)
-    actions = [el3_line_actions(model, el)
-               for el in el3_generating_set(1, model.geometry.lines_per_axis)]
-    # axes 1 and 3 list the same pairs in different orders; axis 2 its own
-    members = {1: actions[:20], 2: actions[10:30], 3: actions[:20][::-1]}
-    specs = [GeneratorSpec(f"g{axis}.{k}", axis, "lines", (axis, vid, tables))
-             for axis, pairs in members.items() for k, (vid, tables) in enumerate(pairs)]
-    g = assert_matches_line_tables(GeneratingSet(model, specs), seed=4)
-    assert g._blocks[3] is g._blocks[1]
-    assert g._blocks[2] is not g._blocks[1]
-    assert not np.array_equal(g._blocks[2], g._blocks[1])
+    assert_matches_line_tables(build_SN(s, d), seed=10 * s + d)
 
 
 def reference_power(graph, tol, seed, budget):

@@ -100,7 +100,7 @@ def test_random_pairs_against_brute_force(data):
 def test_window_set_stops_once_the_order_is_proved(monkeypatch):
     # the construct-general --n 100 --base-m 49 generators: the chain reaches
     # 100!/2 long before the full Schreier closure would end (610,347 sifts)
-    specs, _ = build_Fn(100, desk_base(49), 49)
+    perms, _ = build_Fn(100, desk_base(49), 49)
     calls = []
     sift = StabilizerChain.sift
 
@@ -109,5 +109,5 @@ def test_window_set_stops_once_the_order_is_proved(monkeypatch):
         return sift(self, *args, **kwargs)
 
     monkeypatch.setattr(StabilizerChain, "sift", counted)
-    assert group_order([s.payload for s in specs], limit=2000) == math.factorial(100) // 2
+    assert group_order(perms, limit=2000) == math.factorial(100) // 2
     assert len(calls) < 100_000

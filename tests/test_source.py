@@ -28,3 +28,16 @@ def test_only_geometry_calls_the_index_tables():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr in tables]
     assert not found, f"index-table calls outside geometry.py: {found}"
+
+
+def test_no_id_calls_in_embeddings_or_graphs():
+    # a generating set lists its line actions once, so no code needs to
+    # find shared arrays again by object identity
+    found = []
+    for name in ("embeddings.py", "graphs.py"):
+        path = Path(altgen.__file__).parent / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "id"]
+    assert not found, f"id() calls: {found}"

@@ -200,6 +200,28 @@ def test_conjugacy_word47_standard_cycle():
     assert word.product() == c0
 
 
+def test_conjugacy_word47_materializes_no_letter_twice(monkeypatch):
+    # two face-moving letters and the standard cycle's letters, once each
+    model = CubeModel(1, 6)
+    rng = np.random.default_rng(5)
+    pts = rng.choice(model.N, size=2875, replace=False)
+    c = Permutation.from_cycles(model.N, [pts[rng.permutation(2875)].tolist()])
+    calls = []
+    materialize = ShiftVector.materialize
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(ShiftVector, "materialize", counted)
+    word = conjugacy_word47(model, c)
+    assert word is not None
+    assert len(calls) <= 7
+    assert len({id(letter) for letter in calls}) == len(calls)
+    monkeypatch.undo()
+    assert word.product() == c
+
+
 def test_word_serialization_roundtrip():
     model = CubeModel(1, 2)
     rng = np.random.default_rng(6)
