@@ -3,7 +3,7 @@
 import numpy as np
 
 from altgen import CubeModel, ExactDistribution, full_sweep
-from altgen.walks import (WalkConfig, binomial_sigma, doeblin_contraction_check,
+from altgen.walks import (binomial_sigma, doeblin_contraction_check,
                           point_walk_batch, tuple_walk, urn_bound, urn_mc)
 
 model = CubeModel(1, 6)
@@ -25,10 +25,9 @@ print()
 print("== sampled block fractions ==")
 geo = model.geometry
 start = [geo.index((0, 0, 0, i % 7, i // 7, 0)) for i in range(9)]
-cfg = WalkConfig(seed=1, samples=4000, h=9)
-stats = tuple_walk(model, cfg, np.array(start))
+b1 = tuple_walk(model, np.array(start), seed=1, samples=4000)
 bound = 1 - 81 / 686
-print(f"fraction with distinct leading coordinates: {stats.b1_fraction:.4f} "
+print(f"fraction with distinct leading coordinates: {b1:.4f} "
       f"(analytic lower bound {bound:.4f})")
 
 print()

@@ -59,28 +59,6 @@ def dimension(parts):
     return dim
 
 
-def dimension_by_tableaux(parts):
-    """Brute-force SYT count; the independent oracle for small partitions."""
-    parts = tuple(parts)
-    n = sum(parts)
-    if n == 0:
-        return 1
-    count = 0
-    def rec(rows, k):
-        nonlocal count
-        if k == n:
-            count += 1
-            return
-        for i, row in enumerate(parts):
-            filled = rows[i]
-            if filled < row and (i == 0 or rows[i - 1] > filled):
-                rows[i] += 1
-                rec(rows, k + 1)
-                rows[i] -= 1
-    rec([0] * len(parts), 0)
-    return count
-
-
 def _beta_set(parts):
     r = len(parts)
     return [parts[i] + (r - 1 - i) for i in range(r)]

@@ -96,16 +96,6 @@ class ShiftVector:
         return f"ShiftVector(axis={self.axis}, {nz} shifted lines)"
 
 
-def embed_pi(model, axis, el3):
-    """The axis-i embedding applied to one element of the product group.
-
-    Copy j of the element acts on axis-i line j through the discrete-log
-    labeling; the result permutes every line independently.
-    """
-    vid, tables = el3_line_actions(model, el3)
-    return model.lines_to_permutation(axis, tables[vid])
-
-
 def el3_line_actions(model, el3):
     """Per-line actions of an EL3 element: (variant ids, variant K-perms).
 
@@ -203,9 +193,6 @@ class GeneratingSet:
             for label, note in zip(self._labels, self._notes):
                 yield f"pi{axis}.{label}", axis, f"axis {axis}, {note}"
 
-    def labels(self):
-        return [label for label, _, _ in self.describe()]
-
     @property
     def materializable(self):
         return self.actions is not None
@@ -215,22 +202,14 @@ class GeneratingSet:
             raise ValueError(f"{self.name} is shape-only: its generators have no line actions")
         return self.actions
 
-    def _axis_action(self, i):
-        """(axis, (vid, tables)) of generator i."""
+    def materialize(self, i):
         actions = self._line_actions()
         axis, k = divmod(range(len(self))[i], len(actions))
-        return axis + 1, actions[k]
-
-    def materialize(self, i):
-        axis, (vid, tables) = self._axis_action(i)
-        return self.model.lines_to_permutation(axis, tables[vid])
+        vid, tables = actions[k]
+        return self.model.lines_to_permutation(axis + 1, tables[vid])
 
     def permutations(self):
         return [self.materialize(i) for i in range(len(self))]
-
-    def parity(self, i):
-        """0 for even, 1 for odd, without materializing the full table."""
-        return _action_parity(*self._axis_action(i)[1])
 
     def all_even(self):
         # every axis image of an action has the action's parity
@@ -285,24 +264,6 @@ def _involution_labels(s, m):
     for rn in ring_names:
         names.extend(f"{rn}.e{p}" for p in _POSITION_NAMES)
     return names
-
-
-def delta_h_generating_set(model, h_perms):
-    """Generators of the pluggable-model product group, one per (axis, h).
-
-    Each h is a permutation of the K line points; the generator applies h on
-    every axis-i line simultaneously.
-    """
-    K = model.K
-    for g in h_perms:
-        if g.n != K:
-            raise ValueError("pluggable generators must act on the K line points")
-    # every line takes variant 0, h itself, so one id array serves every h
-    vid = np.zeros(model.geometry.lines_per_axis, dtype=np.uint8)
-    labels = [f"h{k}" for k in range(len(h_perms))]
-    return GeneratingSet(model, labels,
-                         [f"transitive-group generator {label}" for label in labels],
-                         [(vid, g.table[None, :]) for g in h_perms], name="Delta(H)")
 
 
 def build_Fn(n, base_perms, m):

@@ -99,15 +99,9 @@ class MatGF2:
         out = np.bitwise_or.reduce((x & _ONE) << _BIT[:self.n], axis=-1)
         return int(out) if out.ndim == 0 else out
 
-    def rank(self):
-        return len(_span_basis(int(r) for r in self._single()))
-
     def invertible_mask(self):
         """(m,) bool: which copies are invertible."""
         return self._gauss_jordan()[0]
-
-    def is_invertible(self):
-        return bool(self.invertible_mask().all())
 
     def inverse(self):
         ok, inv = self._gauss_jordan()
@@ -219,7 +213,7 @@ def primitive_polynomial(n):
         C = companion_matrix(f, n)
         if C.power(K) == ident and all(C.power(K // p) != ident for p in primes):
             return f
-    raise AssertionError(f"no primitive polynomial of degree {n} found")
+    require(False, f"no primitive polynomial of degree {n} found")
 
 
 def companion_matrix(f, n):

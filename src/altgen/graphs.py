@@ -94,12 +94,6 @@ class ActionGraph(SparseGraph):
     def neighbors(self, xs):
         return self._tables[:, xs].ravel()
 
-    def edge_pairs(self):
-        """Directed pairs (x, g(x)) over the original generators."""
-        xs = np.arange(self.n, dtype=np.int64)
-        for t in self._tables[::2]:
-            yield np.stack([xs, t], axis=1)
-
 
 class EdgeGraph(SparseGraph):
     """Explicit symmetric multigraph from an edge list; must be regular."""
@@ -113,7 +107,6 @@ class EdgeGraph(SparseGraph):
             raise ValueError("edge list is not regular; spectral convention needs "
                              "a constant degree")
         self.degree = int(deg[0]) if n else 0
-        self.edges = edges
         self._both = both
 
     def matvec(self, v):
@@ -130,13 +123,6 @@ class EdgeGraph(SparseGraph):
 
     def edge_counts(self):
         yield self._both[:, 0], self._both[:, 1], 1
-
-    def adjacency_sets(self):
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[int(u)].add(int(v))
-            adj[int(v)].add(int(u))
-        return adj
 
 
 class AxisBlockGraph(SparseGraph):
@@ -305,12 +291,24 @@ def cayley_graph(gens, limit=CAYLEY_LIMIT):
 
 
 def write_edge_list(graph, path):
-    """Text export: header '# vertices N degree k', then one 'u v' per line."""
+    """Text export: header '# vertices N degree k', then one 'u v' per edge.
+
+    The arcs of `edge_counts` pair up (u -> v with v -> u), so an edge with
+    u < v is written once per arc and a loop once per two arcs, after all
+    other edges; read_edge_list rebuilds the same graph.
+    """
+    loops = np.zeros(graph.n, dtype=np.int64)
     with open(path, "w") as fh:
         fh.write(f"# vertices {graph.n} degree {graph.degree}\n")
-        for pairs in graph.edge_pairs():
-            for u, v in pairs:
-                fh.write(f"{u} {v}\n")
+        for src, dst, count in graph.edge_counts():
+            count = np.broadcast_to(count, src.shape)
+            up = src < dst
+            pairs = np.repeat(np.stack([src[up], dst[up]], axis=1), count[up], axis=0)
+            fh.writelines(f"{u} {v}\n" for u, v in pairs.tolist())
+            on = src == dst
+            np.add.at(loops, src[on], count[on])
+        require(not (loops % 2).any(), "loop arcs do not pair up")
+        fh.writelines(f"{x} {x}\n" for x in np.repeat(np.arange(graph.n), loops // 2).tolist())
 
 
 def read_edge_list(path):

@@ -151,11 +151,6 @@ def cycle_labels(tables):
     return count, labels.reshape(tables.shape)
 
 
-def compose(p, q):
-    """(p∘q)(x) = p(q(x)); degrees must match."""
-    return p * q
-
-
 def product(perms, n=None):
     """Left-to-right product: product([a, b, c]) = a * b * c."""
     perms = list(perms)

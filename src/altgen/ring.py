@@ -67,9 +67,6 @@ class EL3Element(MatGF2):
     def is_identity(self):
         return bool(self.identity_mask().all())
 
-    def is_involution(self):
-        return (self * self).is_identity()
-
     def is_gem(self):
         """Identity diagonal with off-diagonal support in one row or column."""
         moved = self._grid((self + MatGF2.identity(self.n)).rows).any(axis=(0, 3))
@@ -228,19 +225,6 @@ def _per_copy(search, *mats):
             raise ValueError(f"component {c}: {exc}") from exc
     return [MatGF2._wrap(mats[0].n, np.concatenate([r[k].rows for r in results])[where])
             for k in range(len(results[0]))]
-
-
-def commutator_decompose(u, rng=None, budget=10**6):
-    """Write an invertible ring element as a group commutator, per copy.
-
-    Every copy must lie in the commutator subgroup of GL_s(GF(2)); copies
-    that do not raise a ValueError naming the offending component.
-    """
-    def pair(comp):
-        if not comp.is_invertible():
-            raise ValueError("not invertible")
-        return commutator_pair(comp, rng=rng, budget=budget)
-    return _per_copy(pair, u)
 
 
 # -- the factorization itself -------------------------------------------------

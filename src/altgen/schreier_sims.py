@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .errors import require
-from .perms import Permutation
 
 DEFAULT_ORDER_LIMIT = 10**4
 

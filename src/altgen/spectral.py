@@ -1,15 +1,13 @@
-"""Spectral gaps, expansion constants, and Kazhdan brackets of action graphs."""
+"""Spectral gaps, Cheeger sweeps and Kazhdan bounds of action graphs."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .errors import require
 
 DENSE_LIMIT = 4000
-EXPANSION_LIMIT = 22
 POWER_BUDGET = 10**5
 
 
@@ -17,18 +15,11 @@ POWER_BUDGET = 10**5
 class SpectralReport:
     gap: float                      # 1 - second largest eigenvalue of T
     second_eigenvalue: float
-    method: str
     iterations: int
-    tol: float
-    seed: int
     cheeger_upper: float | None = None     # float(cheeger_exact)
     cheeger_exact: Fraction | None = None  # minimum conductance over all sweep cuts
     kazhdan_lower: float | None = None
     kazhdan_upper: float | None = None
-    notes: dict = field(default_factory=dict)
-
-    def bracket(self):
-        return self.kazhdan_lower, self.kazhdan_upper
 
 
 class PowerIterationError(RuntimeError):
@@ -101,7 +92,7 @@ def _lanczos_second_eigenpair(graph, tol, seed, k=10):
     return lam2, vecs[:, 1], calls[0]
 
 
-def spectral_gap(graph, method="auto", tol=1e-12, seed=0, sweep=True):
+def spectral_gap(graph, method="auto", tol=1e-12, seed=0):
     """Gap of the normalized Laplacian: 1 minus the second eigenvalue of T.
 
     method 'dense' diagonalizes (vertex count <= 4000); 'power' runs
@@ -124,13 +115,10 @@ def spectral_gap(graph, method="auto", tol=1e-12, seed=0, sweep=True):
         raise ValueError(f"unknown method {method!r}")
 
     gap = 1.0 - lam2
-    report = SpectralReport(gap=gap, second_eigenvalue=lam2, method=method,
-                            iterations=iterations, tol=tol, seed=seed)
-    if sweep and graph.n > 1:
+    report = SpectralReport(gap=gap, second_eigenvalue=lam2, iterations=iterations)
+    if graph.n > 1:
         report.cheeger_exact = cheeger_sweep(graph, vec)
         report.cheeger_upper = float(report.cheeger_exact)
-        # discrete Cheeger sandwich, checked between computed quantities
-        report.notes["cheeger_lower_half_gap"] = gap / 2.0
     report.kazhdan_lower = float(np.sqrt(max(2.0 * gap, 0.0)))
     try:
         report.kazhdan_upper = kazhdan_upper(graph, vec)
@@ -175,53 +163,6 @@ def cheeger_sweep(graph, vec):
         best = int(below[np.argmin(cut[below] / size[below])])
 
 
-def exact_conductance(graph):
-    """Exact edge conductance by subset enumeration (tiny graphs only)."""
-    n = graph.n
-    if n > EXPANSION_LIMIT:
-        raise ValueError(f"{n} vertices exceed the enumeration limit")
-    best = np.inf
-    for k in range(1, n // 2 + 1):
-        for subset in combinations(range(n), k):
-            ind = np.zeros(n)
-            ind[list(subset)] = 1.0
-            inside = float(ind @ graph.matvec(ind))
-            best = min(best, (k - inside) / k)
-    return float(best)
-
-
-def expansion_exact(graph):
-    """Exact vertex-boundary expansion constant by exhaustive enumeration.
-
-    The largest epsilon such that every vertex set A with |A| <= n/2 has
-    more than epsilon * |A| outside neighbors; equivalently the minimum of
-    |boundary(A)| / |A|.
-    """
-    n = graph.n
-    if n > EXPANSION_LIMIT:
-        raise ValueError(f"{n} vertices exceed the enumeration limit")
-    if hasattr(graph, "adjacency_sets"):
-        adj = graph.adjacency_sets()
-    else:
-        T = graph.to_dense()
-        adj = [set(np.flatnonzero((T[i] > 0)) .tolist()) - {i} for i in range(n)]
-    masks = [0] * n
-    for i in range(n):
-        for j in adj[i]:
-            masks[i] |= 1 << j
-    best = np.inf
-    for size in range(1, n // 2 + 1):
-        for subset in combinations(range(n), size):
-            amask = 0
-            nbr = 0
-            for x in subset:
-                amask |= 1 << x
-                nbr |= masks[x]
-            boundary = bin(nbr & ~amask).count("1")
-            best = min(best, boundary / size)
-    return float(best)
-
-
 def kazhdan_upper(graph, vec):
     """max over generators of ||v1 o g - v1|| for the unit gap eigenvector.
 
@@ -238,12 +179,3 @@ def kazhdan_upper(graph, vec):
         worst = max(worst, float(np.linalg.norm(diff)))
     return worst
 
-
-def kazhdan_bracket(graph, method="auto", tol=1e-12, seed=0):
-    """[sqrt(2*gap), displacement of the gap eigenvector] for this action.
-
-    The lower end is the averaging bound; the bracket certifies the Kazhdan
-    quantity of the representation realized on the graph's vertex set only.
-    """
-    report = spectral_gap(graph, method=method, tol=tol, seed=seed)
-    return report.kazhdan_lower, report.kazhdan_upper, report

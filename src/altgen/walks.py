@@ -101,10 +101,6 @@ class FloatDistribution:
         return 0.5 * float(np.abs(self.weights - 1.0 / self.model.N).sum())
 
 
-def axis_average(dist, axis):
-    return dist.axis_average(axis)
-
-
 def full_sweep(dist, axes=None):
     """Apply every axis average once; uniformizes any start distribution."""
     if axes is None:
@@ -122,44 +118,9 @@ def sample_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
-def sample_Ei(model, rng, axis):
-    """Uniform element of the axis image: one independent residue per line."""
-    from .embeddings import ShiftVector
-    shifts = rng.integers(0, model.K, size=model.geometry.lines_per_axis)
-    return ShiftVector(model, axis, shifts)
-
-
-@dataclass
-class WalkConfig:
-    seed: int = 0
-    samples: int = 1
-    h: int | None = None            # tuple size; tuple_walk reads len(start)
-    pattern: str = "Q2Q1"           # Q1 = U1U2U3, Q2 = U4U5U6
-
-
-def _pattern_axes(pattern, d):
-    """Axis application order: rightmost operator acts first, and inside each
-    U-product the rightmost factor's element is sampled first."""
-    blocks = {"Q1": [1, 2, 3], "Q2": [4, 5, 6]}
-    if d != 6 and pattern in ("Q1", "Q2", "Q2Q1", "Q2Q1Q2Q1"):
-        raise ValueError("named operator patterns assume six axes")
-    parts = []
-    token = pattern
-    while token:
-        for name in ("Q2Q1", "Q2", "Q1"):  # longest match first
-            if token.startswith(name):
-                if name == "Q2Q1":
-                    parts.extend(["Q2", "Q1"])
-                else:
-                    parts.append(name)
-                token = token[len(name):]
-                break
-        else:
-            raise ValueError(f"cannot parse pattern {pattern!r}")
-    axes = []
-    for name in reversed(parts):        # rightmost block first
-        axes.extend(reversed(blocks[name]))
-    return axes
+# the walk's axis order: Q1 = U1U2U3 acts first, then Q2 = U4U5U6; inside
+# each U-product the rightmost factor's element is sampled first
+TUPLE_WALK_AXES = [3, 2, 1, 6, 5, 4]
 
 
 def apply_sampled_word(model, rng, axes, points):
@@ -180,69 +141,37 @@ def apply_sampled_word(model, rng, axes, points):
     return pts
 
 
-@dataclass
-class TupleWalkStats:
-    samples: int
-    h: int
-    b1_fraction: float
-    b2_fraction: float
-    hit_counts: dict
-
-
 def _distinct_first3(model, pts):
     K = model.K
     keys = pts % K**3
     return len(np.unique(keys)) == len(pts)
 
 
-def _distinct_last3(model, pts):
-    K = model.K
-    keys = pts // K**3
-    return len(np.unique(keys)) == len(pts)
+def tuple_walk(model, start, seed=0, samples=1):
+    """Monte-Carlo tuple walk; returns the b1 membership fraction.
 
-
-def tuple_walk(model, config, start, target=None):
-    """Monte-Carlo tuple walk; reports membership fractions and target hits.
-
-    Simulates `config.samples` independent applications of the pattern to
-    the start tuple.  b1 counts tuples with pairwise distinct first three
-    coordinates after the first Q1 block; b2 likewise for the last three
-    after the first Q2 block; hits count exact arrivals at `target`.
+    Simulates `samples` independent walks of the start tuple along
+    TUPLE_WALK_AXES, sample i drawing from sample_stream(seed, i).  b1
+    counts tuples with pairwise distinct first three coordinates after the
+    first three axes (the Q1 block).
     """
+    if model.d != 6:
+        raise ValueError("the tuple walk's axis order assumes six axes")
     start = np.asarray(start, dtype=np.int64)
     h = len(start)
     if len(set(start.tolist())) != h:
         raise ValueError("start tuple must have distinct points")
-    axes = _pattern_axes(config.pattern, model.d)
-    q1_end = _prefix_end(axes, [3, 2, 1])
-    q2_end = _prefix_end(axes, [6, 5, 4])
 
-    b1 = b2 = 0
-    hits = 0
-    for i in range(config.samples):
-        rng = sample_stream(config.seed, i)
+    b1 = 0
+    for i in range(samples):
+        rng = sample_stream(seed, i)
         pts = start.copy()
-        for k, axis in enumerate(axes):
+        for k, axis in enumerate(TUPLE_WALK_AXES):
             pts = apply_sampled_word(model, rng, [axis], pts)
             require(len(np.unique(pts)) == h, "tuple lost distinctness")
-            if k + 1 == q1_end and _distinct_first3(model, pts):
+            if k == 2 and _distinct_first3(model, pts):
                 b1 += 1
-            if k + 1 == q2_end and _distinct_last3(model, pts):
-                b2 += 1
-        if target is not None and np.array_equal(pts, np.asarray(target)):
-            hits += 1
-    return TupleWalkStats(samples=config.samples, h=h,
-                          b1_fraction=b1 / config.samples,
-                          b2_fraction=b2 / config.samples,
-                          hit_counts={"target": hits})
-
-
-def _prefix_end(axes, block):
-    """Index just past the first occurrence of `block` in the axis sequence."""
-    for k in range(len(axes) - len(block) + 1):
-        if axes[k:k + len(block)] == block:
-            return k + len(block)
-    return -1
+    return b1 / samples
 
 
 def point_walk_batch(model, seed, samples, start_point, axes):

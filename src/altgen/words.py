@@ -43,11 +43,6 @@ class WordInE:
     def to_records(self):
         return [{"axis": w.axis, "shifts": w.shifts.tolist()} for w in self.letters]
 
-    @classmethod
-    def from_records(cls, model, records):
-        return cls(model, [ShiftVector(model, r["axis"], np.asarray(r["shifts"]))
-                           for r in records])
-
 
 def standard_cycle_length(K, d):
     """Largest 1 + a(K-1) strictly below K^(d-1)/(3 ln K), with its a."""
@@ -297,7 +292,8 @@ def comb_tree_lines(model, count):
                 if len(lines) == count:
                     return lines
         level_prefixes = new_prefixes
-    raise AssertionError("capacity check should have caught this")
+    require(len(lines) == count, "capacity check should have caught this")
+    return lines
 
 
 def cycle_word(model, a):

@@ -153,18 +153,17 @@ def test_criterion_5_exact_walk_identities():
 
 
 def test_criterion_6_mc_bounds():
-    from altgen.walks import (WalkConfig, binomial_sigma, point_walk_batch,
-                              tuple_walk, urn_bound, urn_mc)
+    from altgen.walks import (binomial_sigma, point_walk_batch, tuple_walk,
+                              urn_bound, urn_mc)
     t0 = time.time()
     model = CubeModel(1, 6)
     geo = model.geometry
 
     start = [geo.index((0, 0, 0, i % 7, i // 7, 0)) for i in range(9)]
-    cfg = WalkConfig(seed=6, samples=10**4, h=9)
-    stats = tuple_walk(model, cfg, np.array(start))
+    b1 = tuple_walk(model, np.array(start), seed=6, samples=10**4)
     bound = 1 - 81 / 686
-    sigma = binomial_sigma(bound, cfg.samples)
-    ok = stats.b1_fraction >= bound - 3 * sigma
+    sigma = binomial_sigma(bound, 10**4)
+    ok = b1 >= bound - 3 * sigma
 
     pts = point_walk_batch(model, seed=7, samples=10**7, start_point=5,
                            axes=[3, 2, 1, 6, 5, 4])
@@ -180,7 +179,7 @@ def test_criterion_6_mc_bounds():
         ok = ok and f <= float(b) + 3 * binomial_sigma(b, 2000)
     elapsed = time.time() - t0
     ok = ok and elapsed < 600
-    _verdict(6, f"B1 fraction {stats.b1_fraction:.4f} >= {bound - 3*sigma:.4f}, "
+    _verdict(6, f"B1 fraction {b1:.4f} >= {bound - 3*sigma:.4f}, "
              f"hit frequency within 4 sigma, urn bounds hold ({elapsed:.1f}s)", ok)
 
 

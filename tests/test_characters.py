@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from altgen.characters import (column_orthogonality_defect, conjugate,
-                               decay_factor, dimension, dimension_by_tableaux,
-                               mn_character, partitions, roichman_violations)
+                               decay_factor, dimension, mn_character, partitions,
+                               roichman_violations)
+from oracles import dimension_by_tableaux
 
 
 def test_partition_count():

@@ -10,10 +10,8 @@ import pytest
 
 import altgen
 from altgen import graphs
-from altgen.cli import (_el3_to_json, desk_base, fixed_point_free_element, main,
-                        write_gens_json)
+from altgen.cli import _el3_to_json, desk_base, main, write_gens_json
 from altgen.embeddings import GeneratingSet, build_SN
-from altgen.perms import Permutation
 
 
 def run_cli(args, tmp_path, name):
@@ -172,30 +170,6 @@ def test_spectral_command_on_edges(tmp_path, capsys):
                             "--method", "dense"], tmp_path, "spec")
     capsys.readouterr()
     assert code == 0
-
-
-def test_fixed_point_free_element_cyclic():
-    cyc = Permutation.from_cycles(7, [tuple(range(7))])
-    g = fixed_point_free_element([cyc], seed=0)
-    assert len(g.support()) == 7
-
-
-def test_fixed_point_free_element_matrix_group():
-    # the full matrix group on the 7 labels: transitivity via the 7-cycle
-    from altgen.gf2 import SideFieldAction, MatGF2
-    act = SideFieldAction(1)
-    transvection = MatGF2(3, [0b011, 0b010, 0b100])
-    assert transvection.is_invertible()
-    gens = [act.matrix_to_permutation(act.generator),
-            act.matrix_to_permutation(transvection)]
-    g = fixed_point_free_element(gens, seed=1)
-    assert len(g.support()) == 7
-
-
-def test_fixed_point_free_requires_transitivity():
-    stuck = Permutation.from_cycles(6, [(0, 1, 2)])
-    with pytest.raises(ValueError, match="transitive"):
-        fixed_point_free_element([stuck])
 
 
 def test_desk_base_generates():

@@ -8,8 +8,8 @@ from altgen.embeddings import CubeModel, ShiftVector, build_SN
 from altgen.geometry import CubeGeometry
 from altgen.graphs import schreier_graph
 from altgen.spectral import spectral_gap
-from altgen.walks import (ExactDistribution, FloatDistribution, WalkConfig,
-                          full_sweep, point_walk_batch, tuple_walk)
+from altgen.walks import (ExactDistribution, FloatDistribution, full_sweep,
+                          point_walk_batch, tuple_walk)
 from altgen.words import conjugacy_word47, cycle_word, grid_route, tosquare_word
 
 
@@ -166,7 +166,7 @@ def test_the_package_builds_no_index_tables(monkeypatch):
     assert conjugacy_word47(model, c0).product() == c0
     six = CubeModel(1, 6)
     start = np.array([six.geometry.index((0, 0, 0, i, 0, 0)) for i in range(5)])
-    assert tuple_walk(six, WalkConfig(seed=1, samples=3), start).samples == 3
+    assert 0 <= tuple_walk(six, start, seed=1, samples=3) <= 1
     assert len(point_walk_batch(model, 3, 10, 5, [1, 2, 3])) == 10
     assert full_sweep(ExactDistribution.point_mass(model, 0)).tv_to_uniform() == 0
     assert full_sweep(FloatDistribution.point_mass(model, 0)).tv_to_uniform() < 1e-12

@@ -12,30 +12,15 @@ from altgen.errors import VerificationError
 from altgen.graphs import (ActionGraph, AxisBlockGraph, EdgeGraph, cayley_graph,
                            read_edge_list, schreier_graph, write_edge_list)
 from altgen.perms import Permutation
-from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, exact_conductance,
-                             expansion_exact, kazhdan_bracket, kazhdan_upper,
+from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, kazhdan_upper,
                              spectral_gap)
 from line_tables import line_and_coord, line_table
+from oracles import exact_conductance
 
 
 def cyclic_graph(n, shifts=(1,)):
     return ActionGraph([Permutation(np.arange(n) * 0 + (np.arange(n) + s) % n)
                         for s in shifts])
-
-
-def brute_vertex_expansion(adj, n):
-    """Independent oracle for the expansion constant."""
-    from itertools import combinations
-    best = float("inf")
-    for size in range(1, n // 2 + 1):
-        for sub in combinations(range(n), size):
-            s = set(sub)
-            boundary = set()
-            for x in sub:
-                boundary |= adj[x]
-            boundary -= s
-            best = min(best, len(boundary) / size)
-    return best
 
 
 def test_complete_graph_gap_analytic():
@@ -79,43 +64,6 @@ def test_gap_invariant_under_relabeling():
         u = Permutation.random(60, rng)
         relabeled = ActionGraph([u * p * u.inverse() for p in perms])
         assert abs(spectral_gap(relabeled, method="dense").gap - base) < 1e-9
-
-
-def test_expansion_exact_small_graphs():
-    c4 = EdgeGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    adj = {0: {1, 3}, 1: {0, 2}, 2: {1, 3}, 3: {0, 2}}
-    assert expansion_exact(c4) == brute_vertex_expansion(adj, 4)
-    k4 = EdgeGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    adj4 = {i: set(range(4)) - {i} for i in range(4)}
-    assert expansion_exact(k4) == brute_vertex_expansion(adj4, 4)
-    disc = EdgeGraph(4, [(0, 1), (2, 3)])
-    assert expansion_exact(disc) == 0.0
-
-
-def test_expansion_exact_random_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        n = 8
-        edges = set()
-        perm = rng.permutation(n)
-        for i in range(n):  # a Hamilton cycle plus chords, 3-regular-ish
-            edges.add(tuple(sorted((int(perm[i]), int(perm[(i + 1) % n])))))
-        g = EdgeGraph(n, sorted(edges)) if _edge_regular(edges, n) else None
-        if g is None:
-            continue
-        adj = {i: set() for i in range(n)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        assert expansion_exact(g) == brute_vertex_expansion(adj, n)
-
-
-def _edge_regular(edges, n):
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return len(set(deg)) == 1
 
 
 def test_cheeger_sandwich_holds():
@@ -175,7 +123,8 @@ def test_kazhdan_bracket_z3_collapses():
     z3 = ActionGraph([Permutation(np.array([1, 2, 0])),
                       Permutation(np.array([2, 0, 1]))])
     # 2x2 character oracle: the nontrivial characters move by |w - 1| = sqrt(3)
-    lower, upper, rep = kazhdan_bracket(z3, method="dense")
+    rep = spectral_gap(z3, method="dense")
+    lower, upper = rep.kazhdan_lower, rep.kazhdan_upper
     assert abs(lower - math.sqrt(3)) < 1e-9
     assert abs(upper - math.sqrt(3)) < 1e-9
     assert lower <= upper + 1e-12
@@ -185,7 +134,8 @@ def test_bracket_ordering_random():
     rng = np.random.default_rng(5)
     for _ in range(5):
         g = ActionGraph([Permutation.random(30, rng) for _ in range(3)])
-        lower, upper, _ = kazhdan_bracket(g, method="dense")
+        rep = spectral_gap(g, method="dense")
+        lower, upper = rep.kazhdan_lower, rep.kazhdan_upper
         assert lower <= upper + 1e-9
 
 
@@ -238,6 +188,20 @@ def test_edge_list_roundtrip(tmp_path):
     r1 = spectral_gap(z7, method="dense")
     r2 = spectral_gap(back, method="dense")
     assert abs(r1.gap - r2.gap) < 1e-12
+
+
+@pytest.mark.parametrize("form", ["action", "axis-block"])
+def test_edge_list_rebuilds_the_schreier_graph(tmp_path, form):
+    sn = build_SN(1, 2)
+    graph = schreier_graph(sn) if form == "action" else schreier_graph(sn, dense_threshold=0)
+    assert isinstance(graph, ActionGraph if form == "action" else AxisBlockGraph)
+    path = tmp_path / "edges.txt"
+    write_edge_list(graph, path)
+    back = read_edge_list(path)
+    assert (back.n, back.degree) == (49, graph.degree)
+    # entries are multiples of 1/degree; the axis-block form adds its axes in
+    # floating point, so equal counts may differ in the last bit
+    assert np.allclose(back.to_dense(), graph.to_dense(), rtol=0, atol=1e-12)
 
 
 def test_action_matvec_matches_the_table_loop():

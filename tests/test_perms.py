@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from altgen.perms import Permutation, compose, cycle_labels, product
+from altgen.perms import Permutation, cycle_labels, product
 
 
 def brute_parity(table):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from altgen.gf2 import MatGF2
-from altgen.ring import (EL3Element, commutator_decompose, commutator_pair,
+from altgen.ring import (EL3Element, commutator_pair,
                          el3_generating_set, el3_generating_set_size,
                          gem_factor, random_el3, ring_generators, tuple_length,
                          _combine_invertible, _commutator_table, _gl_elements,
@@ -80,7 +80,7 @@ def test_generating_set_sizes():
 def test_generating_set_involutions():
     for s, m in [(1, 1), (1, 3), (2, 2)]:
         for x in el3_generating_set(s, m):
-            assert x.is_involution()
+            assert (x * x).is_identity()
             assert x.is_gem()
 
 
@@ -127,22 +127,12 @@ def test_commutator_table_s3_is_complete():
     assert len(table) == _gl_elements(3).m == 168
 
 
-def test_commutator_decompose_roundtrip():
-    rng = np.random.default_rng(3)
-    table = _commutator_table(2)
-    comps = list(table.keys())
-    u = MatGF2(2, np.concatenate([c.rows for c in comps[:3]]))
-    v, w = commutator_decompose(u)
-    assert v * w * v.inverse() * w.inverse() == u
-
-
-def test_commutator_decompose_rejects_odd_component():
+def test_commutator_pair_rejects_odd_component():
     # a transvection is outside the commutator subgroup of GL_2(F2)
     odd = MatGF2(2, [0b11, 0b10])
-    assert odd.is_invertible()
-    u = odd
-    with pytest.raises(ValueError, match="component 0"):
-        commutator_decompose(u)
+    assert odd.invertible_mask().all()
+    with pytest.raises(ValueError, match="component 0: .*not a commutator"):
+        _per_copy(commutator_pair, odd)
 
 
 def test_el3_copy_matrix_roundtrip():
@@ -151,7 +141,7 @@ def test_el3_copy_matrix_roundtrip():
     mats = [MatGF2(6, [int(r) for r in g.rows[c]]) for c in range(3)]
     assert EL3Element(6, np.concatenate([mat.rows for mat in mats])) == g
     for mat in mats:
-        assert mat.is_invertible()
+        assert mat.invertible_mask().all()
     # block (i, j) of copy c is the s x s slice of copy c's matrix
     for c, mat in enumerate(mats):
         for i in range(3):
@@ -191,7 +181,7 @@ def test_batched_searches_match_loop_references():
                 acc = target
                 for coef, helper in zip(coeffs, helpers):
                     acc = acc + coef * helper
-                if acc.is_invertible():
+                if acc.invertible_mask().all():
                     want = coeffs
                     break
             if want is None:
@@ -230,8 +220,13 @@ def test_per_copy_search_runs_once_per_distinct_copy():
 def test_per_copy_names_the_lowest_index_failing_copy():
     # copy 0 is the identity; copies 1 and 2 are singular, and copy 2 has the smallest byte key
     u = MatGF2(2, [[0b01, 0b10], [0, 0b10], [0, 0b01]])
+    def pair(comp):
+        if not comp.invertible_mask().all():
+            raise ValueError("not invertible")
+        return commutator_pair(comp)
+
     with pytest.raises(ValueError, match="component 1: not invertible"):
-        commutator_decompose(u)
+        _per_copy(pair, u)
 
 
 def test_randomized_commutator_pair_factors_a_non_real_seven_cycle():

@@ -1,18 +1,82 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import altgen
 
+PACKAGE = Path(altgen.__file__).parent
+REPO = PACKAGE.parents[1]
+
+# public definitions kept without a caller, each mapped to its reason;
+# meant to stay empty
+UNCALLED_ALLOWED = {}
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
 
 def test_no_assert_statements_in_the_package():
-    # python -O strips assert statements, so every check in the package
-    # goes through errors.require instead
+    # python -O strips assert statements, and a hand-raised AssertionError
+    # bypasses the one check helper, so every check in the package goes
+    # through errors.require instead
     found = []
-    for path in sorted(Path(altgen.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert not found, f"assert statements in altgen: {found}"
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Raise) and node.exc is not None
+                  and _raises_assertion_error(node)]
+    assert not found, f"assert statements or raised AssertionErrors in altgen: {found}"
+
+
+def _references(node):
+    """Names, attributes, imported names and string constants under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _public_definitions(tree):
+    """Public top-level functions and classes, and the public methods of every class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (method for method in node.body
+                        if isinstance(method, ast.FunctionDef)
+                        and not method.name.startswith("_"))
+
+
+def test_every_public_definition_has_a_caller():
+    # the package holds what the CLI, the demos and the benchmark run; a
+    # definition only tests call belongs in tests/, and re-exports in
+    # __init__.py do not count as calls
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    demos = sorted((REPO / "demos").glob("*.py"))
+    bench = [p for p in sorted((REPO / "perfbench").glob("*.py"))
+             if not p.name.startswith("test_")]
+    assert demos and bench, "demos/ and perfbench/ must sit next to src/"
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in modules + demos + bench}
+    total = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    uncalled = []
+    for path in modules:
+        for node in _public_definitions(trees[path]):
+            inside = Counter(_references(node))[node.name]
+            key = f"{path.stem}.{node.name}"
+            if total[node.name] == inside and key not in UNCALLED_ALLOWED:
+                uncalled.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not uncalled, f"public definitions with no caller outside tests: {uncalled}"
 
 
 def test_only_geometry_calls_the_index_tables():

