@@ -58,11 +58,17 @@ class CubeModel:
 
 
 class ShiftVector:
-    """Element of the axis-i image of the product of cyclic line groups."""
+    """Element of the axis-i image of the product of cyclic line groups.
+
+    One shift in [0, K) per line, stored in the narrowest unsigned dtype
+    that holds K - 1 (uint8 for s <= 2); arithmetic widens to int64 first,
+    since unsigned negation and sums wrap.
+    """
 
     def __init__(self, model, axis, shifts):
         geo = model.geometry
-        shifts = np.asarray(shifts, dtype=np.int64) % geo.K
+        shifts = (np.asarray(shifts, dtype=np.int64) % geo.K).astype(
+            np.min_scalar_type(geo.K - 1))
         if shifts.shape != (geo.lines_per_axis,):
             raise ValueError(
                 f"expected one shift per line ({geo.lines_per_axis}), got {shifts.shape}")
@@ -79,14 +85,15 @@ class ShiftVector:
             self.axis, (np.arange(K) + self.shifts[:, None]) % K)
 
     def inverse(self):
-        return ShiftVector(self.model, self.axis, -self.shifts)
+        return ShiftVector(self.model, self.axis, -self.shifts.astype(np.int64))
 
     def __mul__(self, other):
         if not isinstance(other, ShiftVector):
             return NotImplemented
         if other.axis != self.axis:
             raise ValueError("can only merge shift vectors on the same axis")
-        return ShiftVector(self.model, self.axis, self.shifts + other.shifts)
+        return ShiftVector(self.model, self.axis,
+                           self.shifts.astype(np.int64) + other.shifts)
 
     def is_identity(self):
         return not self.shifts.any()

@@ -312,19 +312,13 @@ def write_edge_list(graph, path):
 
 
 def read_edge_list(path):
-    edges = []
-    n = None
+    """EdgeGraph from write_edge_list's text.
+
+    Without the '# vertices' header, n is one more than the largest vertex.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                n = int(parts[2])
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-    if n is None:
-        n = 1 + max(max(e) for e in edges)
+        header = fh.readline().split()
+        fh.seek(0)
+        edges = np.loadtxt(fh, dtype=np.int64, ndmin=2).reshape(-1, 2)
+    n = int(header[2]) if header[:1] == ["#"] else 1 + int(edges.max())
     return EdgeGraph(n, edges)

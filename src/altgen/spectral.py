@@ -23,9 +23,7 @@ class SpectralReport:
 
 
 class PowerIterationError(RuntimeError):
-    def __init__(self, message, best):
-        super().__init__(message)
-        self.best = best
+    """Power iteration did not converge within its iteration budget."""
 
 
 def _deflate(v):
@@ -61,8 +59,7 @@ def _power_second_eigenpair(graph, tol, seed, budget=POWER_BUDGET):
         mu_prev = mu
         v, lazy_v = w, lazy_w
     raise PowerIterationError(
-        f"power iteration did not converge within {budget} iterations",
-        best=2.0 * mu_prev - 1.0)
+        f"power iteration did not converge within {budget} iterations")
 
 
 def _lanczos_second_eigenpair(graph, tol, seed, k=10):

@@ -19,43 +19,49 @@ from .errors import require
 
 
 class ExactDistribution:
-    """Probability weights as integers over a common denominator."""
+    """Probability weights as int64 numerators over a common denominator.
+
+    Every numerator lies in [0, den], so the distance to uniform sums terms
+    |num * N - den| to at most 2 * den * N; a denominator that would let that
+    reach 2**63 is refused, so no int64 step can wrap.
+    """
 
     def __init__(self, model, numerators, denominator):
         self.model = model
-        self.num = list(map(int, numerators))
         self.den = int(denominator)
-        if len(self.num) != model.N:
+        if 2 * self.den * model.N >= 2**63:
+            raise ValueError(f"denominator {self.den} is past the int64 range "
+                             f"of exact weights on {model.N} points")
+        self.num = np.array(numerators, dtype=np.int64)
+        if self.num.shape != (model.N,):
             raise ValueError("weight count must equal the point count")
-        if any(x < 0 for x in self.num):
+        if self.num.min() < 0:
             raise ValueError("weights must be nonnegative")
-        if sum(self.num) != self.den:
+        # weights in [0, den] keep the int64 sum below 2**63
+        if self.num.max() > self.den or int(self.num.sum()) != self.den:
             raise ValueError("weights must sum to one exactly")
 
     @classmethod
     def point_mass(cls, model, point):
-        num = [0] * model.N
+        num = np.zeros(model.N, dtype=np.int64)
         num[point] = 1
         return cls(model, num, 1)
 
     @classmethod
     def uniform(cls, model):
-        return cls(model, [1] * model.N, model.N)
+        return cls(model, np.ones(model.N, dtype=np.int64), model.N)
 
     def axis_average(self, axis):
         """Replace each axis line's weights by their average, exactly."""
         geo = self.model.geometry
-        lines = geo.lines(np.array(self.num, dtype=object), axis)
-        new = np.empty(self.model.N, dtype=object)
-        geo.lines(new, axis)[...] = lines.sum(axis=-1, keepdims=True)
-        return ExactDistribution(self.model, new.tolist(), self.den * geo.K)
+        new = np.empty(self.model.N, dtype=np.int64)
+        geo.lines(new, axis)[...] = geo.lines(self.num, axis).sum(axis=-1, keepdims=True)
+        return ExactDistribution(self.model, new, self.den * geo.K)
 
     def tv_to_uniform(self):
         """Total variation distance to uniform, as an exact Fraction."""
         N = self.model.N
-        total = 0
-        for w in self.num:
-            total += abs(w * N - self.den)
+        total = int(np.abs(self.num * N - self.den).sum())
         return Fraction(total, 2 * N * self.den)
 
 
@@ -123,8 +129,8 @@ def sample_stream(seed, index):
 TUPLE_WALK_AXES = [3, 2, 1, 6, 5, 4]
 
 
-def apply_sampled_word(model, rng, axes, points):
-    """Apply one uniformly sampled element of each axis group, lazily.
+def apply_sampled_word(model, rng, axis, points):
+    """Apply one uniformly sampled element of the axis group, lazily.
 
     Only the shifts of lines actually carrying points are drawn; points on a
     shared line receive the same shift, so the law matches the full group
@@ -132,13 +138,11 @@ def apply_sampled_word(model, rng, axes, points):
     """
     geo = model.geometry
     K = geo.K
-    pts = np.array(points, dtype=np.int64)
-    for axis in axes:
-        lid, pos = geo.line_coords(pts, axis)
-        uniq, inverse = np.unique(lid, return_inverse=True)
-        shifts = rng.integers(0, K, size=len(uniq))
-        pts = geo.move(pts, axis, (pos + shifts[inverse]) % K - pos)
-    return pts
+    pts = np.asarray(points, dtype=np.int64)
+    lid, pos = geo.line_coords(pts, axis)
+    uniq, inverse = np.unique(lid, return_inverse=True)
+    shifts = rng.integers(0, K, size=len(uniq))
+    return geo.move(pts, axis, (pos + shifts[inverse]) % K - pos)
 
 
 def _distinct_first3(model, pts):
@@ -165,9 +169,9 @@ def tuple_walk(model, start, seed=0, samples=1):
     b1 = 0
     for i in range(samples):
         rng = sample_stream(seed, i)
-        pts = start.copy()
+        pts = start
         for k, axis in enumerate(TUPLE_WALK_AXES):
-            pts = apply_sampled_word(model, rng, [axis], pts)
+            pts = apply_sampled_word(model, rng, axis, pts)
             require(len(np.unique(pts)) == h, "tuple lost distinctness")
             if k == 2 and _distinct_first3(model, pts):
                 b1 += 1

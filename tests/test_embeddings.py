@@ -82,6 +82,33 @@ def test_shift_vector_even_and_inverse():
         assert (sv * sv.inverse()).materialize().is_identity()
 
 
+@pytest.mark.parametrize("s, dtype", [(1, np.uint8), (2, np.uint8), (3, np.uint16)])
+def test_shift_vector_takes_the_narrowest_dtype(s, dtype):
+    model = CubeModel(s, 2)
+    sv = ShiftVector(model, 2, np.arange(model.K) - 3)
+    assert sv.shifts.dtype == dtype
+    assert sv.shifts.tolist() == [(i - 3) % model.K for i in range(model.K)]
+    assert all(type(x) is int for x in sv.shifts.tolist())
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_shift_vector_arithmetic_matches_int64(s):
+    # negating or adding the unsigned shifts directly would wrap modulo
+    # 2**8 or 2**16, not modulo K
+    model = CubeModel(s, 2)
+    K = model.K
+    rng = np.random.default_rng(s)
+    a = rng.integers(0, K, size=K)
+    b = rng.integers(0, K, size=K)
+    a[:3] = [K - 1, 3, 1]
+    b[:3] = [K - 1, K - 1, 0]
+    x, y = ShiftVector(model, 1, a), ShiftVector(model, 1, b)
+    assert np.array_equal(x.inverse().shifts, (-a) % K)
+    assert (x.inverse() * x).is_identity()
+    assert np.array_equal((x * y).shifts, (a + b) % K)
+    assert (x * y).shifts.dtype == x.shifts.dtype
+
+
 def test_build_sn_counts_and_regimes():
     sn12 = build_SN(1, 2)
     assert len(sn12) == 72 and sn12.regime == "desk"

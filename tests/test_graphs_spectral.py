@@ -190,6 +190,14 @@ def test_edge_list_roundtrip(tmp_path):
     assert abs(r1.gap - r2.gap) < 1e-12
 
 
+def test_edge_list_without_header_takes_n_from_the_largest_vertex(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n1 2\n\n2 3\n3 0\n")
+    back = read_edge_list(path)
+    assert (back.n, back.degree) == (4, 2)
+    assert np.array_equal(back.to_dense(), cyclic_graph(4).to_dense())
+
+
 @pytest.mark.parametrize("form", ["action", "axis-block"])
 def test_edge_list_rebuilds_the_schreier_graph(tmp_path, form):
     sn = build_SN(1, 2)

@@ -105,3 +105,25 @@ def test_no_id_calls_in_embeddings_or_graphs():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "id"]
     assert not found, f"id() calls: {found}"
+
+
+def _is_object_dtype(node):
+    return (isinstance(node, ast.Name) and node.id == "object"
+            or isinstance(node, ast.Constant) and node.value in ("O", "object"))
+
+
+def test_no_object_arrays_in_the_package():
+    # exact integers live in fixed-width arrays whose range the code checks;
+    # an object array of Python ints would hide a second, unbounded path
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            args = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            if isinstance(node.func, ast.Attribute) and node.func.attr in ("astype", "dtype"):
+                args += node.args[:1]
+            if any(_is_object_dtype(arg) for arg in args):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"object-dtype arrays in altgen: {found}"

@@ -47,6 +47,27 @@ def test_full_sweep_exactly_uniform():
     assert full_sweep(d).tv_to_uniform() == 0
 
 
+def test_exact_weights_refuse_the_int64_range():
+    # the distance to uniform sums terms up to den * N, twice over; a
+    # denominator past that range is refused, never wrapped
+    model = CubeModel(1, 2)
+    den = 2**63 // (2 * model.N)
+    num = np.zeros(model.N, dtype=np.int64)
+    num[0] = den - 1
+    num[1] = 1
+    d = ExactDistribution(model, num, den)
+    assert d.tv_to_uniform() == Fraction(abs((den - 1) * 49 - den) + abs(49 - den)
+                                         + 47 * den, 2 * 49 * den)
+    num[0] = den
+    with pytest.raises(ValueError, match="int64"):
+        ExactDistribution(model, num, den + 1)
+    with pytest.raises(ValueError, match="int64"):
+        d.axis_average(1)
+    point = ExactDistribution.point_mass(model, 0)
+    assert point.num.dtype == np.int64
+    assert full_sweep(point).den == 49
+
+
 def test_mass_preserved():
     model = CubeModel(1, 6)
     rng = np.random.default_rng(1)

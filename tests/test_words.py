@@ -93,6 +93,12 @@ def test_grid_route_exact_on_face():
         assert np.array_equal(got // 7, sigma)
 
 
+def test_grid_route_letters_hold_one_byte_per_line():
+    model = CubeModel(1, 6)
+    word = grid_route(model, np.random.default_rng(4).permutation(7**5))
+    assert sum(letter.shifts.nbytes for letter in word.letters) <= 19 * 7**5
+
+
 def test_grid_route_small_dimension():
     model = CubeModel(1, 2)
     rng = np.random.default_rng(3)
