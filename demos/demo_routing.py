@@ -19,7 +19,7 @@ print("== routing a random face permutation ==")
 sigma = rng.permutation(L_face).astype(np.int64)
 word = grid_route(model, sigma)
 print("letters:", len(word), "axes:", word.axes())
-restriction = word.product().table[np.arange(L_face) * 7]
+restriction = word.images(np.arange(L_face) * 7)
 print("restriction to the face matches:", bool((restriction // 7 == sigma).all()))
 
 print()

@@ -403,10 +403,11 @@ def cmd_verify(args):
         from .ring import random_el3, gem_factor
         worst = 0
         count = args.samples or 200
+        # a quarter per (s, m) pair, rounded up so every pair factors some
         for s in (1, 2):
             for m in (1, 2):
                 sub = np.random.default_rng(args.seed + 13 * s + m)
-                for _ in range(count // 4):
+                for _ in range(-(-count // 4)):
                     # gem_factor checks its own multiply-back under require
                     word = gem_factor(random_el3(s, m, sub))
                     worst = max(worst, len(word))
@@ -476,7 +477,7 @@ def _route_is_exact(model, sigma):
     """
     from .words import face_points, grid_route
     word = grid_route(model, sigma)
-    images = word.product().table[face_points(model)]
+    images = word.images(face_points(model))
     line, coord = model.geometry.line_coords(images, 1)
     return (not coord.any() and np.array_equal(line, sigma)
             and len(word) == 4 * model.d - 5)
@@ -485,6 +486,14 @@ def _route_is_exact(model, sigma):
 def _config(args):
     return {k: v for k, v in vars(args).items()
             if k not in ("func", "report") and v is not None}
+
+
+def _positive_int(text):
+    """argparse type for counts of one or more; a smaller value exits 2."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -571,8 +580,8 @@ def build_parser():
     sp.add_argument("--d", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--h", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--trials", type=int)
+    sp.add_argument("--samples", type=_positive_int)
+    sp.add_argument("--trials", type=_positive_int)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -129,35 +129,64 @@ def sample_stream(seed, index):
 TUPLE_WALK_AXES = [3, 2, 1, 6, 5, 4]
 
 
-def apply_sampled_word(model, rng, axis, points):
-    """Apply one uniformly sampled element of the axis group, lazily.
+# samples advanced together; a fixed block keeps memory flat in the sample count
+WALK_BLOCK = 1024
 
-    Only the shifts of lines actually carrying points are drawn; points on a
-    shared line receive the same shift, so the law matches the full group
-    element.  `points` is an int array of distinct cube points.
+
+def _distinct_rows(x):
+    """Whether each row of the 2-d array x holds pairwise distinct values."""
+    ranked = np.sort(x, axis=1)
+    return (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)
+
+
+def _walk_blocks(model, start, seed, samples):
+    """Walk the samples block by block; yields (tuples after Q1, final tuples).
+
+    Each axis applies one uniformly sampled element of its group, lazily:
+    a sample draws one shift per distinct line its points occupy, in
+    ascending line-id order, so points on a shared line receive the same
+    shift and the law matches the full group element.  A sample draws all
+    its values from sample_stream(seed, i) in one call; bounded draws are
+    taken one value at a time, so that call's values are the ones the
+    per-axis calls would give in turn.
     """
     geo = model.geometry
     K = geo.K
-    pts = np.asarray(points, dtype=np.int64)
-    lid, pos = geo.line_coords(pts, axis)
-    uniq, inverse = np.unique(lid, return_inverse=True)
-    shifts = rng.integers(0, K, size=len(uniq))
-    return geo.move(pts, axis, (pos + shifts[inverse]) % K - pos)
-
-
-def _distinct_first3(model, pts):
-    K = model.K
-    keys = pts % K**3
-    return len(np.unique(keys)) == len(pts)
+    h = len(start)
+    for lo in range(0, samples, WALK_BLOCK):
+        block = range(lo, min(lo + WALK_BLOCK, samples))
+        # each axis uses at most h of a sample's draws
+        draws = np.array([sample_stream(seed, i).integers(
+            0, K, size=len(TUPLE_WALK_AXES) * h) for i in block])
+        rows = np.arange(len(block))[:, None]
+        used = np.zeros((len(block), 1), dtype=np.int64)
+        pts = np.tile(start, (len(block), 1))
+        for k, axis in enumerate(TUPLE_WALK_AXES):
+            lid, pos = geo.line_coords(pts, axis)
+            # rank of each point's line among its sample's distinct lines
+            order = np.argsort(lid, axis=1)
+            ranked = np.take_along_axis(lid, order, axis=1)
+            new = np.ones(ranked.shape, dtype=bool)
+            new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+            rank = np.empty_like(lid)
+            np.put_along_axis(rank, order, np.cumsum(new, axis=1) - 1, axis=1)
+            shifts = draws[rows, used + rank]
+            used += new.sum(axis=1, keepdims=True)
+            pts = geo.move(pts, axis, (pos + shifts) % K - pos)
+            require(_distinct_rows(pts).all(), "tuple lost distinctness")
+            if k == 2:
+                q1 = pts
+        yield q1, pts
 
 
 def tuple_walk(model, start, seed=0, samples=1):
     """Monte-Carlo tuple walk; returns the b1 membership fraction.
 
     Simulates `samples` independent walks of the start tuple along
-    TUPLE_WALK_AXES, sample i drawing from sample_stream(seed, i).  b1
-    counts tuples with pairwise distinct first three coordinates after the
-    first three axes (the Q1 block).
+    TUPLE_WALK_AXES, sample i drawing from sample_stream(seed, i); the
+    samples of a block advance together.  b1 counts tuples with pairwise
+    distinct first three coordinates after the first three axes (the Q1
+    block).
     """
     if model.d != 6:
         raise ValueError("the tuple walk's axis order assumes six axes")
@@ -166,15 +195,10 @@ def tuple_walk(model, start, seed=0, samples=1):
     if len(set(start.tolist())) != h:
         raise ValueError("start tuple must have distinct points")
 
+    K = model.K
     b1 = 0
-    for i in range(samples):
-        rng = sample_stream(seed, i)
-        pts = start
-        for k, axis in enumerate(TUPLE_WALK_AXES):
-            pts = apply_sampled_word(model, rng, axis, pts)
-            require(len(np.unique(pts)) == h, "tuple lost distinctness")
-            if k == 2 and _distinct_first3(model, pts):
-                b1 += 1
+    for q1, _ in _walk_blocks(model, start, seed, samples):
+        b1 += int(_distinct_rows(q1 % K**3).sum())
     return b1 / samples
 
 

@@ -34,6 +34,19 @@ class WordInE:
             acc = acc * letter.materialize()
         return acc
 
+    def images(self, points):
+        """The product's images of the given points, as product().table[points].
+
+        The points move through the letters from right to left along their
+        own lines, so no N-point letter table is built.
+        """
+        geo = self.model.geometry
+        pts = np.asarray(points, dtype=np.int64)
+        for letter in reversed(self.letters):
+            lid, pos = geo.line_coords(pts, letter.axis)
+            pts = geo.move(pts, letter.axis, (pos + letter.shifts[lid]) % geo.K - pos)
+        return pts
+
     def inverse(self):
         return WordInE(self.model, [w.inverse() for w in reversed(self.letters)])
 

@@ -1,7 +1,8 @@
 """Brute-force reference values for small cases, independent of the package.
 
 Each oracle enumerates directly what the package computes by formula or by
-a sweep, so a test can compare the two on inputs small enough to enumerate.
+a sweep, or runs one sample at a time what the package batches, so a test
+can compare the two on inputs small enough to enumerate.
 """
 
 from itertools import combinations
@@ -47,3 +48,50 @@ def exact_conductance(graph):
             inside = float(ind @ graph.matvec(ind))
             best = min(best, (k - inside) / k)
     return float(best)
+
+
+def apply_sampled_word(model, rng, axis, points):
+    """Apply one uniformly sampled element of the axis group, lazily.
+
+    Only the shifts of lines actually carrying points are drawn, one per
+    distinct line in ascending line-id order; points on a shared line
+    receive the same shift.  `points` is an int array of distinct points.
+    """
+    geo = model.geometry
+    K = geo.K
+    pts = np.asarray(points, dtype=np.int64)
+    lid, pos = geo.line_coords(pts, axis)
+    uniq, inverse = np.unique(lid, return_inverse=True)
+    shifts = rng.integers(0, K, size=len(uniq))
+    return geo.move(pts, axis, (pos + shifts[inverse]) % K - pos)
+
+
+def _distinct_first3(model, pts):
+    K = model.K
+    keys = pts % K**3
+    return len(np.unique(keys)) == len(pts)
+
+
+def reference_tuple_walk(model, start, seed, samples):
+    """The tuple walk one sample at a time, one draw call per axis.
+
+    Returns (tuples after the Q1 block, final tuples, b1 flags), one row or
+    flag per sample; the reference for the batched walk in altgen.walks.
+    """
+    start = np.asarray(start, dtype=np.int64)
+    q1, final, flags = [], [], []
+    for i in range(samples):
+        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+        pts = start
+        # Q1 = U1U2U3 acts first, then Q2 = U4U5U6, rightmost factor first
+        for k, axis in enumerate((3, 2, 1, 6, 5, 4)):
+            pts = apply_sampled_word(model, rng, axis, pts)
+            if len(np.unique(pts)) != len(start):
+                raise AssertionError("tuple lost distinctness")
+            if k == 2:
+                q1.append(pts)
+                flags.append(_distinct_first3(model, pts))
+        final.append(pts)
+    h = len(start)
+    return (np.array(q1).reshape(samples, h), np.array(final).reshape(samples, h),
+            np.array(flags, dtype=bool))

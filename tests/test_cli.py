@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import altgen
-from altgen import graphs
+from altgen import graphs, ring
 from altgen.cli import _el3_to_json, desk_base, main, write_gens_json
 from altgen.embeddings import GeneratingSet, build_SN
 
@@ -145,6 +145,35 @@ def test_verify_words_suite(tmp_path, capsys):
     assert code == 0
     recs = {r["name"]: r for r in report["records"]}
     assert recs["words.route-exact"]["verdict"] == "pass"
+
+
+def test_verify_gem_factors_for_every_pair_below_four_samples(tmp_path, monkeypatch,
+                                                            capsys):
+    # a quarter of --samples per (s, m) pair, rounded up: 3 samples still
+    # factor one element for each of the four pairs
+    calls = []
+    gem_factor = ring.gem_factor
+
+    def counted(el):
+        calls.append(el)
+        return gem_factor(el)
+
+    monkeypatch.setattr(ring, "gem_factor", counted)
+    code, report = run_cli(["verify", "--suite", "gem", "--samples", "3"],
+                           tmp_path, "gem3")
+    capsys.readouterr()
+    assert code == 0 and len(calls) == 4
+    recs = {r["name"]: r for r in report["records"]}
+    assert recs["gem.letters"]["computed"] > 0
+
+
+@pytest.mark.parametrize("option", ["--samples", "--trials"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_counts_below_one_are_usage_errors(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "gem", option, value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_spectral_without_a_graph_is_a_usage_error(capsys):

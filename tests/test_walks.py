@@ -1,14 +1,16 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from altgen.embeddings import CubeModel, ShiftVector
-from altgen.walks import (ExactDistribution, FloatDistribution,
-                          averaging_operator, binomial_sigma,
+from altgen.walks import (WALK_BLOCK, ExactDistribution, FloatDistribution,
+                          _walk_blocks, averaging_operator, binomial_sigma,
                           doeblin_contraction_check, full_sweep,
                           mixing_time_points, point_walk_batch,
                           sample_stream, tuple_walk, urn_bound, urn_mc)
+from oracles import reference_tuple_walk
 
 
 def test_uniform_fixed_by_averaging():
@@ -90,6 +92,70 @@ def test_tuple_distinctness_preserved():
     start = np.array([0, 1, 7, 50, 117648])
     b1 = tuple_walk(model, start, seed=2, samples=50)  # a require checks each step
     assert 0 <= b1 <= 1
+
+
+def _line_sharing_start(model, h):
+    # the verify suite's start: points differing only on axes 4 and 5
+    return np.array([model.geometry.index((0, 0, 0, i % 7, i // 7, 0))
+                     for i in range(h)])
+
+
+def _batched_states(model, start, seed, samples):
+    blocks = list(_walk_blocks(model, np.asarray(start, dtype=np.int64), seed, samples))
+    return (np.concatenate([q1 for q1, _ in blocks]),
+            np.concatenate([final for _, final in blocks]))
+
+
+def _assert_walk_matches_reference(model, start, seed, samples):
+    q1, final, flags = reference_tuple_walk(model, start, seed, samples)
+    got_q1, got_final = _batched_states(model, start, seed, samples)
+    assert np.array_equal(got_q1, q1)
+    assert np.array_equal(got_final, final)
+    assert tuple_walk(model, start, seed=seed, samples=samples) == flags.sum() / samples
+
+
+@pytest.mark.parametrize("h", [1, 2, 5, 9, 30])
+def test_batched_walk_matches_the_per_sample_loop(h):
+    model = CubeModel(1, 6)
+    for seed in range(4):
+        _assert_walk_matches_reference(model, _line_sharing_start(model, h), seed, 150)
+        scattered = np.random.default_rng(seed).choice(model.N, size=h, replace=False)
+        _assert_walk_matches_reference(model, scattered, seed, 150)
+
+
+def test_batched_walk_matches_on_a_shared_line_start_and_block_edges():
+    model = CubeModel(1, 6)
+    _assert_walk_matches_reference(model, [0, 1, 7, 50, 117648], 2, 150)
+    start = _line_sharing_start(model, 9)
+    for samples in (1, WALK_BLOCK + 1):
+        _assert_walk_matches_reference(model, start, 5, samples)
+
+
+@pytest.mark.parametrize("K", [7, 63])
+def test_one_bounded_draw_call_equals_consecutive_calls(K):
+    # the batched tuple walk draws each sample's values in one call and
+    # relies on them being the values the per-axis calls give in turn
+    for seed, index in [(0, 0), (1, 7), (12345, 999)]:
+        for a, b in [(0, 5), (1, 1), (3, 8), (9, 45), (17, 160)]:
+            split = sample_stream(seed, index)
+            parts = np.concatenate([split.integers(0, K, size=a),
+                                    split.integers(0, K, size=b)])
+            whole = sample_stream(seed, index).integers(0, K, size=a + b)
+            assert np.array_equal(parts, whole)
+
+
+def test_tuple_walk_memory_is_flat_in_the_sample_count():
+    model = CubeModel(1, 6)
+    start = _line_sharing_start(model, 9)
+    peaks = []
+    for samples in (WALK_BLOCK, 50000):
+        tracemalloc.start()
+        try:
+            tuple_walk(model, start, seed=0, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_point_walk_uniform_after_full_block():

@@ -237,3 +237,19 @@ def test_word_serialization_roundtrip():
     clone = WordInE(model, [ShiftVector(model, r["axis"], r["shifts"])
                             for r in word.to_records()])
     assert clone.product() == word.product()
+
+
+def test_images_are_the_product_table_at_the_points():
+    model = CubeModel(1, 4)
+    rng = np.random.default_rng(8)
+    route = grid_route(model, rng.permutation(model.geometry.lines_per_axis))
+    L, a = standard_cycle_length(model.K, model.d)
+    pts = rng.choice(model.N, size=L, replace=False)
+    cycle = Permutation.from_cycles(model.N, [pts[rng.permutation(L)].tolist()])
+    conjugation = conjugacy_word47(model, cycle)
+    assert conjugation is not None
+    points = rng.choice(model.N, size=200, replace=False)
+    for word in (route, cycle_word(model, a), conjugation, route.inverse()):
+        table = word.product().table
+        assert np.array_equal(word.images(points), table[points])
+        assert np.array_equal(word.images(np.arange(model.N)), table)
