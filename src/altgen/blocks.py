@@ -10,13 +10,19 @@ window.
 import numpy as np
 
 from .errors import require
-from .perms import Permutation
+from .perms import Permutation, cycle_labels
 
 
-def _column_layout(n, m):
+def _layout(n, m):
+    """Column layout (q, mt, sizes) and its parts: the columns, then the row groups.
+
+    Cell j * mt + r is row r of column j.  A part lists its cells column by
+    column, so the first two cells of a row group lie in the full column 0
+    and those of a column in row group 0.
+    """
     q = -(-n // m)  # ceil
     if q == 1:
-        return 1, n, [n]
+        return 1, n, [n], [list(range(n))]
     if m < 2 * q:
         raise ValueError(
             f"window size {m} too small for {q} columns (need m >= 2*ceil(n/m))")
@@ -31,7 +37,10 @@ def _column_layout(n, m):
                 "choose a window size with ceil(n/ceil(n/m)) < m")
     sizes = [mt] * (q - 1) + [n - (q - 1) * mt]
     require(sizes[-1] >= 1 and sum(sizes) == n, "column layout misses points")
-    return q, mt, sizes
+    parts = [list(range(j * mt, j * mt + size)) for j, size in enumerate(sizes)]
+    parts += [[j * mt + r for j in range(q) for r in grp if r < sizes[j]]
+              for grp in _row_groups(mt, m // q)]
+    return q, mt, sizes, parts
 
 
 def _row_groups(mt, rpw):
@@ -65,20 +74,8 @@ def window_family(n, m):
         raise ValueError("window size must be at least 5")
     if n < m:
         raise ValueError("need n >= m")
-    q, mt, sizes = _column_layout(n, m)
-    if q == 1:
-        return [list(range(n))]
-    rpw = m // q
-    groups = _row_groups(mt, rpw)
-    windows = []
-    starts = [j * mt for j in range(q)]
-    for j in range(q):
-        windows.append([starts[j] + r for r in range(sizes[j])])
-    for grp in groups:
-        cells = [starts[j] + r for j in range(q) for r in grp if r < sizes[j]]
-        windows.append(cells)
     padded = []
-    for w in windows:
+    for w in _layout(n, m)[3]:
         w = sorted(w)
         require(len(w) <= m, "window exceeded size bound")
         in_w = set(w)
@@ -148,6 +145,46 @@ def _color_edges(col_from, col_to, sizes):
     return rank[colors[:len(col_from)]]
 
 
+# -- the three-stage routing core ------------------------------------------------
+
+
+def three_stage(dest, col, sizes):
+    """Route every point x to dest[x] in three stages on a column grid.
+
+    Cell j * mt + r is row r of column j, with mt = max(sizes); point x sits
+    in cell x, in column col[x].  Returns tables (first, middle, last) with
+    last[middle[first]] == dest: `first` moves x inside its column to the row
+    its edge color names, `middle` moves it along that row to the column of
+    dest[x], and `last` moves it inside that column to dest[x].
+    """
+    mt = max(sizes)
+    dest_col = col[dest]
+    colors = _color_edges(col, dest_col, sizes)
+    heights = np.asarray(sizes)
+    require((colors < np.minimum(heights[col], heights[dest_col])).all(),
+            "edge color exceeds the height of a column it touches")
+    first = col * mt + colors
+    arrived = dest_col * mt + colors
+    middle = np.empty_like(first)
+    middle[first] = arrived
+    last = np.empty_like(first)
+    last[arrived] = dest
+    return first, middle, last
+
+
+def _swap_between(before, after, a, b):
+    """Insert the swap (a b) after stage `before` and undo it before `after`."""
+    at = np.flatnonzero((before == a) | (before == b))
+    before[at] = before[at[::-1]]
+    after[[a, b]] = after[[b, a]]
+
+
+def _odd_parts(table, parts):
+    """The parts on which `table` acts as an odd permutation; no cycle leaves a part."""
+    labels = cycle_labels(table)[1]
+    return [cells for cells in parts if (len(cells) - len(np.unique(labels[cells]))) % 2]
+
+
 # -- the factorization ---------------------------------------------------------
 
 
@@ -162,88 +199,46 @@ def block_factor(g, m):
     if g.parity != 0:
         raise ValueError("block factorization requires an even permutation")
     windows = window_family(n, m)
-    q, mt, sizes = _column_layout(n, m)
+    q, mt, sizes, parts = _layout(n, m)
     if q == 1:
         return [g], windows
 
-    groups = _row_groups(mt, m // q)
-
-    def cell(j, r):
-        return j * mt + r
-
-    # color the destination multigraph: one edge per point, column to column
-    col = np.minimum(np.arange(n) // mt, q - 1)
-    dest = g.table
-    dest_col = col[dest]
-    colors = _color_edges(col, dest_col, sizes)
-    heights = np.asarray(sizes)
-    require((colors < np.minimum(heights[col], heights[dest_col])).all(),
-            "edge color exceeds the height of a column it touches")
-
-    # stage 1: within each column, send x to the row named by its color
-    stage1 = []
-    pos = np.arange(n, dtype=np.int64)  # pos[x] = current cell of item x
-    for j in range(q):
-        items = np.flatnonzero(col == j)
-        table = np.arange(n, dtype=np.int64)
-        table[items] = cell(j, colors[items])
-        f = Permutation(table, _validate=False)
-        if f.parity:
-            r1, r2 = groups[0][0], groups[0][1]
-            swap = _transposition(n, cell(j, r1), cell(j, r2))
-            f = swap * f
-        stage1.append((f, j))
-        pos = f.table[pos]
-
-    # stage 2: within each row-group window, send items to (dest column, color)
-    stage2 = []
-    target = cell(dest_col, colors)
-    for gi, grp in enumerate(groups):
-        cells_in = [cell(j, r) for j in range(q) for r in grp if r < sizes[j]]
-        inside = np.isin(pos, cells_in)
-        require(np.isin(target[inside], cells_in).all(),
+    first, middle, last = three_stage(g.table, np.arange(n) // mt, sizes)
+    columns, rows = parts[:q], parts[q:]
+    for cells in rows:
+        require(np.isin(middle[cells], cells).all(),
                 "stage-2 target leaves its row-group window")
-        table = np.arange(n, dtype=np.int64)
-        table[pos[inside]] = target[inside]
-        f = Permutation(table, _validate=False)
-        if f.parity:
-            # swap two cells of the full column 0 inside this group
-            r1, r2 = grp[0], grp[1]
-            swap = _transposition(n, cell(0, r1), cell(0, r2))
-            f = swap * f
-        stage2.append((f, q + gi))
-        pos = f.table[pos]
 
-    # stage 3: within each column, send items to their final position
-    stage3 = []
-    for j in range(q):
-        mine = dest_col == j
-        table = np.arange(n, dtype=np.int64)
-        table[pos[mine]] = dest[mine]
-        stage3.append([Permutation(table, _validate=False), j])
-
-    # stage-3 parities come in an even count of odd factors; fix them in pairs,
-    # compensating both swaps inside one stage-2 window (its parity flips twice)
-    odd = [idx for idx, item in enumerate(stage3) if item[0].parity]
+    # an odd factor is made even by swapping the first two cells of its part
+    # after it; the next stage undoes the swap inside one of its own parts
+    for cells in _odd_parts(first, columns):
+        _swap_between(first, middle, *cells[:2])
+    for cells in _odd_parts(middle, rows):
+        _swap_between(middle, last, *cells[:2])
+    # stage-3 parities come in an even count of odd factors; their swaps are
+    # undone in pairs inside row group 0, whose parity flips twice
+    odd = _odd_parts(last, columns)
     require(len(odd) % 2 == 0, "odd number of odd stage-3 factors")
-    grp0 = groups[0]
-    for a, b in zip(odd[0::2], odd[1::2]):
-        swaps = []
-        for j in (a, b):
-            swap = _transposition(n, cell(j, grp0[0]), cell(j, grp0[1]))
-            stage3[j][0] = stage3[j][0] * swap
-            swaps.append(swap)
-        f0, widx = stage2[0]
-        stage2[0] = (swaps[0] * swaps[1] * f0, widx)
+    for cells in odd:
+        _swap_between(middle, last, *cells[:2])
 
+    # factor i is supported in windows[window_index[i]]: part w pads to window w
     factors = []
     window_index = []
-    for f, widx in [(f, w) for f, w in stage3] + stage2[::-1] + stage1[::-1]:
-        if not f.is_identity():
-            require(f.parity == 0, "factor parity fix failed")
-            factors.append(f)
-            window_index.append(widx)
+    for table, order in [(last, range(q)), (middle, reversed(range(q, len(parts)))),
+                         (first, reversed(range(q)))]:
+        for w in order:
+            cells = parts[w]
+            if (table[cells] != cells).any():
+                f = np.arange(n)
+                f[cells] = table[cells]
+                factors.append(Permutation(f, _validate=False))
+                window_index.append(w)
 
+    # every factor even, counted on the factors themselves in one stack
+    labels = cycle_labels([f.table for f in factors] or [np.arange(n)])[1]
+    require(all((n - len(np.unique(row))) % 2 == 0 for row in labels),
+            "factor parity fix failed")
     bound = factor_count_bound(n, m)
     require(len(factors) <= bound, f"{len(factors)} factors exceed bound {bound}")
     _check_block_product(factors, g)
@@ -252,12 +247,6 @@ def block_factor(g, m):
         require(set(map(int, f.support())) <= window_sets[widx],
                 "factor support leaves its window")
     return factors, windows
-
-
-def _transposition(n, a, b):
-    table = np.arange(n, dtype=np.int64)
-    table[a], table[b] = b, a
-    return Permutation(table, _validate=False)
 
 
 def _check_block_product(factors, g):

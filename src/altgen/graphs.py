@@ -13,6 +13,8 @@ from .perms import Permutation
 
 CAYLEY_LIMIT = 2 * 10**6
 SCHREIER_LIMIT = 10**7
+# cube sets of at most this many points materialize their permutations
+ACTION_FORM_LIMIT = 4000
 # bytes an AxisBlockGraph may spend on its float blocks plus integer counts
 AXIS_BLOCK_BUDGET = 2**30
 
@@ -38,27 +40,26 @@ class SparseGraph:
         if self.n > limit:
             raise ValueError(f"{self.n} vertices exceed the dense limit {limit}")
         T = np.zeros((self.n, self.n))
-        eye = np.eye(self.n)
-        for i in range(self.n):
-            T[:, i] = self.matvec(eye[:, i])
-        return T
+        for src, dst, count in self.edge_counts():
+            np.add.at(T, (src, dst), count)
+        return T / self.degree
 
     def is_connected(self):
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0], dtype=np.int64)
-        while frontier.size:
-            nbrs = self.neighbors(frontier)
-            new = nbrs[~seen[nbrs]]
-            if new.size == 0:
-                break
-            new = np.unique(new)
-            seen[new] = True
-            frontier = new
-        return bool(seen.all())
+        """Merge components one edge_counts chunk at a time.
 
-    def neighbors(self, xs):
-        raise NotImplementedError
+        Each chunk's arcs join the component labels found so far, so no CSR
+        holds more than one chunk.
+        """
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import connected_components
+
+        components, labels = self.n, np.arange(self.n)
+        for src, dst, _ in self.edge_counts():
+            merged = csr_array((np.ones(len(src), dtype=bool), (labels[src], labels[dst])),
+                               shape=(components, components))
+            components, relabel = connected_components(merged, directed=False)
+            labels = relabel[labels]
+        return components == 1
 
 
 class ActionGraph(SparseGraph):
@@ -87,12 +88,8 @@ class ActionGraph(SparseGraph):
             yield v[t] - v
 
     def edge_counts(self):
-        xs = np.arange(self.n, dtype=np.int64)
-        for t in self._tables:
-            yield xs, t, 1
-
-    def neighbors(self, xs):
-        return self._tables[:, xs].ravel()
+        # one table-major chunk, so is_connected merges once
+        yield np.tile(np.arange(self.n), self.degree), self._tables.ravel(), 1
 
 
 class EdgeGraph(SparseGraph):
@@ -113,10 +110,6 @@ class EdgeGraph(SparseGraph):
         out = np.zeros(self.n, dtype=float)
         np.add.at(out, self._both[:, 0], v[self._both[:, 1]])
         return out / self.degree
-
-    def neighbors(self, xs):
-        mask = np.isin(self._both[:, 0], xs)
-        return self._both[mask, 1]
 
     def displacements(self, v):
         raise ValueError("edge-list graphs carry no generator actions")
@@ -154,8 +147,6 @@ class AxisBlockGraph(SparseGraph):
         if not genset.materializable:
             raise ValueError("axis-block form needs line actions")
         counts = np.zeros((m, K, K), dtype=count_type)
-        # each distinct line table with the mask of lines it acts on
-        self._variants = {}
         rows = np.arange(K)
         for vid, tables in genset.actions:
             onehots = np.zeros((len(tables), K, K), dtype=count_type)
@@ -163,11 +154,6 @@ class AxisBlockGraph(SparseGraph):
                 onehots[v, rows, t] = 1
             # generator and its inverse (transpose of each onehot)
             counts += (onehots + onehots.transpose(0, 2, 1))[vid]
-            for v, t in enumerate(tables):
-                key = t.tobytes()
-                if key not in self._variants:
-                    self._variants[key] = (t.copy(), np.zeros(m, dtype=bool))
-                self._variants[key][1][vid == v] = True
         self._block = counts / self.degree
         self._axes = range(1, geo.d + 1)
 
@@ -212,32 +198,19 @@ class AxisBlockGraph(SparseGraph):
             lp = geo.lines(points, axis).reshape(-1, geo.K)
             yield lp[line, a], lp[line, b], count
 
-    def neighbors(self, xs):
-        # point x sits at coordinate pos of its line; a line table t moves
-        # it to coordinate t[pos] of the same line
-        geo = self.model.geometry
-        out = [xs]
-        for axis in self._axes:
-            lid, pos = geo.line_coords(xs, axis)
-            for table, avail in self._variants.values():
-                sel = avail[lid]
-                if sel.any():
-                    out.append(geo.move(xs[sel], axis, table[pos[sel]] - pos[sel]))
-        return np.concatenate(out)
 
-
-def schreier_graph(genset, limit=SCHREIER_LIMIT, dense_threshold=4000):
+def schreier_graph(genset):
     """Action graph of a generating set on the cube points.
 
     Small sets materialize their permutations; larger ones stay in the
     axis-block implicit form.
     """
     N = genset.model.N
-    if N > limit:
-        raise ValueError(f"{N} points exceed the Schreier limit {limit}")
+    if N > SCHREIER_LIMIT:
+        raise ValueError(f"{N} points exceed the Schreier limit {SCHREIER_LIMIT}")
     if not genset.materializable:
         raise ValueError("shape-only generating set cannot be realized")
-    if N <= dense_threshold:
+    if N <= ACTION_FORM_LIMIT:
         return ActionGraph(genset.permutations())
     return AxisBlockGraph(genset)
 

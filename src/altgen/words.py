@@ -9,7 +9,7 @@ conjugation word assembling all three.
 
 import numpy as np
 
-from .blocks import color_regular_bipartite
+from .blocks import color_regular_bipartite, three_stage
 from .embeddings import ShiftVector
 from .errors import require
 from .perms import Permutation
@@ -77,23 +77,9 @@ def butterfly_factor(g, a_size, b_size):
     n = a_size * b_size
     if g.n != n:
         raise ValueError("permutation degree does not match the grid")
-    pts = np.arange(n, dtype=np.int64)
-    alpha, beta = pts % a_size, pts // a_size
-    img = g.table
-    if ((img % a_size) == alpha).all():
-        # already column-supported: its own rows give a proper coloring
-        colors = alpha
-    else:
-        colors = color_regular_bipartite(beta, img // a_size, b_size, b_size, a_size)
-
-    c_table = colors + a_size * beta
-    c = Permutation(c_table)
-    b_table = np.empty(n, dtype=np.int64)
-    b_table[c_table] = colors + a_size * (img // a_size)
-    b = Permutation(b_table)
-    a_table = np.empty(n, dtype=np.int64)
-    a_table[b_table[c_table]] = img
-    a = Permutation(a_table)
+    # the rows are three_stage's columns
+    first, middle, last = three_stage(g.table, np.arange(n) // a_size, [a_size] * b_size)
+    a, b, c = Permutation(last), Permutation(middle), Permutation(first)
     require(a * b * c == g, "butterfly multiply-back failed")
     return a, b, c
 

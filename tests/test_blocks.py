@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import altgen
 from altgen.blocks import (_check_block_product, _color_edges, block_factor,
                            color_regular_bipartite, factor_count_bound,
-                           window_family)
+                           three_stage, window_family)
 from altgen.perms import Permutation, product
 
 
@@ -131,6 +131,26 @@ def test_column_coloring_respects_the_short_column(data):
     assert (colors >= 0).all()
     assert (colors < np.minimum(heights[col], heights[col[dest]])).all()
     _assert_proper(colors, (col, col[dest]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_three_stage_routes_within_columns_rows_columns(data):
+    q = data.draw(st.integers(1, 6), label="columns")
+    mt = data.draw(st.integers(1, 8), label="full height")
+    sizes = [mt] * (q - 1) + [data.draw(st.integers(1, mt), label="short height")]
+    n = sum(sizes)
+    cells = np.arange(n)
+    col = cells // mt
+    dest = np.asarray(data.draw(st.permutations(range(n))))
+    first, middle, last = three_stage(dest, col, sizes)
+    assert np.array_equal(last[middle[first]], dest)
+    # every cell reached is a real one: each table is a permutation of [0, n)
+    for table in (first, middle, last):
+        assert np.array_equal(np.sort(table), cells)
+    assert np.array_equal(first // mt, col)       # within its column
+    assert np.array_equal(middle % mt, cells % mt)  # along its row
+    assert np.array_equal(last // mt, col)        # within the column it reached
 
 
 def test_multiply_back_check_survives_optimize():

@@ -6,7 +6,7 @@ import pytest
 
 from altgen.embeddings import CubeModel, ShiftVector, build_SN
 from altgen.geometry import CubeGeometry
-from altgen.graphs import schreier_graph
+from altgen.graphs import AxisBlockGraph, schreier_graph
 from altgen.spectral import spectral_gap
 from altgen.walks import (ExactDistribution, FloatDistribution, full_sweep,
                           point_walk_batch, tuple_walk)
@@ -153,7 +153,7 @@ def test_the_package_builds_no_index_tables(monkeypatch):
     model = sn.model
     rng = np.random.default_rng(0)
     action = schreier_graph(sn)                      # materializes every generator
-    blocks = schreier_graph(sn, dense_threshold=0)   # the axis-block form
+    blocks = AxisBlockGraph(sn)                      # the axis-block form
     assert action.is_connected() and blocks.is_connected()
     spectral_gap(blocks, method="lanczos", seed=2)
     v = rng.standard_normal(model.N)
