@@ -263,6 +263,16 @@ def cayley_graph(gens, limit=CAYLEY_LIMIT):
     return graph
 
 
+def _write_pairs(fh, pairs, counts):
+    # each slice of rows is formatted by one C-level %-format and each line
+    # repeated by its count, not one f-string per edge
+    step = 1 << 12
+    for lo in range(0, len(pairs), step):
+        part = pairs[lo:lo + step]
+        lines = ("%d %d\n" * len(part) % tuple(part.ravel().tolist())).splitlines(True)
+        fh.write("".join(map(str.__mul__, lines, counts[lo:lo + step].tolist())))
+
+
 def write_edge_list(graph, path):
     """Text export: header '# vertices N degree k', then one 'u v' per edge.
 
@@ -276,12 +286,12 @@ def write_edge_list(graph, path):
         for src, dst, count in graph.edge_counts():
             count = np.broadcast_to(count, src.shape)
             up = src < dst
-            pairs = np.repeat(np.stack([src[up], dst[up]], axis=1), count[up], axis=0)
-            fh.writelines(f"{u} {v}\n" for u, v in pairs.tolist())
+            _write_pairs(fh, np.stack([src[up], dst[up]], axis=1), count[up])
             on = src == dst
             np.add.at(loops, src[on], count[on])
         require(not (loops % 2).any(), "loop arcs do not pair up")
-        fh.writelines(f"{x} {x}\n" for x in np.repeat(np.arange(graph.n), loops // 2).tolist())
+        vertex = np.arange(graph.n)
+        _write_pairs(fh, np.stack([vertex, vertex], axis=1), loops // 2)
 
 
 def read_edge_list(path):

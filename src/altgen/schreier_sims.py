@@ -1,13 +1,17 @@
 """Exact group order via a stabilizer chain.
 
-Random products seed the chain quickly.  The order is then proved in one of
-two ways, so it is exact regardless of the randomization:
+Near-uniform random elements from product replacement (Celler,
+Leedham-Green, Murray, Niemeyer and O'Brien, 1995) are sifted into the
+chain until its order is proved or a run of them sifts to the identity.
+The order is proved in one of two ways, so it is exact regardless of the
+randomization:
 
 - the product of the basic orbit lengths, always a lower bound on |G|,
   reaches the parity ceiling |Sym(n)|, or |Alt(n)| when every generator is
   even, which bounds |G| from above (the known-order stopping rule, Seress,
   *Permutation Group Algorithms*, 2003, section 4.5);
-- otherwise the deterministic Schreier closure runs to the end.
+- otherwise the deterministic Schreier closure, the fallback, runs to the
+  end.
 """
 
 import math
@@ -17,6 +21,11 @@ import numpy as np
 from .errors import require
 
 DEFAULT_ORDER_LIMIT = 10**4
+
+# product replacement: at least this many slots, and steps before the first
+# element is used
+REPLACEMENT_SLOTS = 10
+REPLACEMENT_WARMUP = 50
 
 
 def _to_bytes(table):
@@ -61,10 +70,13 @@ class StabilizerChain:
         return q.translate(p)
 
     def _inv(self, p):
+        if not self._wide:
+            # the table sending p[i] to i
+            return bytes.maketrans(p, self.identity)
         inv = [0] * len(p)
         for i, x in enumerate(p):
             inv[x] = i
-        return tuple(inv) if self._wide else bytes(inv)
+        return tuple(inv)
 
     def _is_identity(self, p):
         return p == self.identity
@@ -75,19 +87,25 @@ class StabilizerChain:
                 return i
         return None
 
-    def _extend_orbit(self, level, new_gen=None):
-        """Grow a level's orbit/transversal; O(orbit) when nothing is new."""
-        if new_gen is not None:
-            frontier = []
-            for x, ux in list(level.transversal.items()):
-                y = new_gen[x]
-                if y not in level.transversal:
-                    uy = self._mul(new_gen, ux)
-                    level.transversal[y] = uy
-                    level.inv_transversal[y] = self._inv(uy)
-                    frontier.append(y)
-        else:
-            frontier = list(level.transversal.keys())
+    def _extend_orbit(self, level, new_gen):
+        """Grow a level's orbit/transversal once new_gen joins its generators.
+
+        The orbit is closed under the other generators, so when new_gen maps
+        it into itself nothing is new: O(1) calls on the bytes path, an
+        O(orbit) loop on the tuple path.
+        """
+        if not self._wide:
+            orbit = bytes(level.transversal)
+            if not orbit.translate(new_gen).translate(None, orbit):
+                return
+        frontier = []
+        for x, ux in list(level.transversal.items()):
+            y = new_gen[x]
+            if y not in level.transversal:
+                uy = self._mul(new_gen, ux)
+                level.transversal[y] = uy
+                level.inv_transversal[y] = self._inv(uy)
+                frontier.append(y)
         while frontier:
             next_frontier = []
             for x in frontier:
@@ -114,16 +132,23 @@ class StabilizerChain:
         return g, len(self.levels)
 
     def _add_generator(self, g, upto):
-        """Register g at levels 0..upto (it fixes the base prefix of each)."""
+        """Register g, a residue that sifted to level `upto`, at levels
+        0..upto (it fixes the base prefix of each).
+
+        No level holds g yet.  Had g been registered before, it would move
+        the base point of the level it then sifted to; g fixes the base
+        points before `upto`, so that level would be `upto` or deeper and
+        would list g at `upto` too.  But the orbit at `upto` is closed under
+        that level's generators, and g maps its base point out of the orbit
+        (or fixes every base point, when `upto` is a new level).
+        """
         if upto == len(self.levels):
             pt = self._first_moved(g)
             require(pt is not None, "cannot add the identity as a generator")
             self.levels.append(_Level(pt, self.identity))
         for i in range(upto + 1):
-            level = self.levels[i]
-            if g not in level.gens:
-                level.gens.append(g)
-                self._extend_orbit(level, new_gen=g)
+            self.levels[i].gens.append(g)
+            self._extend_orbit(self.levels[i], g)
 
     def add_element(self, g):
         """Sift g and absorb any residue; returns True if the chain grew."""
@@ -178,10 +203,37 @@ class StabilizerChain:
         return result
 
 
+def _product_replacement(chain, gens, rng):
+    """Endless near-uniform elements of the group generated by `gens`, in
+    the chain's permutation form.
+
+    The slots start as the generators, repeated.  Each step replaces a random
+    slot by its product with another slot, on a random side, and multiplies
+    an accumulator by the new slot; the accumulator's values are yielded
+    after the warm-up steps.
+    """
+    slot = [gens[k % len(gens)] for k in range(max(REPLACEMENT_SLOTS, len(gens)))]
+    mul = chain._mul
+    acc = chain.identity
+    step = 0
+    while True:
+        i, d, side = (int(v) for v in rng.integers((len(slot), len(slot) - 1, 2)))
+        j = (i + 1 + d) % len(slot)
+        slot[i] = mul(slot[i], slot[j]) if side else mul(slot[j], slot[i])
+        acc = mul(acc, slot[i])
+        step += 1
+        if step > REPLACEMENT_WARMUP:
+            yield acc
+
+
 def group_order(gens, limit=DEFAULT_ORDER_LIMIT, seed=0, random_boost=96):
     """Exact order of the group generated by `gens` (list of Permutation).
 
-    Refuses point sets larger than `limit`.
+    After the generators, product-replacement elements drawn from `seed` are
+    sifted until the order reaches the parity ceiling, which proves it, or
+    until `random_boost` of them in a row sift to the identity.  The
+    Schreier closure then finishes any proof still open; `random_boost=0`
+    leaves all of it to the closure.  Refuses point sets larger than `limit`.
     """
     gens = list(gens)
     if not gens:
@@ -204,15 +256,12 @@ def group_order(gens, limit=DEFAULT_ORDER_LIMIT, seed=0, random_boost=96):
     for g in raw:
         chain.add_element(g)
 
-    if chain.levels:
-        rng = np.random.default_rng(seed)
-        word = raw[0]
-        for _ in range(random_boost):
-            word = chain._mul(word, raw[rng.integers(len(raw))])
-            if rng.integers(2):
-                word = chain._mul(raw[rng.integers(len(raw))], word)
-            chain.add_element(word)
-
     odd = any(g.parity for g in gens)
-    chain.schreier_closure(ceiling=math.factorial(n) // (1 if odd else 2))
+    ceiling = math.factorial(n) // (1 if odd else 2)
+    if chain.levels and random_boost:
+        elements = _product_replacement(chain, raw, np.random.default_rng(seed))
+        stalls = 0
+        while chain.order() != ceiling and stalls < random_boost:
+            stalls = 0 if chain.add_element(next(elements)) else stalls + 1
+    chain.schreier_closure(ceiling=ceiling)
     return chain.order()

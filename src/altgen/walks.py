@@ -119,9 +119,29 @@ def full_sweep(dist, axes=None):
 # -- sampling -------------------------------------------------------------------
 
 
+def _stream_key(seed, index):
+    return [seed, index]
+
+
 def sample_stream(seed, index):
     """Independent counter-based stream for sample `index` of a master seed."""
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, index)))
+
+
+def _block_draws(seed, block, high, size):
+    """Row r is sample_stream(seed, block[r]).integers(0, high, size=size).
+
+    One generator serves the block, its key reset per sample: a new Philox
+    per sample costs about twice as much.
+    """
+    rng = sample_stream(seed, block[0])
+    state = rng.bit_generator.state
+    draws = np.empty((len(block), size), dtype=np.int64)
+    for r, i in enumerate(block):
+        state["state"]["key"] = _stream_key(seed, i)
+        rng.bit_generator.state = state
+        draws[r] = rng.integers(0, high, size=size)
+    return draws
 
 
 # the walk's axis order: Q1 = U1U2U3 acts first, then Q2 = U4U5U6; inside
@@ -156,8 +176,7 @@ def _walk_blocks(model, start, seed, samples):
     for lo in range(0, samples, WALK_BLOCK):
         block = range(lo, min(lo + WALK_BLOCK, samples))
         # each axis uses at most h of a sample's draws
-        draws = np.array([sample_stream(seed, i).integers(
-            0, K, size=len(TUPLE_WALK_AXES) * h) for i in block])
+        draws = _block_draws(seed, block, K, len(TUPLE_WALK_AXES) * h)
         rows = np.arange(len(block))[:, None]
         used = np.zeros((len(block), 1), dtype=np.int64)
         pts = np.tile(start, (len(block), 1))
@@ -208,7 +227,7 @@ def point_walk_batch(model, seed, samples, start_point, axes):
     With a single point per sample the per-line shifts are independent
     uniforms, so one draw per (sample, letter) is the exact law.
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = sample_stream(seed, 0)
     geo = model.geometry
     pts = np.full(samples, start_point, dtype=np.int64)
     for axis in axes:

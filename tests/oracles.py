@@ -95,3 +95,19 @@ def reference_tuple_walk(model, start, seed, samples):
     h = len(start)
     return (np.array(q1).reshape(samples, h), np.array(final).reshape(samples, h),
             np.array(flags, dtype=bool))
+
+
+def reference_edge_list_text(graph):
+    """write_edge_list's text, formatted one line per edge in Python."""
+    lines = [f"# vertices {graph.n} degree {graph.degree}\n"]
+    loops = [0] * graph.n
+    for src, dst, count in graph.edge_counts():
+        count = np.broadcast_to(count, src.shape)
+        for u, v, c in zip(src.tolist(), dst.tolist(), count.tolist()):
+            if u < v:
+                lines += [f"{u} {v}\n"] * c
+            elif u == v:
+                loops[u] += c
+    for x, arcs in enumerate(loops):
+        lines += [f"{x} {x}\n"] * (arcs // 2)
+    return "".join(lines)

@@ -17,7 +17,7 @@ from altgen.perms import Permutation
 from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, kazhdan_upper,
                              spectral_gap)
 from line_tables import line_and_coord, line_table
-from oracles import exact_conductance
+from oracles import exact_conductance, reference_edge_list_text
 
 
 def cyclic_graph(n, shifts=(1,)):
@@ -270,6 +270,21 @@ def test_edge_list_without_header_takes_n_from_the_largest_vertex(tmp_path):
     back = read_edge_list(path)
     assert (back.n, back.degree) == (4, 2)
     assert np.array_equal(back.to_dense(), cyclic_graph(4).to_dense())
+
+
+def test_edge_list_text_matches_the_per_line_writer(tmp_path):
+    # loops and parallel edges from explicit pairs, and from an involution
+    # with fixed points; the action graph writes more edges than one slice
+    n = 20000
+    rng = np.random.default_rng(4)
+    swap = np.arange(n)
+    swap[:n // 2] = swap[:n // 2] ^ 1
+    perms = [Permutation(rng.permutation(n)) for _ in range(3)] + [Permutation(swap)]
+    pairs = EdgeGraph(4, [(0, 1), (0, 1), (2, 3), (3, 2), (0, 0), (1, 1), (2, 2), (3, 3)])
+    for graph in (pairs, ActionGraph(perms), AxisBlockGraph(build_SN(1, 2))):
+        path = tmp_path / "edges.txt"
+        write_edge_list(graph, path)
+        assert path.read_text() == reference_edge_list_text(graph)
 
 
 @pytest.mark.parametrize("form", ["action", "axis-block"])

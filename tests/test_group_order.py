@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altgen.cli import desk_base
-from altgen.embeddings import build_Fn
+from altgen.embeddings import build_Fn, build_sym
 from altgen.perms import Permutation
 from altgen.schreier_sims import StabilizerChain, group_order
 
@@ -111,3 +111,42 @@ def test_window_set_stops_once_the_order_is_proved(monkeypatch):
     monkeypatch.setattr(StabilizerChain, "sift", counted)
     assert group_order(perms, limit=2000) == math.factorial(100) // 2
     assert len(calls) < 100_000
+
+
+def _counted_sifts(monkeypatch):
+    calls = []
+    sift = StabilizerChain.sift
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sift(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, sym", [(150, False), (256, False), (150, True)])
+def test_random_phase_proves_giant_window_orders(monkeypatch, n, sym):
+    # product-replacement elements reach the parity ceiling, so the Schreier
+    # closure, which stalls past n = 150 on these sets, has nothing to do
+    perms, _ = build_Fn(n, desk_base(49), 49)
+    if sym:
+        perms = build_sym(n, perms)
+    calls = _counted_sifts(monkeypatch)
+    assert group_order(perms, limit=2000) == math.factorial(n) // (1 if sym else 2)
+    assert len(calls) < 2000
+
+
+def test_direct_product_of_alternating_groups_falls_back_to_the_closure():
+    # Alt(25) x Alt(25) on 50 points sits far below the ceiling 50!/2: the
+    # random phase ends on its stall bound and the closure proves the order
+    base = desk_base(25)
+
+    def placed(p, offset):
+        table = np.arange(50)
+        table[offset:offset + 25] = p.table + offset
+        return Permutation(table)
+
+    gens = [placed(p, 0) for p in base] + [placed(p, 25) for p in base]
+    for boost in (96, 0):
+        assert group_order(gens, random_boost=boost) == (math.factorial(25) // 2) ** 2

@@ -6,8 +6,8 @@ import pytest
 
 from altgen.embeddings import CubeModel, ShiftVector
 from altgen.walks import (WALK_BLOCK, ExactDistribution, FloatDistribution,
-                          _walk_blocks, averaging_operator, binomial_sigma,
-                          doeblin_contraction_check, full_sweep,
+                          _block_draws, _walk_blocks, averaging_operator,
+                          binomial_sigma, doeblin_contraction_check, full_sweep,
                           mixing_time_points, point_walk_batch,
                           sample_stream, tuple_walk, urn_bound, urn_mc)
 from oracles import reference_tuple_walk
@@ -142,6 +142,17 @@ def test_one_bounded_draw_call_equals_consecutive_calls(K):
                                     split.integers(0, K, size=b)])
             whole = sample_stream(seed, index).integers(0, K, size=a + b)
             assert np.array_equal(parts, whole)
+
+
+@pytest.mark.parametrize("K", [7, 63])
+def test_block_draws_equal_each_samples_own_stream(K):
+    # one generator rekeyed per sample must give each sample's stream;
+    # the blocks start at index 0 and straddle the WALK_BLOCK edge
+    for seed in (0, 3, 2**40 + 1):
+        for block in (range(0, 5), range(WALK_BLOCK - 2, WALK_BLOCK + 3)):
+            draws = _block_draws(seed, block, K, 18)
+            for row, i in zip(draws, block):
+                assert np.array_equal(row, sample_stream(seed, i).integers(0, K, size=18))
 
 
 def test_tuple_walk_memory_is_flat_in_the_sample_count():
