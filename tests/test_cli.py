@@ -10,7 +10,7 @@ import pytest
 
 import altgen
 from altgen import graphs, ring
-from altgen.cli import _el3_to_json, desk_base, main, write_gens_json
+from altgen.cli import SUITES, _el3_to_json, desk_base, main, write_gens_json
 from altgen.embeddings import GeneratingSet, build_SN
 
 
@@ -243,3 +243,58 @@ def test_oversized_axis_blocks_exit_as_a_configuration_error(monkeypatch, capsys
     monkeypatch.setattr(graphs, "AXIS_BLOCK_BUDGET", 10**6)
     assert main(["spectral", "--s", "1", "--d", "5"]) == 2
     assert "over the budget of 1000000 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, seed, options, twin", [
+    pytest.param("certify", "0", [], ["certify"], id="certify-seed0"),
+    pytest.param("certify", "7", [], ["certify"], id="certify-seed7"),
+    pytest.param("blocks", "0", [], ["factor", "blocks", "--count", "25"],
+                 id="blocks-seed0"),
+    pytest.param("blocks", "7", [], ["factor", "blocks", "--count", "25"],
+                 id="blocks-seed7"),
+    pytest.param("blocks", "0", ["--trials", "5"], ["factor", "blocks", "--count", "5"],
+                 id="blocks-trials5"),
+    pytest.param("spectral", "0", [], ["spectral", "--s", "1", "--d", "2"],
+                 id="spectral-seed0"),
+    pytest.param("spectral", "7", [], ["spectral", "--s", "1", "--d", "2"],
+                 id="spectral-seed7"),
+    pytest.param("spectral", "0", ["--s", "1", "--d", "3"],
+                 ["spectral", "--s", "1", "--d", "3"], id="spectral-d3"),
+])
+def test_verify_suite_is_its_subcommand(suite, seed, options, twin, tmp_path, capsys):
+    # the suite keeps no copy of the check: its records are the subcommand's,
+    # each name prefixed by the suite
+    _, verified = run_cli(["verify", "--suite", suite, "--seed", seed] + options,
+                          tmp_path, "verify")
+    _, direct = run_cli(twin + ["--seed", seed], tmp_path, "direct")
+    capsys.readouterr()
+    assert verified["records"] == [dict(r, name=f"{suite}.{r['name']}")
+                                   for r in direct["records"]]
+
+
+@pytest.fixture(scope="module")
+def verify_all(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verify") / "all.json"
+    assert main(["verify", "--suite", "all", "--seed", "3", "--report", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_all_runs_each_suite_as_it_runs_alone(verify_all, suite, tmp_path, capsys):
+    _, alone = run_cli(["verify", "--suite", suite, "--seed", "3"], tmp_path, suite)
+    capsys.readouterr()
+    assert alone["records"] and all(r["name"].startswith(f"{suite}.")
+                                    for r in alone["records"])
+    assert [r for r in verify_all["records"]
+            if r["name"].startswith(f"{suite}.")] == alone["records"]
+
+
+def test_construct_general_reports_the_order_unchecked_above_the_limit(tmp_path, capsys):
+    # above 2000 points the order is not computed, and the report says so
+    code, report = run_cli(["construct-general", "--n", "2001", "--base-m", "64"],
+                           tmp_path, "big")
+    capsys.readouterr()
+    assert code == 0
+    recs = {r["name"]: r for r in report["records"]}
+    assert recs["generated-order"]["verdict"] == "reported-only"
+    assert recs["generated-order"]["computed"] == "not checked above 2000 points"

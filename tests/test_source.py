@@ -127,3 +127,21 @@ def test_no_object_arrays_in_the_package():
             if any(_is_object_dtype(arg) for arg in args):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"object-dtype arrays in altgen: {found}"
+
+
+def test_only_main_builds_and_emits_the_report():
+    # a handler adds records to the report main hands it, so `verify` can run
+    # a subcommand's handler into its own report; a handler that built or
+    # emitted one would be a second runner
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = (call.func.id if isinstance(call.func, ast.Name)
+                        else getattr(call.func, "attr", None))
+                if name in ("Report", "emit"):
+                    found.append(f"{node.name}:{call.lineno} {name}")
+    assert not found, f"handlers that build or emit a report: {found}"
