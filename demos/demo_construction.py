@@ -7,7 +7,8 @@ involution set's images is the generating set of interest.
 
 import math
 
-from altgen import build_SN, group_order
+from altgen import build_Fn, build_SN, group_order
+from altgen.cli import desk_base
 
 print("== the involution generating set at desk sizes ==")
 for s, d in [(1, 2), (1, 6), (7, 6)]:
@@ -26,6 +27,8 @@ expected = math.factorial(49) // 2
 print(f"generated group order = {order}")
 print(f"half of 49!           = {expected}")
 print("equal:", order == expected)
+print("window set on 1000 points: order = 1000!/2:",
+      group_order(build_Fn(1000, desk_base(49), 49)[0]) == math.factorial(1000) // 2)
 
 print()
 print("== a closer look at one generator ==")

@@ -1,4 +1,4 @@
-"""Exact group order via a stabilizer chain.
+"""Exact group order via a stabilizer chain on at most 256 points.
 
 Near-uniform random elements from product replacement (Celler,
 Leedham-Green, Murray, Niemeyer and O'Brien, 1995) are sifted into the
@@ -12,6 +12,9 @@ randomization:
   *Permutation Group Algorithms*, 2003, section 4.5);
 - otherwise the deterministic Schreier closure, the fallback, runs to the
   end.
+
+Past 256 points the order is the parity ceiling when a Jordan certificate
+proves that the group contains Alt(n), and undecided otherwise.
 """
 
 import math
@@ -19,6 +22,9 @@ import math
 import numpy as np
 
 from .errors import require
+from .gf2 import _prime_factors
+from .graphs import ActionGraph
+from .perms import cycle_labels
 
 DEFAULT_ORDER_LIMIT = 10**4
 
@@ -26,6 +32,8 @@ DEFAULT_ORDER_LIMIT = 10**4
 # element is used
 REPLACEMENT_SLOTS = 10
 REPLACEMENT_WARMUP = 50
+# product-replacement steps a Jordan certificate takes before it gives up
+CERTIFICATE_STEPS = 2000
 
 
 def _to_bytes(table):
@@ -53,30 +61,19 @@ class StabilizerChain:
     """
 
     def __init__(self, n):
-        if n > 65535:
-            raise ValueError("stabilizer chain supports at most 65535 points")
-        self.n = n
-        self._wide = n > 256
-        if self._wide:
-            self.identity = tuple(range(n))
-        else:
-            self.identity = bytes(range(256))
+        # permutations are 256-entry bytes tables, so bytes.translate composes
+        if n > 256:
+            raise ValueError("stabilizer chain supports at most 256 points")
+        self.identity = bytes(range(256))
         self.levels = []
 
     def _mul(self, p, q):
         # (p*q)[i] = p[q[i]]
-        if self._wide:
-            return tuple(p[x] for x in q)
         return q.translate(p)
 
     def _inv(self, p):
-        if not self._wide:
-            # the table sending p[i] to i
-            return bytes.maketrans(p, self.identity)
-        inv = [0] * len(p)
-        for i, x in enumerate(p):
-            inv[x] = i
-        return tuple(inv)
+        # the table sending p[i] to i
+        return bytes.maketrans(p, self.identity)
 
     def _is_identity(self, p):
         return p == self.identity
@@ -91,13 +88,11 @@ class StabilizerChain:
         """Grow a level's orbit/transversal once new_gen joins its generators.
 
         The orbit is closed under the other generators, so when new_gen maps
-        it into itself nothing is new: O(1) calls on the bytes path, an
-        O(orbit) loop on the tuple path.
+        it into itself, which two bytes calls test, nothing is new.
         """
-        if not self._wide:
-            orbit = bytes(level.transversal)
-            if not orbit.translate(new_gen).translate(None, orbit):
-                return
+        orbit = bytes(level.transversal)
+        if not orbit.translate(new_gen).translate(None, orbit):
+            return
         frontier = []
         for x, ux in list(level.transversal.items()):
             y = new_gen[x]
@@ -203,9 +198,9 @@ class StabilizerChain:
         return result
 
 
-def _product_replacement(chain, gens, rng):
+def _product_replacement(mul, identity, gens, rng):
     """Endless near-uniform elements of the group generated by `gens`, in
-    the chain's permutation form.
+    the permutation form that `mul` composes and `identity` starts.
 
     The slots start as the generators, repeated.  Each step replaces a random
     slot by its product with another slot, on a random side, and multiplies
@@ -213,8 +208,7 @@ def _product_replacement(chain, gens, rng):
     after the warm-up steps.
     """
     slot = [gens[k % len(gens)] for k in range(max(REPLACEMENT_SLOTS, len(gens)))]
-    mul = chain._mul
-    acc = chain.identity
+    acc = identity
     step = 0
     while True:
         i, d, side = (int(v) for v in rng.integers((len(slot), len(slot) - 1, 2)))
@@ -226,6 +220,30 @@ def _product_replacement(chain, gens, rng):
             yield acc
 
 
+def jordan_certificate(gens, seed=0):
+    """(steps, p) proving that the group generated by `gens` contains Alt(n),
+    or None.
+
+    The action is transitive, and the element that product replacement from
+    `seed` reaches after `steps` steps (at most CERTIFICATE_STEPS) has a
+    longest cycle of prime length p, n/2 < p <= n - 3.  Its other cycles are
+    shorter, so a power of it is a p-cycle; that p-cycle neither fits in a
+    block nor moves one, so the group is primitive; and a primitive group
+    with a p-cycle, p <= n - 3, contains Alt(n) (Jordan; Dixon and Mortimer,
+    *Permutation Groups*, 1996, Thm 3.3E).
+    """
+    n = gens[0].n
+    if not ActionGraph(gens).is_connected():
+        return None
+    elements = _product_replacement(lambda p, q: p[q], np.arange(n),
+                                    [g.table for g in gens], np.random.default_rng(seed))
+    for step, g in zip(range(REPLACEMENT_WARMUP + 1, CERTIFICATE_STEPS + 1), elements):
+        p = int(np.bincount(cycle_labels(g)[1]).max())
+        if n / 2 < p <= n - 3 and _prime_factors(p) == [p]:
+            return step, p
+    return None
+
+
 def group_order(gens, limit=DEFAULT_ORDER_LIMIT, seed=0, random_boost=96):
     """Exact order of the group generated by `gens` (list of Permutation).
 
@@ -233,7 +251,9 @@ def group_order(gens, limit=DEFAULT_ORDER_LIMIT, seed=0, random_boost=96):
     sifted until the order reaches the parity ceiling, which proves it, or
     until `random_boost` of them in a row sift to the identity.  The
     Schreier closure then finishes any proof still open; `random_boost=0`
-    leaves all of it to the closure.  Refuses point sets larger than `limit`.
+    leaves all of it to the closure.  Past 256 points the order is the
+    parity ceiling once `jordan_certificate` proves it, and a ValueError
+    (undecided) otherwise.  Refuses point sets larger than `limit`.
     """
     gens = list(gens)
     if not gens:
@@ -248,18 +268,21 @@ def group_order(gens, limit=DEFAULT_ORDER_LIMIT, seed=0, random_boost=96):
             "raise the limit explicitly if this size is intended"
         )
 
-    chain = StabilizerChain(n)
-    if n <= 256:
-        raw = [_to_bytes(g.table) for g in gens]
-    else:
-        raw = [tuple(int(x) for x in g.table) for g in gens]
-    for g in raw:
-        chain.add_element(g)
-
     odd = any(g.parity for g in gens)
     ceiling = math.factorial(n) // (1 if odd else 2)
+    if n > 256:
+        if jordan_certificate(gens, seed) is None:
+            raise ValueError(f"undecided: no Jordan certificate for the group "
+                             f"on {n} points in {CERTIFICATE_STEPS} steps")
+        return ceiling
+
+    chain = StabilizerChain(n)
+    raw = [_to_bytes(g.table) for g in gens]
+    for g in raw:
+        chain.add_element(g)
     if chain.levels and random_boost:
-        elements = _product_replacement(chain, raw, np.random.default_rng(seed))
+        elements = _product_replacement(chain._mul, chain.identity, raw,
+                                        np.random.default_rng(seed))
         stalls = 0
         while chain.order() != ceiling and stalls < random_boost:
             stalls = 0 if chain.add_element(next(elements)) else stalls + 1

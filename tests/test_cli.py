@@ -1,4 +1,6 @@
+import decimal
 import json
+import math
 import os
 import subprocess
 import sys
@@ -289,12 +291,14 @@ def test_verify_all_runs_each_suite_as_it_runs_alone(verify_all, suite, tmp_path
             if r["name"].startswith(f"{suite}.")] == alone["records"]
 
 
-def test_construct_general_reports_the_order_unchecked_above_the_limit(tmp_path, capsys):
-    # above 2000 points the order is not computed, and the report says so
-    code, report = run_cli(["construct-general", "--n", "2001", "--base-m", "64"],
-                           tmp_path, "big")
+@pytest.mark.parametrize("sym", [False, True])
+def test_construct_general_proves_the_order_past_2000_points(tmp_path, capsys, sym):
+    # the order has over 4300 digits, which str() of an int refuses
+    code, report = run_cli(["construct-general", "--n", "2001", "--base-m", "64"]
+                           + (["--sym"] if sym else []), tmp_path, "big")
     capsys.readouterr()
     assert code == 0
-    recs = {r["name"]: r for r in report["records"]}
-    assert recs["generated-order"]["verdict"] == "reported-only"
-    assert recs["generated-order"]["computed"] == "not checked above 2000 points"
+    rec = {r["name"]: r for r in report["records"]}["generated-order"]
+    assert rec["verdict"] == "pass"
+    assert rec["computed"] == rec["bound"]
+    assert int(decimal.Decimal(rec["bound"])) == math.factorial(2001) // (1 if sym else 2)

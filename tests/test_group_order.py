@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altgen.cli import desk_base
-from altgen.embeddings import build_Fn, build_sym
+from altgen.embeddings import build_Fn, build_SN, build_sym
 from altgen.perms import Permutation
-from altgen.schreier_sims import StabilizerChain, group_order
+from altgen.schreier_sims import StabilizerChain, group_order, jordan_certificate
 
 
 def brute_force_order(gens):
@@ -150,3 +150,88 @@ def test_direct_product_of_alternating_groups_falls_back_to_the_closure():
     gens = [placed(p, 0) for p in base] + [placed(p, 25) for p in base]
     for boost in (96, 0):
         assert group_order(gens, random_boost=boost) == (math.factorial(25) // 2) ** 2
+
+
+def _placed(p, offset, n):
+    # p acting on points offset .. offset + p.n - 1 of n
+    table = np.arange(n)
+    table[offset:offset + p.n] = p.table + offset
+    return Permutation(table)
+
+
+def _ceiling(gens):
+    odd = any(g.parity for g in gens)
+    return math.factorial(gens[0].n) // (1 if odd else 2)
+
+
+def test_certificate_rejects_non_giants():
+    # M11 has no 7-cycle and Sym(4) wr Sym(2) no 5-cycle; Alt(25) x Alt(25)
+    # is intransitive, and so is Alt(40) on 50 points, despite its 37-cycles
+    m11 = [Permutation.from_cycles(11, [tuple(range(11))]),
+           Permutation.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
+    swap = Permutation(np.array([4, 5, 6, 7, 0, 1, 2, 3]))
+    sym4_wr_sym2 = [_placed(Permutation.from_cycles(4, [(0, 1)]), 0, 8),
+                    _placed(Permutation.from_cycles(4, [(0, 1, 2, 3)]), 0, 8), swap]
+    alt25_squared = [_placed(p, offset, 50) for p in desk_base(25) for offset in (0, 25)]
+    alt40 = [_placed(p, 0, 50) for p in desk_base(40)]
+    for gens in (m11, sym4_wr_sym2, alt25_squared, alt40):
+        assert jordan_certificate(gens) is None
+
+
+def test_imprimitive_group_past_256_points_is_undecided():
+    # Alt(130) wr C2 on 260 points: every element either keeps both halves,
+    # so its cycles are at most 130 long, or swaps them, so its cycles have
+    # even length; no certificate exists, and the order is not claimed
+    swap = Permutation(np.roll(np.arange(260), 130))
+    gens = [_placed(p, offset, 260) for p in desk_base(130) for offset in (0, 130)]
+    with pytest.raises(ValueError, match="undecided"):
+        group_order(gens + [swap])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_certificate_only_for_giants(data):
+    n = data.draw(st.integers(8, 12), label="points")
+    gens = [Permutation(np.array(data.draw(st.permutations(range(n)), label="gen")))
+            for _ in range(2)]
+    if jordan_certificate(gens) is not None:
+        assert group_order(gens, random_boost=0) == _ceiling(gens)
+
+
+def _window_set(n, m, sym):
+    perms, _ = build_Fn(n, desk_base(m), m)
+    return build_sym(n, perms) if sym else perms
+
+
+def _agrees_with_the_chain(gens):
+    assert jordan_certificate(gens) is not None
+    assert group_order(gens) == _ceiling(gens)
+
+
+@pytest.mark.parametrize("n", [49, 100, 150, 256])
+@pytest.mark.parametrize("sym", [False, True])
+def test_certificate_agrees_with_the_chain_on_window_sets(n, sym):
+    _agrees_with_the_chain(_window_set(n, 49, sym))
+
+
+def test_certificate_agrees_with_the_chain_on_S_N_1_2():
+    _agrees_with_the_chain(build_SN(1, 2).permutations())
+
+
+@pytest.mark.parametrize("n", [257, 300])
+@pytest.mark.parametrize("sym", [False, True])
+def test_certificate_proves_window_orders_past_256_points(n, sym):
+    assert group_order(_window_set(n, 49, sym)) == math.factorial(n) // (1 if sym else 2)
+
+
+@pytest.mark.parametrize("n, m", [(300, 49), (1000, 49), (2001, 64)])
+def test_certificate_arrives_within_200_steps(n, m):
+    steps, p = jordan_certificate(_window_set(n, m, False), seed=0)
+    assert steps <= 200
+    assert n / 2 < p <= n - 3
+
+
+def test_chain_refuses_more_than_256_points():
+    StabilizerChain(256)
+    with pytest.raises(ValueError):
+        StabilizerChain(257)
