@@ -10,7 +10,7 @@ window.
 import numpy as np
 
 from .errors import require
-from .perms import Permutation, cycle_labels
+from .perms import Permutation, cycle_labels, product
 
 
 def _layout(n, m):
@@ -250,7 +250,4 @@ def block_factor(g, m):
 
 
 def _check_block_product(factors, g):
-    acc = Permutation.identity(g.n)
-    for f in factors:
-        acc = acc * f
-    require(acc == g, "block factor multiply-back failed")
+    require(product(factors, g.n) == g, "block factor multiply-back failed")

@@ -15,6 +15,8 @@ from math import isqrt
 from .errors import require
 
 DEFAULT_BITS = 128
+# precision past which a comparison gives up on separating two bounds
+COMPARE_BITS = 2048
 
 
 def _round_out(a, b, bits):
@@ -222,21 +224,21 @@ class BoundExpr:
         lo, hi = self.interval()
         return float((lo + hi) / 2)
 
-    def less_than(self, other, max_bits=2048):
-        return _refine_compare(self, self._coerce(other), max_bits) < 0
+    def less_than(self, other):
+        return _refine_compare(self, self._coerce(other)) < 0
 
-    def greater_than(self, other, max_bits=2048):
-        return _refine_compare(self, self._coerce(other), max_bits) > 0
+    def greater_than(self, other):
+        return _refine_compare(self, self._coerce(other)) > 0
 
     def __repr__(self):
         lo, hi = self.interval(64)
         return f"BoundExpr[{float(lo):.12g}, {float(hi):.12g}]"
 
 
-def _refine_compare(x, y, max_bits):
+def _refine_compare(x, y):
     """-1, 0(+error), or 1 once the enclosures separate."""
     bits = 64
-    while bits <= max_bits:
+    while bits <= COMPARE_BITS:
         (a, b), (c, d) = x.interval(bits), y.interval(bits)
         if b < c:
             return -1
@@ -442,14 +444,14 @@ def _expr_from_dict(data):
     return BoundExpr(data["kind"], args)
 
 
-def tree_to_json(nodes, bits=DEFAULT_BITS):
+def tree_to_json(nodes):
     """Serialize a derivation tree; intervals stored as rational strings."""
     order = list(nodes)
     index = {id(nodes[k]): i for i, k in enumerate(order)}
     out = []
     for key in order:
         node = nodes[key]
-        lo, hi = node.interval(bits)
+        lo, hi = node.interval()
         out.append({
             "name": key,
             "rule": node.rule,
@@ -459,7 +461,7 @@ def tree_to_json(nodes, bits=DEFAULT_BITS):
             "expr": _expr_to_dict(node.value),
             "checks": [{"description": d, "ok": ok} for d, ok in node.checks],
         })
-    return json.dumps({"bits": bits, "nodes": out}, indent=1)
+    return json.dumps({"bits": DEFAULT_BITS, "nodes": out}, indent=1)
 
 
 def revalidate_tree(payload):

@@ -201,7 +201,7 @@ def cmd_construct_general(args, report):
         # the appended generator is the transposition of points 0 and 1
         report.check("odd-extension", "one odd generator extends to the full group",
                      "t01", ok=True)
-    order = group_order(perms)
+    order = group_order(perms, seed=args.seed)
     expect = math.factorial(n) if args.sym else math.factorial(n) // 2
     # str() of an int refuses more than 4300 digits; Decimal has no limit
     report.check("generated-order", "the window images generate the target group",

@@ -82,7 +82,7 @@ class Permutation:
     def is_identity(self):
         return bool((self.table == np.arange(self.n)).all())
 
-    def cycles(self, include_fixed=True):
+    def cycles(self):
         """Disjoint cycles as lists, each starting at its least point."""
         seen = np.zeros(self.n, dtype=bool)
         table = self.table
@@ -97,8 +97,7 @@ class Permutation:
                 cyc.append(x)
                 seen[x] = True
                 x = int(table[x])
-            if include_fixed or len(cyc) > 1:
-                out.append(cyc)
+            out.append(cyc)
         return out
 
     def cycle_count(self):

@@ -1,20 +1,13 @@
-"""Exact group order via a stabilizer chain on at most 256 points.
+"""Exact group order: a Jordan certificate for giants, a stabilizer chain
+for the rest.
 
-Near-uniform random elements from product replacement (Celler,
-Leedham-Green, Murray, Niemeyer and O'Brien, 1995) are sifted into the
-chain until its order is proved or a run of them sifts to the identity.
-The order is proved in one of two ways, so it is exact regardless of the
-randomization:
-
-- the product of the basic orbit lengths, always a lower bound on |G|,
-  reaches the parity ceiling |Sym(n)|, or |Alt(n)| when every generator is
-  even, which bounds |G| from above (the known-order stopping rule, Seress,
-  *Permutation Group Algorithms*, 2003, section 4.5);
-- otherwise the deterministic Schreier closure, the fallback, runs to the
-  end.
-
-Past 256 points the order is the parity ceiling when a Jordan certificate
-proves that the group contains Alt(n), and undecided otherwise.
+The order of a group G on n points is bounded above by the parity ceiling:
+|Sym(n)|, or |Alt(n)| when every generator is even.  For n >= 8 a Jordan
+certificate (Dixon and Mortimer, *Permutation Groups*, 1996, Thm 3.3E)
+proves that G contains Alt(n), so its order is the ceiling.  When no
+certificate is found, a stabilizer chain on at most 256 points runs the
+deterministic Schreier closure to the end, or until its order, a lower
+bound, reaches the ceiling; past 256 points the order is undecided.
 """
 
 import math
@@ -26,7 +19,8 @@ from .gf2 import _prime_factors
 from .graphs import ActionGraph
 from .perms import cycle_labels
 
-DEFAULT_ORDER_LIMIT = 10**4
+# group_order refuses point sets larger than this
+ORDER_LIMIT = 10**4
 
 # product replacement: at least this many slots, and steps before the first
 # element is used
@@ -198,23 +192,23 @@ class StabilizerChain:
         return result
 
 
-def _product_replacement(mul, identity, gens, rng):
-    """Endless near-uniform elements of the group generated by `gens`, in
-    the permutation form that `mul` composes and `identity` starts.
+def _product_replacement(tables, rng):
+    """Endless near-uniform elements of the group generated by the int64
+    image tables `tables`.
 
     The slots start as the generators, repeated.  Each step replaces a random
     slot by its product with another slot, on a random side, and multiplies
     an accumulator by the new slot; the accumulator's values are yielded
-    after the warm-up steps.
+    after the warm-up steps.  The product of p and q is p[q].
     """
-    slot = [gens[k % len(gens)] for k in range(max(REPLACEMENT_SLOTS, len(gens)))]
-    acc = identity
+    slot = [tables[k % len(tables)] for k in range(max(REPLACEMENT_SLOTS, len(tables)))]
+    acc = np.arange(len(tables[0]))
     step = 0
     while True:
         i, d, side = (int(v) for v in rng.integers((len(slot), len(slot) - 1, 2)))
         j = (i + 1 + d) % len(slot)
-        slot[i] = mul(slot[i], slot[j]) if side else mul(slot[j], slot[i])
-        acc = mul(acc, slot[i])
+        slot[i] = slot[i][slot[j]] if side else slot[j][slot[i]]
+        acc = acc[slot[i]]
         step += 1
         if step > REPLACEMENT_WARMUP:
             yield acc
@@ -235,8 +229,7 @@ def jordan_certificate(gens, seed=0):
     n = gens[0].n
     if not ActionGraph(gens).is_connected():
         return None
-    elements = _product_replacement(lambda p, q: p[q], np.arange(n),
-                                    [g.table for g in gens], np.random.default_rng(seed))
+    elements = _product_replacement([g.table for g in gens], np.random.default_rng(seed))
     for step, g in zip(range(REPLACEMENT_WARMUP + 1, CERTIFICATE_STEPS + 1), elements):
         p = int(np.bincount(cycle_labels(g)[1]).max())
         if n / 2 < p <= n - 3 and _prime_factors(p) == [p]:
@@ -244,16 +237,14 @@ def jordan_certificate(gens, seed=0):
     return None
 
 
-def group_order(gens, limit=DEFAULT_ORDER_LIMIT, seed=0, random_boost=96):
+def group_order(gens, seed=0):
     """Exact order of the group generated by `gens` (list of Permutation).
 
-    After the generators, product-replacement elements drawn from `seed` are
-    sifted until the order reaches the parity ceiling, which proves it, or
-    until `random_boost` of them in a row sift to the identity.  The
-    Schreier closure then finishes any proof still open; `random_boost=0`
-    leaves all of it to the closure.  Past 256 points the order is the
-    parity ceiling once `jordan_certificate` proves it, and a ValueError
-    (undecided) otherwise.  Refuses point sets larger than `limit`.
+    On n >= 8 points, the parity ceiling once `jordan_certificate` from
+    `seed` proves it (no prime p has n/2 < p <= n - 3 below 8 points).
+    Otherwise the Schreier closure of a stabilizer chain decides the order
+    on at most 256 points, and past 256 a ValueError says it is undecided.
+    Refuses point sets larger than ORDER_LIMIT.
     """
     gens = list(gens)
     if not gens:
@@ -262,29 +253,21 @@ def group_order(gens, limit=DEFAULT_ORDER_LIMIT, seed=0, random_boost=96):
     for g in gens:
         if g.n != n:
             raise ValueError("generators act on different point counts")
-    if n > limit:
+    if n > ORDER_LIMIT:
         raise ValueError(
-            f"point count {n} exceeds the group-order limit {limit}; "
+            f"point count {n} exceeds the group-order limit {ORDER_LIMIT}; "
             "raise the limit explicitly if this size is intended"
         )
 
     odd = any(g.parity for g in gens)
     ceiling = math.factorial(n) // (1 if odd else 2)
-    if n > 256:
-        if jordan_certificate(gens, seed) is None:
-            raise ValueError(f"undecided: no Jordan certificate for the group "
-                             f"on {n} points in {CERTIFICATE_STEPS} steps")
+    if n >= 8 and jordan_certificate(gens, seed) is not None:
         return ceiling
-
+    if n > 256:
+        raise ValueError(f"undecided: no Jordan certificate for the group "
+                         f"on {n} points in {CERTIFICATE_STEPS} steps")
     chain = StabilizerChain(n)
-    raw = [_to_bytes(g.table) for g in gens]
-    for g in raw:
-        chain.add_element(g)
-    if chain.levels and random_boost:
-        elements = _product_replacement(chain._mul, chain.identity, raw,
-                                        np.random.default_rng(seed))
-        stalls = 0
-        while chain.order() != ceiling and stalls < random_boost:
-            stalls = 0 if chain.add_element(next(elements)) else stalls + 1
+    for g in gens:
+        chain.add_element(_to_bytes(g.table))
     chain.schreier_closure(ceiling=ceiling)
     return chain.order()

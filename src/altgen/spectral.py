@@ -9,6 +9,8 @@ from .errors import require
 
 DENSE_LIMIT = 4000
 POWER_BUDGET = 10**5
+# eigenpairs one Lanczos run converges; the gap reads the second of them
+LANCZOS_PAIRS = 10
 
 
 @dataclass
@@ -30,7 +32,7 @@ def _deflate(v):
     return v - v.mean()
 
 
-def _power_second_eigenpair(graph, tol, seed, budget=POWER_BUDGET):
+def _power_second_eigenpair(graph, tol, seed):
     """Largest non-principal eigenpair of T via the lazy operator (I+T)/2.
 
     The shift makes the target eigenvalue dominant in absolute value among
@@ -44,7 +46,7 @@ def _power_second_eigenpair(graph, tol, seed, budget=POWER_BUDGET):
     v /= np.linalg.norm(v)
     lazy_v = 0.5 * (v + graph.matvec(v))
     mu_prev = None
-    for it in range(1, budget + 1):
+    for it in range(1, POWER_BUDGET + 1):
         w = _deflate(lazy_v)
         norm = np.linalg.norm(w)
         if norm < 1e-300:
@@ -59,10 +61,10 @@ def _power_second_eigenpair(graph, tol, seed, budget=POWER_BUDGET):
         mu_prev = mu
         v, lazy_v = w, lazy_w
     raise PowerIterationError(
-        f"power iteration did not converge within {budget} iterations")
+        f"power iteration did not converge within {POWER_BUDGET} iterations")
 
 
-def _lanczos_second_eigenpair(graph, tol, seed, k=10):
+def _lanczos_second_eigenpair(graph, tol, seed):
     """Top non-principal eigenpair via restarted Lanczos on the lazy operator.
 
     Power iteration stalls when the second eigenvalue sits in a near-degenerate
@@ -80,7 +82,7 @@ def _lanczos_second_eigenpair(graph, tol, seed, k=10):
 
     op = LinearOperator((n, n), matvec=lazy, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
-    k = min(k, n - 1)
+    k = min(LANCZOS_PAIRS, n - 1)
     vals, vecs = eigsh(op, k=k, which="LA", v0=v0, tol=max(tol, 1e-12),
                        ncv=min(n, max(4 * k, 80)), maxiter=5000)
     order = np.argsort(vals)[::-1]

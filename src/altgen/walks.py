@@ -107,11 +107,9 @@ class FloatDistribution:
         return 0.5 * float(np.abs(self.weights - 1.0 / self.model.N).sum())
 
 
-def full_sweep(dist, axes=None):
+def full_sweep(dist):
     """Apply every axis average once; uniformizes any start distribution."""
-    if axes is None:
-        axes = range(1, dist.model.d + 1)
-    for axis in axes:
+    for axis in range(1, dist.model.d + 1):
         dist = dist.axis_average(axis)
     return dist
 
@@ -298,30 +296,32 @@ def binomial_sigma(p_true, samples):
 
 # -- mixing ----------------------------------------------------------------------
 
+# steps mixing_time_points takes before it gives up
+MIXING_STEPS = 10**4
 
-def mixing_time_points(operator, model, tol=1e-9, start=0, max_steps=10**4,
-                       lazy=True):
-    """First step with total variation to uniform below `tol`.
+
+def mixing_time_points(operator, model, tol=1e-9, lazy=True):
+    """First step from point 0 with total variation to uniform below `tol`.
 
     `operator` maps a weight array to the stepped weights; by default the
     lazy version (I + T)/2 is iterated.  Returns (steps, tv_curve).
     """
     w = np.zeros(model.N)
-    w[start] = 1.0
+    w[0] = 1.0
     curve = []
     uniform = 1.0 / model.N
-    for step in range(1, max_steps + 1):
+    for step in range(1, MIXING_STEPS + 1):
         w = 0.5 * (w + operator(w)) if lazy else operator(w)
         tv = 0.5 * float(np.abs(w - uniform).sum())
         curve.append(tv)
         if tv < tol:
             return step, curve
-    raise RuntimeError(f"walk did not mix within {max_steps} steps (tv={curve[-1]})")
+    raise RuntimeError(f"walk did not mix within {MIXING_STEPS} steps (tv={curve[-1]})")
 
 
-def averaging_operator(model, axes=None):
+def averaging_operator(model):
     """The full-sweep operator as a dense-weights function."""
     def op(w):
         dist = FloatDistribution(model, w)
-        return full_sweep(dist, axes).weights
+        return full_sweep(dist).weights
     return op

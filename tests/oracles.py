@@ -2,15 +2,22 @@
 
 Each oracle enumerates directly what the package computes by formula or by
 a sweep, or runs one sample at a time what the package batches, so a test
-can compare the two on inputs small enough to enumerate.
+can compare the two on inputs small enough to enumerate.  For groups too
+large to enumerate, a stabilizer chain fed random elements bounds the order
+from below, a route the package no longer takes for giants.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 
+from altgen.schreier_sims import StabilizerChain, _product_replacement, _to_bytes
+
 # subsets of more vertices than this are too many to enumerate
 CONDUCTANCE_LIMIT = 22
+# random elements in a row that add nothing before the sifting oracle stops
+SIFT_STALLS = 96
 
 
 def dimension_by_tableaux(parts):
@@ -111,3 +118,20 @@ def reference_edge_list_text(graph):
     for x, arcs in enumerate(loops):
         lines += [f"{x} {x}\n"] * (arcs // 2)
     return "".join(lines)
+
+
+def sifted_order_lower_bound(gens, seed=0):
+    """A proved lower bound on the order of the group `gens` generate, on at
+    most 256 points: the order of a stabilizer chain holding the generators
+    and product-replacement elements from `seed`, sifted until the order
+    reaches the parity ceiling or SIFT_STALLS of them in a row add nothing.
+    """
+    chain = StabilizerChain(gens[0].n)
+    for g in gens:
+        chain.add_element(_to_bytes(g.table))
+    ceiling = math.factorial(gens[0].n) // (1 if any(g.parity for g in gens) else 2)
+    elements = _product_replacement([g.table for g in gens], np.random.default_rng(seed))
+    stalls = 0
+    while chain.order() != ceiling and stalls < SIFT_STALLS:
+        stalls = 0 if chain.add_element(_to_bytes(next(elements))) else stalls + 1
+    return chain.order()

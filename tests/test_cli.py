@@ -302,3 +302,23 @@ def test_construct_general_proves_the_order_past_2000_points(tmp_path, capsys, s
     assert rec["verdict"] == "pass"
     assert rec["computed"] == rec["bound"]
     assert int(decimal.Decimal(rec["bound"])) == math.factorial(2001) // (1 if sym else 2)
+
+
+def test_construct_general_proves_the_order_at_its_seed(tmp_path, monkeypatch, capsys):
+    # the report echoes --seed, so the certificate behind its order must
+    # come from that seed
+    from altgen import schreier_sims
+    seeds = []
+    certificate = schreier_sims.jordan_certificate
+
+    def recorded(gens, seed=0):
+        seeds.append(seed)
+        return certificate(gens, seed)
+
+    monkeypatch.setattr(schreier_sims, "jordan_certificate", recorded)
+    code, report = run_cli(["construct-general", "--n", "300", "--base-m", "49",
+                            "--seed", "5"], tmp_path, "seeded")
+    capsys.readouterr()
+    assert code == 0
+    assert report["config"]["seed"] == 5
+    assert seeds == [5]

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from altgen.cli import desk_base
 from altgen.embeddings import build_Fn, build_SN, build_sym
 from altgen.perms import Permutation
-from altgen.schreier_sims import StabilizerChain, group_order, jordan_certificate
+from altgen.schreier_sims import StabilizerChain, _to_bytes, group_order, jordan_certificate
+from oracles import sifted_order_lower_bound
 
 
 def brute_force_order(gens):
@@ -73,17 +74,16 @@ def test_seed_independence():
 
 
 def test_primitive_even_non_giants():
-    # even, transitive and primitive, yet far below |Alt(n)|: the closure
-    # must run to the end, and the order must not stop at the parity ceiling
+    # even, transitive and primitive, yet far below |Alt(n)|: no certificate
+    # exists, so the closure must run to the end, and the order must not stop
+    # at the parity ceiling
     psl27 = [Permutation.from_cycles(7, [tuple(range(7))]),
              Permutation.from_cycles(7, [(2, 4), (5, 6)])]
     m11 = [Permutation.from_cycles(11, [tuple(range(11))]),
            Permutation.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])]
     for gens, order in ((psl27, 168), (m11, 7920)):
         assert brute_force_order(gens) == order
-        # without random products the closure does all the work
-        for boost in (0, 96):
-            assert group_order(gens, random_boost=boost) == order
+        assert group_order(gens) == order
 
 
 @settings(max_examples=80, deadline=None)
@@ -92,25 +92,7 @@ def test_random_pairs_against_brute_force(data):
     n = data.draw(st.integers(1, 6), label="points")
     gens = [Permutation(np.array(data.draw(st.permutations(range(n)), label="gen")))
             for _ in range(2)]
-    oracle = brute_force_order(gens)
-    for boost in (0, 96):
-        assert group_order(gens, random_boost=boost) == oracle
-
-
-def test_window_set_stops_once_the_order_is_proved(monkeypatch):
-    # the construct-general --n 100 --base-m 49 generators: the chain reaches
-    # 100!/2 long before the full Schreier closure would end (610,347 sifts)
-    perms, _ = build_Fn(100, desk_base(49), 49)
-    calls = []
-    sift = StabilizerChain.sift
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return sift(self, *args, **kwargs)
-
-    monkeypatch.setattr(StabilizerChain, "sift", counted)
-    assert group_order(perms, limit=2000) == math.factorial(100) // 2
-    assert len(calls) < 100_000
+    assert group_order(gens) == brute_force_order(gens)
 
 
 def _counted_sifts(monkeypatch):
@@ -125,21 +107,22 @@ def _counted_sifts(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n, sym", [(150, False), (256, False), (150, True)])
-def test_random_phase_proves_giant_window_orders(monkeypatch, n, sym):
-    # product-replacement elements reach the parity ceiling, so the Schreier
-    # closure, which stalls past n = 150 on these sets, has nothing to do
+@pytest.mark.parametrize("n, sym", [(100, False), (150, False), (256, False), (150, True)])
+def test_window_set_orders_need_no_sift(monkeypatch, n, sym):
+    # the construct-general --base-m 49 generators: a Jordan certificate
+    # proves the parity ceiling, so the stabilizer chain, whose Schreier
+    # closure alone stalls past n = 150 on these sets, is never built
     perms, _ = build_Fn(n, desk_base(49), 49)
     if sym:
         perms = build_sym(n, perms)
     calls = _counted_sifts(monkeypatch)
-    assert group_order(perms, limit=2000) == math.factorial(n) // (1 if sym else 2)
-    assert len(calls) < 2000
+    assert group_order(perms) == math.factorial(n) // (1 if sym else 2)
+    assert not calls
 
 
 def test_direct_product_of_alternating_groups_falls_back_to_the_closure():
-    # Alt(25) x Alt(25) on 50 points sits far below the ceiling 50!/2: the
-    # random phase ends on its stall bound and the closure proves the order
+    # Alt(25) x Alt(25) on 50 points sits far below the ceiling 50!/2: it is
+    # intransitive, so no certificate exists, and the closure proves the order
     base = desk_base(25)
 
     def placed(p, offset):
@@ -148,8 +131,7 @@ def test_direct_product_of_alternating_groups_falls_back_to_the_closure():
         return Permutation(table)
 
     gens = [placed(p, 0) for p in base] + [placed(p, 25) for p in base]
-    for boost in (96, 0):
-        assert group_order(gens, random_boost=boost) == (math.factorial(25) // 2) ** 2
+    assert group_order(gens) == (math.factorial(25) // 2) ** 2
 
 
 def _placed(p, offset, n):
@@ -188,14 +170,25 @@ def test_imprimitive_group_past_256_points_is_undecided():
         group_order(gens + [swap])
 
 
+def _closure_order(gens):
+    # the order from the Schreier closure of a bare chain, with no ceiling
+    chain = StabilizerChain(gens[0].n)
+    for g in gens:
+        chain.add_element(_to_bytes(g.table))
+    chain.schreier_closure()
+    return chain.order()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_certificate_only_for_giants(data):
     n = data.draw(st.integers(8, 12), label="points")
     gens = [Permutation(np.array(data.draw(st.permutations(range(n)), label="gen")))
             for _ in range(2)]
+    order = _closure_order(gens)
     if jordan_certificate(gens) is not None:
-        assert group_order(gens, random_boost=0) == _ceiling(gens)
+        assert order == _ceiling(gens)
+    assert group_order(gens) == order
 
 
 def _window_set(n, m, sym):
@@ -204,7 +197,10 @@ def _window_set(n, m, sym):
 
 
 def _agrees_with_the_chain(gens):
+    # the chain's order is a proved lower bound, so reaching the ceiling
+    # proves the order the certificate claims
     assert jordan_certificate(gens) is not None
+    assert sifted_order_lower_bound(gens, seed=0) == _ceiling(gens)
     assert group_order(gens) == _ceiling(gens)
 
 

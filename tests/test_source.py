@@ -55,10 +55,34 @@ def _public_definitions(tree):
                         and not method.name.startswith("_"))
 
 
+def _module_references(tree):
+    """(module stem, name) for each import of a name from an altgen module and
+    each attribute on an imported altgen module; the stem is None for names
+    imported from the package itself."""
+    aliases = {}
+    for sub in ast.walk(tree):
+        if not isinstance(sub, ast.ImportFrom):
+            continue
+        module = sub.module or ""
+        if not sub.level and not module.startswith("altgen"):
+            continue
+        stem = module.removeprefix("altgen").lstrip(".") or None
+        for alias in sub.names:
+            yield stem, alias.name
+            if stem is None:
+                aliases[alias.asname or alias.name] = alias.name
+    for sub in ast.walk(tree):
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                and sub.value.id in aliases):
+            yield aliases[sub.value.id], sub.attr
+
+
 def test_every_public_definition_has_a_caller():
     # the package holds what the CLI, the demos and the benchmark run; a
     # definition only tests call belongs in tests/, and re-exports in
-    # __init__.py do not count as calls
+    # __init__.py do not count as calls.  A top-level function counts only
+    # references that must mean it, so a method of the same name elsewhere
+    # does not hide it; classes and methods count their bare name.
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     demos = sorted((REPO / "demos").glob("*.py"))
     bench = [p for p in sorted((REPO / "perfbench").glob("*.py"))
@@ -66,15 +90,22 @@ def test_every_public_definition_has_a_caller():
     assert demos and bench, "demos/ and perfbench/ must sit next to src/"
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in modules + demos + bench}
-    total = Counter()
+    total, qualified = Counter(), Counter()
     for tree in trees.values():
         total.update(_references(tree))
+        qualified.update(_module_references(tree))
     uncalled = []
     for path in modules:
+        bare = Counter(sub.id for sub in ast.walk(trees[path]) if isinstance(sub, ast.Name))
         for node in _public_definitions(trees[path]):
-            inside = Counter(_references(node))[node.name]
-            key = f"{path.stem}.{node.name}"
-            if total[node.name] == inside and key not in UNCALLED_ALLOWED:
+            if node in trees[path].body and isinstance(node, ast.FunctionDef):
+                inside = sum(isinstance(sub, ast.Name) and sub.id == node.name
+                             for sub in ast.walk(node))
+                called = (bare[node.name] > inside or qualified[None, node.name]
+                          or qualified[path.stem, node.name])
+            else:
+                called = total[node.name] > Counter(_references(node))[node.name]
+            if not called and f"{path.stem}.{node.name}" not in UNCALLED_ALLOWED:
                 uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert not uncalled, f"public definitions with no caller outside tests: {uncalled}"
 
@@ -145,3 +176,72 @@ def test_only_main_builds_and_emits_the_report():
                 if name in ("Report", "emit"):
                     found.append(f"{node.name}:{call.lineno} {name}")
     assert not found, f"handlers that build or emit a report: {found}"
+
+
+# defaulted parameters kept although no caller sets them, each mapped to its
+# reason
+DEFAULT_ALLOWED = {
+    "graphs.cayley_graph.limit": "tests lower it to reach the refusal path",
+    "ring.commutator_pair.rng": "tests pass a recording generator to count the pairs drawn",
+    "ring.commutator_pair.budget": "tests lower it to reach the exhaustion path",
+}
+
+
+def _functions(tree):
+    """(qualified name, def node, implicit leading arguments) for each
+    top-level function and each method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in method.decorator_list)
+                    yield f"{node.name}.{method.name}", method, 0 if static else 1
+
+
+def _defaulted(fn, implicit):
+    """(name, call position or None) of each defaulted parameter of fn."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i in range(first, len(positional)):
+        yield positional[i].arg, i - implicit
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _sets(call, name, position):
+    """Whether call passes the parameter `name` at `position`."""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_default_parameter_is_set_by_a_caller():
+    # a default that no caller overrides is a knob nothing turns: it belongs
+    # in the body as a constant, or in tests/ if only tests turn it
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    callers = modules + sorted((REPO / "demos").glob("*.py")) + [
+        p for p in sorted((REPO / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = (node.func.id if isinstance(node.func, ast.Name)
+                        else getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in modules:
+        for qualified, fn, implicit in _functions(ast.parse(path.read_text())):
+            if fn.name == "__init__":
+                continue
+            for name, position in _defaulted(fn, implicit):
+                key = f"{path.stem}.{qualified}.{name}"
+                if (name.startswith("_") or key in DEFAULT_ALLOWED
+                        or any(_sets(call, name, position) for call in calls.get(fn.name, []))):
+                    continue
+                unset.append(f"{path.name}:{fn.lineno} {key}")
+    assert not unset, f"defaulted parameters no caller sets: {unset}"
