@@ -15,12 +15,12 @@ rng = np.random.default_rng(2024)
 
 print("== random elements at small ring sizes ==")
 for s, m in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-    lengths = []
-    for _ in range(50):
-        g = random_el3(s, m, rng, length=24)
-        word = gem_factor(g)
-        assert word.verify()
-        lengths.append(len(word))
+    # the 50 elements as one stack, element e on copies [e*m, (e+1)*m);
+    # part_lengths gives the length of each element's own word
+    stack = random_el3(s, m, rng, length=24, count=50)
+    word = gem_factor(stack)
+    assert word.verify()
+    lengths = word.part_lengths(50)
     print(f"s={s} m={m}: 50 elements, word lengths "
           f"min {min(lengths)} / mean {np.mean(lengths):.1f} / max {max(lengths)}")
 

@@ -437,10 +437,16 @@ def _run_as(suite, argv, seed, report):
 def _longest_gem_word(s, m, count, rng):
     """Longest GEM word over count random EL3 elements, 0 for none.
 
-    gem_factor checks each word's multiply-back under require.
+    The elements are factored as one stack, element e on copies
+    [e*m, (e+1)*m).  Every step of gem_factor acts copy by copy, so
+    part_lengths reads each element's own word length, and the stacked word's
+    GEM predicate, length bound and multiply-back, each under require, cover
+    every element.
     """
+    if count < 1:
+        return 0
     from .ring import random_el3, gem_factor
-    return max((len(gem_factor(random_el3(s, m, rng))) for _ in range(count)), default=0)
+    return int(gem_factor(random_el3(s, m, rng, count=count)).part_lengths(count).max())
 
 
 def _route_is_exact(model, sigma):

@@ -69,11 +69,14 @@ class EL3Element(MatGF2):
 
     def is_gem(self):
         """Identity diagonal with off-diagonal support in one row or column."""
-        moved = self._grid((self + MatGF2.identity(self.n)).rows).any(axis=(0, 3))
-        if moved.diagonal().any():
-            return False
-        rows, cols = np.nonzero(moved)
-        return len(set(rows)) <= 1 or len(set(cols)) <= 1
+        return bool(self._gem_mask(1)[0])
+
+    def _gem_mask(self, parts):
+        """(parts,) bool: is_gem of each of parts equal runs of the copies."""
+        moved = self._grid((self + MatGF2.identity(self.n)).rows)
+        moved = moved.reshape(parts, -1, 3, 3, self.s).any(axis=(1, 4))
+        one_line = (moved.any(axis=2).sum(axis=1) <= 1) | (moved.any(axis=1).sum(axis=1) <= 1)
+        return one_line & ~moved.diagonal(axis1=1, axis2=2).any(axis=1)
 
 
 class GemWord:
@@ -83,8 +86,7 @@ class GemWord:
         self.letters = list(letters)
         self.target = target
         for letter in self.letters:
-            if not letter.is_gem():
-                raise ValueError("letter fails the GEM predicate")
+            require(letter.is_gem(), "letter fails the GEM predicate")
 
     def __len__(self):
         return len(self.letters)
@@ -94,6 +96,20 @@ class GemWord:
 
     def verify(self):
         return self.product() == self.target
+
+    def part_lengths(self, parts):
+        """(parts,) word lengths of gem_factor on each of parts equal runs of the target's copies.
+
+        A run's word is these letters cut to its copies, identity letters
+        dropped, unless gem_factor's shortcuts apply: none for an identity
+        run, the run itself for a GEM.
+        """
+        lengths = np.zeros(parts, dtype=np.int64)
+        if self.letters:
+            idle = np.stack([letter.identity_mask() for letter in self.letters])
+            lengths = (~idle.reshape(len(self.letters), parts, -1).all(axis=2)).sum(axis=0)
+        ident = self.target.identity_mask().reshape(parts, -1).all(axis=1)
+        return np.where(ident, 0, np.where(self.target._gem_mask(parts), 1, lengths))
 
 
 # -- generating sets ----------------------------------------------------------
@@ -110,9 +126,10 @@ def tuple_length(s, m):
 def ring_generators(s, m):
     """Generators of R = Mat_s(GF(2))^m as a unital ring: 2 + t elements.
 
-    The first two have constant components (the canonical pair generating one
-    matrix algebra); the remaining t spell out each copy's index in base
-    |Mat_s(GF(2))|, which separates the copies.
+    The first two have constant components: a = E_{s-1,0} and the nilpotent
+    shift b = E_01 + E_12 + ..., whose words span Mat_s(GF(2)); the remaining
+    t spell out each copy's index in base |Mat_s(GF(2))|, which separates the
+    copies.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -120,7 +137,7 @@ def ring_generators(s, m):
         # a 1 x 1 algebra is generated by 1; keep the count 2 + t anyway
         abar = bbar = [1]
     else:
-        abar = [0, 1] + [0] * (s - 2)  # the unit matrix E_10
+        abar = [0] * (s - 1) + [1]  # the unit matrix E_{s-1,0}: row s - 1 is bit 0
         bbar = [1 << (i + 1) if i + 1 < s else 0 for i in range(s)]
     gens = [MatGF2(s, np.tile(abar, (m, 1))), MatGF2(s, np.tile(bbar, (m, 1)))]
     size = 1 << (s * s)
@@ -345,10 +362,16 @@ def gem_factor(g):
     return result
 
 
-def random_el3(s, m, rng, length=32):
-    """Random product of letters from the involution generating set."""
+def random_el3(s, m, rng, length=32, count=1):
+    """count random products of length letters from the involution generating set.
+
+    The elements come stacked, element e on copies [e*m, (e+1)*m).  The
+    letters are one size=(count, length) draw, which yields the values, and
+    leaves rng in the state, of count*length scalar draws in turn: element e
+    is what the e-th of count successive calls with count=1 returns.
+    """
     gens = el3_generating_set(s, m)
-    acc = EL3Element.identity(s, m)
-    for _ in range(length):
-        acc = acc * gens[rng.integers(len(gens))]
+    acc = EL3Element.identity(s, m * count)
+    for picks in rng.integers(len(gens), size=(count, length)).T:
+        acc = acc * EL3Element._wrap(3 * s, np.concatenate([gens[k].rows for k in picks]))
     return acc

@@ -169,6 +169,32 @@ def test_verify_gem_factors_for_every_pair_below_four_samples(tmp_path, monkeypa
     assert recs["gem.letters"]["computed"] > 0
 
 
+@pytest.mark.parametrize("argv, calls", [(["verify", "--suite", "gem"], 4),
+                                         (["factor", "gem", "--count", "100"], 1)])
+def test_gem_samples_are_factored_as_one_stack_per_pair(argv, calls, tmp_path, monkeypatch,
+                                                       capsys):
+    # the default 200 samples are four (s, m) pairs of 50, and factor gem has one pair
+    seen = []
+    gem_factor = ring.gem_factor
+
+    def counted(el):
+        seen.append(el)
+        return gem_factor(el)
+
+    monkeypatch.setattr(ring, "gem_factor", counted)
+    code, report = run_cli(argv, tmp_path, "stacked")
+    capsys.readouterr()
+    assert code == 0 and len(seen) == calls
+    assert sum(el.m for el in seen) == (50 * (1 + 2 + 1 + 2) if calls == 4 else 100 * 2)
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_factor_gem_without_samples_reads_zero(count, tmp_path, capsys):
+    code, report = run_cli(["factor", "gem", "--count", count], tmp_path, "nogem")
+    capsys.readouterr()
+    assert code == 0 and report["records"][0]["computed"]["max_length"] == 0
+
+
 @pytest.mark.parametrize("option", ["--samples", "--trials"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_verify_counts_below_one_are_usage_errors(option, value, capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from altgen.errors import VerificationError
 from altgen.gf2 import MatGF2
-from altgen.ring import (EL3Element, commutator_pair,
+from altgen.ring import (EL3Element, GemWord, commutator_pair,
                          el3_generating_set, el3_generating_set_size,
                          gem_factor, random_el3, ring_generators, tuple_length,
                          _combine_invertible, _commutator_table, _gl_elements,
@@ -68,6 +69,30 @@ def test_ring_generation_exhaustive_small():
                        (1, 3, 8), (2, 3, 16**3), (2, 4, 16**4)]:
         gens = ring_generators(s, m)
         assert ring_closure_size(gens, s, m) == size == (1 << (s * s)) ** m
+
+
+def test_ring_generator_words_span_the_matrix_algebra():
+    # the words in a and b (the empty word included) must span all of Mat_s;
+    # with a = E_10 row s - 1 of every word stays zero and the span is 3s - 2
+    for s in range(1, 8):
+        a, b = (gen[0] for gen in ring_generators(s, 1)[:2])
+
+        def key(x):
+            return sum(int(r) << (s * i) for i, r in enumerate(x.rows[0]))
+
+        basis, frontier = [], [MatGF2.identity(s)]
+        while frontier:
+            grown = []
+            for x in frontier:
+                v = key(x)
+                for u in basis:
+                    v = min(v, v ^ u)
+                if v:
+                    basis.append(v)
+                    basis.sort(reverse=True)
+                    grown += [x * a, x * b]
+            frontier = grown
+        assert len(basis) == s * s, f"s = {s}: span dimension {len(basis)}"
 
 
 def test_generating_set_sizes():
@@ -259,3 +284,88 @@ def test_randomized_commutator_budget_counts_invertible_pairs():
     counts = [int((MatGF2(4, v).invertible_mask() & MatGF2(4, w).invertible_mask()).sum())
               for v, w in zip(rec.draws[::2], rec.draws[1::2])]
     assert sum(counts[:-1]) < budget <= sum(counts)
+
+
+def _stack(*elements):
+    return EL3Element(elements[0].n, np.concatenate([el.rows for el in elements]))
+
+
+def test_stacked_draw_equals_successive_draws():
+    for s, m, length in [(1, 1, 32), (1, 2, 5), (2, 3, 24), (3, 2, 7)]:
+        stacked_rng, single_rng = np.random.default_rng(s + m), np.random.default_rng(s + m)
+        stack = random_el3(s, m, stacked_rng, length=length, count=6)
+        singles = [random_el3(s, m, single_rng, length=length) for _ in range(6)]
+        assert stack == _stack(*singles)
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_stacked_word_cuts_to_each_elements_word():
+    # element e's letters are the stacked letters cut to copies [e*m, (e+1)*m),
+    # identity letters dropped, letter for letter
+    for s in (1, 2, 3):
+        for m in (1, 2, 5):
+            rng = np.random.default_rng(10 * s + m)
+            count = 8
+            stack = random_el3(s, m, rng, length=16, count=count)
+            word = gem_factor(stack)
+            lengths = word.part_lengths(count)
+            full = 0
+            for e in range(count):
+                single = gem_factor(stack[e * m:(e + 1) * m])
+                cut = [letter[e * m:(e + 1) * m] for letter in word.letters]
+                cut = [letter for letter in cut if not letter.is_identity()]
+                # an identity or GEM element takes gem_factor's shortcut instead
+                if len(single) > 1:
+                    assert cut == single.letters
+                    full += 1
+                assert lengths[e] == len(single)
+            assert full >= count // 2
+
+
+def test_part_lengths_keeps_the_identity_and_gem_shortcuts():
+    # a random element makes the stack run the full elimination, whose cuts
+    # leave letters on the identity and the GEM parts; gem_factor gives them
+    # [] and [e], and part_lengths must read 0 and 1
+    for s, m in [(1, 1), (1, 2), (2, 2)]:
+        rng = np.random.default_rng(3)
+        g = random_el3(s, m, rng)
+        e = EL3Element.elementary(s, m, 1, 2, MatGF2.identity(s, m))
+        stack = _stack(g, EL3Element.identity(s, m), e)
+        word = gem_factor(stack)
+        assert len(word) > 1 and word.verify()
+        assert word.part_lengths(3).tolist() == [len(gem_factor(g)), 0, 1]
+    ident = EL3Element.identity(2, 2)
+    assert gem_factor(_stack(ident, ident)).part_lengths(2).tolist() == [0, 0]
+    e = EL3Element.elementary(1, 1, 0, 2, MatGF2.identity(1))
+    f = EL3Element.elementary(1, 1, 1, 2, MatGF2.identity(1))
+    word = gem_factor(_stack(e, EL3Element.identity(1, 1), f))
+    assert len(word) == 1 and word.part_lengths(3).tolist() == [1, 0, 1]
+
+
+def test_one_flipped_bit_in_a_stacked_letter_fails_the_multiply_back():
+    rng = np.random.default_rng(11)
+    s, m, count = 2, 2, 5
+    word = gem_factor(random_el3(s, m, rng, count=count))
+    assert word.verify()
+    # flip one moved bit of the first letter that moves element 3, on one of its
+    # copies; the flipped letter moves a subset of the blocks, so it is still a GEM
+    part = slice(3 * m, 4 * m)
+    k = next(k for k, letter in enumerate(word.letters) if not letter[part].is_identity())
+    rows = word.letters[k].rows.copy()
+    moved = rows ^ EL3Element.identity(s, 1).rows
+    copies, moved_rows = np.nonzero(moved[part])
+    copy, row = 3 * m + int(copies[0]), int(moved_rows[0])
+    rows[copy, row] ^= np.uint64(1 << (int(moved[copy, row]).bit_length() - 1))
+    letters = list(word.letters)
+    letters[k] = EL3Element(3 * s, rows)
+    assert letters[k].is_gem()
+    assert not GemWord(letters, word.target).verify()
+
+
+def test_gem_letter_check_is_a_verification_error():
+    # a full EL3 element is no GEM; the check must survive python -O
+    rng = np.random.default_rng(12)
+    g = random_el3(1, 2, rng)
+    assert not g.is_gem()
+    with pytest.raises(VerificationError, match="GEM predicate"):
+        GemWord([g], g)
