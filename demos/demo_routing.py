@@ -8,10 +8,10 @@ standard length exactly.
 
 import numpy as np
 
-from altgen import (CubeModel, Permutation, conjugacy_word47, cycle_word,
+from altgen import (CubeGeometry, Permutation, conjugacy_word47, cycle_word,
                     grid_route, standard_cycle_length, tosquare_word)
 
-model = CubeModel(1, 6)
+model = CubeGeometry(1, 6)
 rng = np.random.default_rng(7)
 L_face = 7**5
 
@@ -32,7 +32,7 @@ else:
     g, h = result
     final = h.materialize().table[g.materialize().table[np.sort(points)]]
     print("all points landed on the face:",
-          bool((model.geometry.line_coords(final, 1)[1] == 0).all()))
+          bool((model.line_coords(final, 1)[1] == 0).all()))
 
 print()
 print("== the standard face cycle and a full conjugation word ==")

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from altgen import CubeModel, ExactDistribution, full_sweep
+from altgen import CubeGeometry, ExactDistribution, full_sweep
 from altgen.walks import (binomial_sigma, doeblin_contraction_check,
                           point_walk_batch, tuple_walk, urn_bound, urn_mc)
 
-model = CubeModel(1, 6)
+model = CubeGeometry(1, 6)
 
 print("== one full sweep of axis averages uniformizes exactly ==")
 d = full_sweep(ExactDistribution.point_mass(model, 31415))
@@ -23,8 +23,7 @@ print("tuple space size:", rep.tuple_space_size)
 
 print()
 print("== sampled block fractions ==")
-geo = model.geometry
-start = [geo.index((0, 0, 0, i % 7, i // 7, 0)) for i in range(9)]
+start = [model.index((0, 0, 0, i % 7, i // 7, 0)) for i in range(9)]
 b1 = tuple_walk(model, np.array(start), seed=1, samples=4000)
 bound = 1 - 81 / 686
 print(f"fraction with distinct leading coordinates: {b1:.4f} "

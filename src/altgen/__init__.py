@@ -12,8 +12,7 @@ from .schreier_sims import group_order
 from .gf2 import MatGF2, primitive_order_K_element, SideFieldAction
 from .ring import (EL3Element, GemWord, ring_generators,
                    el3_generating_set, gem_factor)
-from .embeddings import (CubeModel, ShiftVector, GeneratingSet,
-                         build_SN, build_Fn, build_sym)
+from .embeddings import ShiftVector, GeneratingSet, build_SN, build_Fn, build_sym
 from .words import (WordInE, butterfly_factor, grid_route, tosquare_word,
                     cycle_word, conjugacy_word47, standard_cycle_length)
 from .blocks import block_factor, window_family, factor_count_bound
@@ -32,7 +31,7 @@ __all__ = [
     "MatGF2", "primitive_order_K_element", "SideFieldAction",
     "EL3Element", "GemWord", "ring_generators",
     "el3_generating_set", "gem_factor",
-    "CubeModel", "ShiftVector", "GeneratingSet",
+    "ShiftVector", "GeneratingSet",
     "build_SN", "build_Fn", "build_sym",
     "WordInE", "butterfly_factor", "grid_route", "tosquare_word",
     "cycle_word", "conjugacy_word47", "standard_cycle_length",

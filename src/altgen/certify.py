@@ -136,9 +136,6 @@ class BoundExpr:
     def exp(self):
         return BoundExpr("exp", (self,))
 
-    def ln(self):
-        return BoundExpr("ln", (self,))
-
     @staticmethod
     def _coerce(x):
         return x if isinstance(x, BoundExpr) else BoundExpr.rational(x)

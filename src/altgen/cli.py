@@ -23,8 +23,9 @@ import numpy as np
 
 from . import blocks as blocks_mod
 from . import walks
-from .embeddings import CubeModel, build_SN, build_Fn, build_sym
+from .embeddings import build_SN, build_Fn, build_sym
 from .errors import require
+from .geometry import CubeGeometry
 from .perms import Permutation
 from .ring import el3_generating_set_size
 from .schreier_sims import group_order
@@ -339,7 +340,7 @@ def cmd_factor(args, report):
                      ok=worst <= bound)
     elif args.what == "word47":
         from .words import conjugacy_word47, standard_cycle_length
-        model = CubeModel(args.s, args.d)
+        model = CubeGeometry(args.s, args.d)
         length, _ = standard_cycle_length(model.K, model.d)
         succ = 0
         for _ in range(args.trials):
@@ -356,7 +357,7 @@ def cmd_factor(args, report):
                      ok=True)
         report.check("word47-success-rate", "greedy face-moving succeeds with "
                      "high probability only at large sides",
-                     succ / args.trials if args.trials else None, reported=True)
+                     succ / args.trials, reported=True)
 
 
 def cmd_verify(args, report):
@@ -388,20 +389,19 @@ def cmd_verify(args, report):
                 args.seed, report)
 
     if "walk" in suites:
-        sweep_model = CubeModel(args.s or 1, args.d or 6)
+        sweep_model = CubeGeometry(args.s or 1, args.d or 6)
         dist = walks.full_sweep(walks.ExactDistribution.point_mass(sweep_model, 0))
         report.check("walk.sweep-uniform", "a full axis sweep is exactly uniform",
                      str(dist.tv_to_uniform()), bound="0",
                      ok=dist.tv_to_uniform() == 0)
         # the block-averaging fractions live on the six-axis model
-        model = CubeModel(args.s or 1, 6)
+        model = CubeGeometry(args.s or 1, 6)
         h = args.h or 9
-        geo = model.geometry
-        start = [geo.index((0, 0, 0, i % geo.K, i // geo.K, 0)) for i in range(h)]
+        start = [model.index((0, 0, 0, i % model.K, i // model.K, 0)) for i in range(h)]
         samples = args.samples or 2000
         b1 = walks.tuple_walk(model, np.array(start, dtype=np.int64),
                               seed=args.seed, samples=samples)
-        bound = 1 - h * h / (2 * geo.K ** 3)
+        bound = 1 - h * h / (2 * model.K ** 3)
         sigma = walks.binomial_sigma(bound, samples)
         report.check("walk.b1-fraction", "distinct-coordinate fraction after the "
                      "first averaging block",
@@ -412,7 +412,7 @@ def cmd_verify(args, report):
 
     if "words" in suites:
         rng = np.random.default_rng(args.seed)
-        model = CubeModel(args.s or 1, args.d or 6)
+        model = CubeGeometry(args.s or 1, args.d or 6)
         L_face = model.K ** (model.d - 1)
         trials = args.trials or 3
         exact = [_route_is_exact(model, rng.permutation(L_face).astype(np.int64))
@@ -435,7 +435,7 @@ def _run_as(suite, argv, seed, report):
 
 
 def _longest_gem_word(s, m, count, rng):
-    """Longest GEM word over count random EL3 elements, 0 for none.
+    """Longest GEM word over count random EL3 elements.
 
     The elements are factored as one stack, element e on copies
     [e*m, (e+1)*m).  Every step of gem_factor acts copy by copy, so
@@ -443,8 +443,6 @@ def _longest_gem_word(s, m, count, rng):
     GEM predicate, length bound and multiply-back, each under require, cover
     every element.
     """
-    if count < 1:
-        return 0
     from .ring import random_el3, gem_factor
     return int(gem_factor(random_el3(s, m, rng, count=count)).part_lengths(count).max())
 
@@ -457,7 +455,7 @@ def _route_is_exact(model, sigma):
     from .words import face_points, grid_route
     word = grid_route(model, sigma)
     images = word.images(face_points(model))
-    line, coord = model.geometry.line_coords(images, 1)
+    line, coord = model.line_coords(images, 1)
     return (not coord.any() and np.array_equal(line, sigma)
             and len(word) == 4 * model.d - 5)
 
@@ -547,8 +545,8 @@ def build_parser():
     sp.add_argument("--base-m", type=int, default=10, dest="base_m")
     sp.add_argument("--rows", type=int, default=3)
     sp.add_argument("--cols", type=int, default=4)
-    sp.add_argument("--count", type=int, default=50)
-    sp.add_argument("--trials", type=int, default=5)
+    sp.add_argument("--count", type=_positive_int, default=50)
+    sp.add_argument("--trials", type=_positive_int, default=5)
     common(sp)
     sp.set_defaults(func=cmd_factor)
 

@@ -16,45 +16,8 @@ from .perms import Permutation, cycle_labels
 from .ring import el3_generating_set_size, el3_involutions
 from . import blocks as _blocks
 
-# discrete-log tables get big past this side length
-DLOG_LIMIT = 1 << 21
-
-
-class CubeModel:
-    """Geometry plus the side-field labeling shared by all constructions."""
-
-    def __init__(self, s, d):
-        self.geometry = CubeGeometry(s, d)
-        self.s = s
-        self.d = d
-        self.K = self.geometry.K
-        self.N = self.geometry.N
-        self._action = None
-
-    @property
-    def materializable(self):
-        return self.geometry.materializable and self.K <= DLOG_LIMIT
-
-    @property
-    def action(self):
-        if self._action is None:
-            if self.K > DLOG_LIMIT:
-                raise ValueError(f"side {self.K} too large for discrete-log tables")
-            self._action = SideFieldAction(self.s)
-        return self._action
-
-    def lines_to_permutation(self, axis, line_perms):
-        """Permutation applying line_perms[line] within each axis-`axis` line.
-
-        line_perms: (lines, K) int array, each row a permutation of [0, K).
-        """
-        geo = self.geometry
-        points = geo.lines(geo.points(), axis)
-        # the point at coordinate c is the line's first point moved c places
-        table = np.empty(geo.N, dtype=np.int64)
-        geo.lines(table, axis)[...] = geo.move(
-            points[..., :1], axis, np.asarray(line_perms).reshape(points.shape))
-        return Permutation(table, _validate=False)
+# the benchmark (perfbench/) still builds the cube under its old name
+CubeModel = CubeGeometry
 
 
 class ShiftVector:
@@ -66,13 +29,12 @@ class ShiftVector:
     """
 
     def __init__(self, model, axis, shifts):
-        geo = model.geometry
-        shifts = (np.asarray(shifts, dtype=np.int64) % geo.K).astype(
-            np.min_scalar_type(geo.K - 1))
-        if shifts.shape != (geo.lines_per_axis,):
+        shifts = (np.asarray(shifts, dtype=np.int64) % model.K).astype(
+            np.min_scalar_type(model.K - 1))
+        if shifts.shape != (model.lines_per_axis,):
             raise ValueError(
-                f"expected one shift per line ({geo.lines_per_axis}), got {shifts.shape}")
-        if not 1 <= axis <= geo.d:
+                f"expected one shift per line ({model.lines_per_axis}), got {shifts.shape}")
+        if not 1 <= axis <= model.d:
             raise ValueError(f"axis {axis} out of range")
         shifts.setflags(write=False)
         self.model = model
@@ -103,17 +65,17 @@ class ShiftVector:
         return f"ShiftVector(axis={self.axis}, {nz} shifted lines)"
 
 
-def el3_line_actions(model, el3):
+def el3_line_actions(model, el3, action):
     """Per-line actions of an EL3 element: (variant ids, variant K-perms).
 
-    Variants are the distinct copy matrices in lexicographic order of their
-    rows, each represented by its first copy.  The variant ids take the
-    narrowest unsigned dtype that holds them (uint8 at desk sizes).
+    `action` is the model's side-field labeling.  Variants are the distinct
+    copy matrices in lexicographic order of their rows, each represented by
+    its first copy.  The variant ids take the narrowest unsigned dtype that
+    holds them (uint8 at desk sizes).
     """
-    geo = model.geometry
-    if el3.m != geo.lines_per_axis:
+    if el3.m != model.lines_per_axis:
         raise ValueError(
-            f"element has {el3.m} copies; geometry needs {geo.lines_per_axis}")
+            f"element has {el3.m} copies; geometry needs {model.lines_per_axis}")
     keys = _copy_keys(el3)
     order = np.lexsort(keys[::-1])
     ranked = keys[:, order]
@@ -123,9 +85,9 @@ def el3_line_actions(model, el3):
     # one id per line in the narrowest dtype that holds them all
     vid = np.empty(el3.m, dtype=np.min_scalar_type(len(rep_idx) - 1))
     vid[order] = np.cumsum(new) - 1
-    tables = np.empty((len(rep_idx), geo.K), dtype=np.int64)
+    tables = np.empty((len(rep_idx), model.K), dtype=np.int64)
     for v, rep in enumerate(rep_idx):
-        tables[v] = model.action.matrix_to_permutation(el3[rep]).table
+        tables[v] = action.matrix_to_permutation(el3[rep]).table
     return vid, tables
 
 
@@ -183,7 +145,7 @@ class GeneratingSet:
         """
         if not self._from_el3:
             return None
-        return el3_involutions(self.model.s, self.model.geometry.lines_per_axis)
+        return el3_involutions(self.model.s, self.model.lines_per_axis)
 
     @property
     def el3_elements(self):
@@ -243,10 +205,10 @@ def build_SN(s, d=6):
     At desk sizes every generator is realizable; past the table limits the
     set is shape-only (labels and counts, no permutations).
     """
-    model = CubeModel(s, d)
+    model = CubeGeometry(s, d)
     regime = "certified-shape" if (s > 6 and d == 6) else "desk"
     name = f"S_N(s={s},d={d})"
-    m = model.geometry.lines_per_axis
+    m = model.lines_per_axis
 
     if not model.materializable:
         size = el3_generating_set_size(s, d)
@@ -258,7 +220,8 @@ def build_SN(s, d=6):
     # an involution acts on the lines of every axis alike, so its line
     # actions are computed once; the involutions are built one at a time
     # and dropped once their actions are known
-    actions = [el3_line_actions(model, el) for el in el3_involutions(s, m)]
+    action = SideFieldAction(s)
+    actions = [el3_line_actions(model, el, action) for el in el3_involutions(s, m)]
     return GeneratingSet(model, names, [f"involution {n}" for n in names], actions,
                          regime=regime, name=name, from_el3=True)
 

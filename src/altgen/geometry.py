@@ -9,17 +9,21 @@ The axis-i lines are numbered by encoding the remaining d-1 coordinates with
 the same codec (first remaining axis fastest), so ids run 0..K^(d-1)-1.
 This module is the only one that knows the layout: a length-N vector
 reaches the lines through `lines`, a set of points through `line_coords`
-and `move`.
+and `move`, and one permutation per line becomes a point permutation through
+`lines_to_permutation`.
 """
 
 import numpy as np
+
+from .perms import Permutation
 
 # Above this many points whole-cube arrays are refused (shape-only geometry).
 TABLE_LIMIT = 10**7
 
 
 class CubeGeometry:
-    """Parameters (s, d) with side K = 2^(3s) - 1 and N = K^d points."""
+    """The cube [K]^d every construction acts on: parameters (s, d), side
+    K = 2^(3s) - 1 and N = K^d points."""
 
     def __init__(self, s, d):
         if s < 1:
@@ -102,6 +106,18 @@ class CubeGeometry:
         Nothing wraps around: each coordinate plus its delta stays in [0, K).
         """
         return x + delta * self._stride(axis)
+
+    def lines_to_permutation(self, axis, line_perms):
+        """Permutation applying line_perms[line] within each axis-`axis` line.
+
+        line_perms: (lines, K) int array, each row a permutation of [0, K).
+        """
+        points = self.lines(self.points(), axis)
+        # the point at coordinate c is the line's first point moved c places
+        table = np.empty(self.N, dtype=np.int64)
+        self.lines(table, axis)[...] = self.move(
+            points[..., :1], axis, np.asarray(line_perms).reshape(points.shape))
+        return Permutation(table, _validate=False)
 
     # -- whole-cube index tables, derived from the layout above ---------------
     # No module in the package calls these; perfbench/tracer.py wraps them by

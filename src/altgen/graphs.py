@@ -130,12 +130,11 @@ class AxisBlockGraph(SparseGraph):
 
     def __init__(self, genset):
         model = genset.model
-        geo = model.geometry
         self.model = model
         self.genset = genset
-        self.n = geo.N
-        K = geo.K
-        m = geo.lines_per_axis
+        self.n = model.N
+        K = model.K
+        m = model.lines_per_axis
         self.degree = 2 * len(genset)
         # integer edge multiplicities per (line, row, column), divided once;
         # none exceeds the degree, which sets the narrowest exact dtype
@@ -155,47 +154,44 @@ class AxisBlockGraph(SparseGraph):
             # generator and its inverse (transpose of each onehot)
             counts += (onehots + onehots.transpose(0, 2, 1))[vid]
         self._block = counts / self.degree
-        self._axes = range(1, geo.d + 1)
+        self._axes = range(1, model.d + 1)
 
     def matvec(self, v):
-        geo = self.model.geometry
         out = np.zeros(self.n, dtype=float)
         for axis in self._axes:
             # a fresh C-contiguous copy: einsum's summation order depends on
             # the operand's layout, and this one fixes the report's bits
-            vl = geo.lines(v, axis).copy().reshape(-1, geo.K)
-            lines = geo.lines(out, axis)
+            vl = self.model.lines(v, axis).copy().reshape(-1, self.model.K)
+            lines = self.model.lines(out, axis)
             lines += np.einsum("mab,mb->ma", self._block, vl).reshape(lines.shape)
         return out
 
     def displacements(self, v):
         # v on each axis's (line, coordinate) grid; an action's gather index
         # serves all d axes, so generators come grouped by action
-        geo = self.model.geometry
-        grids = [(axis, geo.lines(v, axis).copy().ravel()) for axis in self._axes]
-        rows = np.arange(geo.lines_per_axis)[:, None] * geo.K
+        grids = [(axis, self.model.lines(v, axis).copy().ravel()) for axis in self._axes]
+        rows = np.arange(self.model.lines_per_axis)[:, None] * self.model.K
         moved = np.empty(self.n)
         for vid, tables in self.genset.actions:
             index = (rows + tables[vid]).ravel()
             for axis, grid in grids:
                 np.subtract(grid.take(index, out=moved), grid, out=moved)
                 diff = np.empty(self.n)
-                lines = geo.lines(diff, axis)
+                lines = self.model.lines(diff, axis)
                 lines[...] = moved.reshape(lines.shape)
                 yield diff
 
     def edge_counts(self):
         # the block is counts / degree; recover the counts and insist that
         # dividing them again gives the stored block bit for bit
-        geo = self.model.geometry
         line, a, b = np.nonzero(self._block)
         weight = self._block[line, a, b]
         count = np.rint(weight * self.degree).astype(np.int64)
         require(np.array_equal(count / self.degree, weight),
                 "axis block is not integer edge counts over the degree")
-        points = geo.points()
+        points = self.model.points()
         for axis in self._axes:
-            lp = geo.lines(points, axis).reshape(-1, geo.K)
+            lp = self.model.lines(points, axis).reshape(-1, self.model.K)
             yield lp[line, a], lp[line, b], count
 
 

@@ -47,16 +47,12 @@ class ExactDistribution:
         num[point] = 1
         return cls(model, num, 1)
 
-    @classmethod
-    def uniform(cls, model):
-        return cls(model, np.ones(model.N, dtype=np.int64), model.N)
-
     def axis_average(self, axis):
         """Replace each axis line's weights by their average, exactly."""
-        geo = self.model.geometry
-        new = np.empty(self.model.N, dtype=np.int64)
-        geo.lines(new, axis)[...] = geo.lines(self.num, axis).sum(axis=-1, keepdims=True)
-        return ExactDistribution(self.model, new, self.den * geo.K)
+        model = self.model
+        new = np.empty(model.N, dtype=np.int64)
+        model.lines(new, axis)[...] = model.lines(self.num, axis).sum(axis=-1, keepdims=True)
+        return ExactDistribution(model, new, self.den * model.K)
 
     def tv_to_uniform(self):
         """Total variation distance to uniform, as an exact Fraction."""
@@ -88,19 +84,14 @@ class FloatDistribution:
         w[point] = 1.0
         return cls(model, w)
 
-    @classmethod
-    def uniform(cls, model):
-        return cls(model, np.full(model.N, 1.0 / model.N))
-
     def axis_average(self, axis):
-        geo = self.model.geometry
-        lines = geo.lines(self.weights, axis)
+        lines = self.model.lines(self.weights, axis)
         # each line summed in coordinate order, from zero
         sums = np.zeros(lines.shape[:-1])
-        for c in range(geo.K):
+        for c in range(self.model.K):
             sums += lines[..., c]
         new = np.empty(self.model.N)
-        geo.lines(new, axis)[...] = (sums / geo.K)[..., None]
+        self.model.lines(new, axis)[...] = (sums / self.model.K)[..., None]
         return FloatDistribution(self.model, new)
 
     def tv_to_uniform(self):
@@ -168,8 +159,7 @@ def _walk_blocks(model, start, seed, samples):
     taken one value at a time, so that call's values are the ones the
     per-axis calls would give in turn.
     """
-    geo = model.geometry
-    K = geo.K
+    K = model.K
     h = len(start)
     for lo in range(0, samples, WALK_BLOCK):
         block = range(lo, min(lo + WALK_BLOCK, samples))
@@ -179,7 +169,7 @@ def _walk_blocks(model, start, seed, samples):
         used = np.zeros((len(block), 1), dtype=np.int64)
         pts = np.tile(start, (len(block), 1))
         for k, axis in enumerate(TUPLE_WALK_AXES):
-            lid, pos = geo.line_coords(pts, axis)
+            lid, pos = model.line_coords(pts, axis)
             # rank of each point's line among its sample's distinct lines
             order = np.argsort(lid, axis=1)
             ranked = np.take_along_axis(lid, order, axis=1)
@@ -189,7 +179,7 @@ def _walk_blocks(model, start, seed, samples):
             np.put_along_axis(rank, order, np.cumsum(new, axis=1) - 1, axis=1)
             shifts = draws[rows, used + rank]
             used += new.sum(axis=1, keepdims=True)
-            pts = geo.move(pts, axis, (pos + shifts) % K - pos)
+            pts = model.move(pts, axis, (pos + shifts) % K - pos)
             require(_distinct_rows(pts).all(), "tuple lost distinctness")
             if k == 2:
                 q1 = pts
@@ -226,12 +216,11 @@ def point_walk_batch(model, seed, samples, start_point, axes):
     uniforms, so one draw per (sample, letter) is the exact law.
     """
     rng = sample_stream(seed, 0)
-    geo = model.geometry
     pts = np.full(samples, start_point, dtype=np.int64)
     for axis in axes:
-        pos = geo.line_coords(pts, axis)[1]
-        shifts = rng.integers(0, geo.K, size=samples)
-        pts = geo.move(pts, axis, (pos + shifts) % geo.K - pos)
+        pos = model.line_coords(pts, axis)[1]
+        shifts = rng.integers(0, model.K, size=samples)
+        pts = model.move(pts, axis, (pos + shifts) % model.K - pos)
     return pts
 
 

@@ -40,11 +40,11 @@ class WordInE:
         The points move through the letters from right to left along their
         own lines, so no N-point letter table is built.
         """
-        geo = self.model.geometry
+        model = self.model
         pts = np.asarray(points, dtype=np.int64)
         for letter in reversed(self.letters):
-            lid, pos = geo.line_coords(pts, letter.axis)
-            pts = geo.move(pts, letter.axis, (pos + letter.shifts[lid]) % geo.K - pos)
+            lid, pos = model.line_coords(pts, letter.axis)
+            pts = model.move(pts, letter.axis, (pos + letter.shifts[lid]) % model.K - pos)
         return pts
 
     def inverse(self):
@@ -92,15 +92,14 @@ def face_points(model):
 
     Face index f names the point's axis-1 line.
     """
-    geo = model.geometry
-    return geo.lines(geo.points(), 1)[..., 0].ravel()
+    return model.lines(model.points(), 1)[..., 0].ravel()
 
 
 def face_restriction(model, perm):
     """Face permutation induced by a cube permutation supported on the face."""
     face_idx = face_points(model)
     images = perm.table[face_idx]
-    line, coord = model.geometry.line_coords(images, 1)
+    line, coord = model.line_coords(images, 1)
     if coord.any():
         raise ValueError("permutation does not preserve the face")
     off_face = np.delete(perm.table, face_idx)
@@ -111,9 +110,8 @@ def face_restriction(model, perm):
 
 def _axis_level_shifts(model, axis):
     """Shift of each axis-`axis` line (axis > 1) by its own first coordinate."""
-    geo = model.geometry
-    first = geo.lines(geo.points(), axis)[..., 0].ravel()
-    return geo.line_coords(first, 1)[1]
+    first = model.lines(model.points(), axis)[..., 0].ravel()
+    return model.line_coords(first, 1)[1]
 
 
 def _round_letters(model, axis, targets):
@@ -216,26 +214,25 @@ def tosquare_word(model, points):
     shift that avoids putting two points onto one axis-1 line; a bad position
     makes the greedy fail, which is reported as None.
     """
-    geo = model.geometry
-    K = geo.K
+    K = model.K
     points = np.asarray(sorted(set(map(int, points))), dtype=np.int64)
     if len(points) == 0:
-        zero = np.zeros(geo.lines_per_axis, dtype=np.int64)
+        zero = np.zeros(model.lines_per_axis, dtype=np.int64)
         return ShiftVector(model, 2, zero), ShiftVector(model, 1, zero)
-    if points.min() < 0 or points.max() >= geo.N:
+    if points.min() < 0 or points.max() >= model.N:
         raise ValueError("point index out of range")
 
-    lid2, x2 = geo.line_coords(points, 2)
+    lid2, x2 = model.line_coords(points, 2)
     # landing[p][t]: the axis-1 line point p lands on when its axis-2 line
     # is shifted by t
-    shifted = geo.move(points, 2, (x2 + np.arange(K)[:, None]) % K - x2)
-    landing = geo.line_coords(shifted, 1)[0].T.tolist()
+    shifted = model.move(points, 2, (x2 + np.arange(K)[:, None]) % K - x2)
+    landing = model.line_coords(shifted, 1)[0].T.tolist()
 
     by_line = {}
     for line, slots in zip(lid2.tolist(), landing):
         by_line.setdefault(line, []).append(slots)
 
-    shifts2 = np.zeros(geo.lines_per_axis, dtype=np.int64)
+    shifts2 = np.zeros(model.lines_per_axis, dtype=np.int64)
     occupied = set()
     for line in sorted(by_line):
         good = -1
@@ -251,9 +248,9 @@ def tosquare_word(model, points):
 
     # each letter moves a point along its own line, so the points are moved
     # by arithmetic rather than through N-sized tables
-    moved = geo.move(points, 2, (x2 + shifts2[lid2]) % K - x2)
-    lid1, x1 = geo.line_coords(moved, 1)
-    shifts1 = np.zeros(geo.lines_per_axis, dtype=np.int64)
+    moved = model.move(points, 2, (x2 + shifts2[lid2]) % K - x2)
+    lid1, x1 = model.line_coords(moved, 1)
+    shifts1 = np.zeros(model.lines_per_axis, dtype=np.int64)
     shifts1[lid1] = (K - x1) % K
     final_coord = (x1 + shifts1[lid1]) % K
     require(not final_coord.any(), "points did not land in the face")
@@ -270,8 +267,7 @@ def comb_tree_lines(model, count):
     and attach to the previous level at coordinate 0.  Returns a list of
     (axis, line_id) pairs.
     """
-    geo = model.geometry
-    K, d = geo.K, geo.d
+    K, d = model.K, model.d
     capacity = (K ** (d - 1) - 1) // (K - 1)
     if not 1 <= count < capacity:
         raise ValueError(f"line count must be in [1, {capacity})")
@@ -286,8 +282,8 @@ def comb_tree_lines(model, count):
                 tooth = prefix + (j,)
                 new_prefixes.append(tooth)
                 # a point of the tooth: x1 = 0, the tooth on axes 2.., zeros after
-                corner = geo.index((0,) + tooth + (0,) * (d - 1 - len(tooth)))
-                lines.append((axis, geo.line_coords(corner, axis)[0]))
+                corner = model.index((0,) + tooth + (0,) * (d - 1 - len(tooth)))
+                lines.append((axis, model.line_coords(corner, axis)[0]))
                 if len(lines) == count:
                     return lines
         level_prefixes = new_prefixes
@@ -302,15 +298,14 @@ def cycle_word(model, a):
 
 def _checked_cycle_word(model, a):
     """(word, product) of cycle_word; its checks compute the product anyway."""
-    geo = model.geometry
-    K = geo.K
+    K = model.K
     lines = comb_tree_lines(model, a)
     by_axis = {}
     for axis, lid in lines:
         by_axis.setdefault(axis, []).append(lid)
     letters = []
     for axis in sorted(by_axis):
-        shifts = np.zeros(geo.lines_per_axis, dtype=np.int64)
+        shifts = np.zeros(model.lines_per_axis, dtype=np.int64)
         shifts[by_axis[axis]] = 1
         letters.append(ShiftVector(model, axis, shifts))
     word = WordInE(model, letters)
@@ -318,7 +313,7 @@ def _checked_cycle_word(model, a):
     support = perm.support()
     expected = 1 + a * (K - 1)
     require(len(support) == expected, "tree union has the wrong size")
-    require((geo.line_coords(support, 1)[1] == 0).all(), "cycle leaves the face")
+    require((model.line_coords(support, 1)[1] == 0).all(), "cycle leaves the face")
     require(perm.cycle_type()[0] == expected, "product is not a single cycle")
     return word, perm
 
@@ -332,8 +327,7 @@ def conjugacy_word47(model, cycle_perm):
     Returns None when the greedy face-moving step fails (the caller decides
     whether to resample).  On success the product equals the input exactly.
     """
-    geo = model.geometry
-    K, d = geo.K, geo.d
+    K, d = model.K, model.d
     support = cycle_perm.support()
     L = len(support)
     if L == 0 or cycle_perm.cycle_type()[0] != L:

@@ -64,13 +64,12 @@ def apply_sampled_word(model, rng, axis, points):
     distinct line in ascending line-id order; points on a shared line
     receive the same shift.  `points` is an int array of distinct points.
     """
-    geo = model.geometry
-    K = geo.K
+    K = model.K
     pts = np.asarray(points, dtype=np.int64)
-    lid, pos = geo.line_coords(pts, axis)
+    lid, pos = model.line_coords(pts, axis)
     uniq, inverse = np.unique(lid, return_inverse=True)
     shifts = rng.integers(0, K, size=len(uniq))
-    return geo.move(pts, axis, (pos + shifts[inverse]) % K - pos)
+    return model.move(pts, axis, (pos + shifts[inverse]) % K - pos)
 
 
 def _distinct_first3(model, pts):

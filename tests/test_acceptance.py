@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altgen.embeddings import CubeModel, build_SN
+from altgen.embeddings import build_SN
+from altgen.geometry import CubeGeometry
 from altgen.perms import Permutation
 from altgen.schreier_sims import group_order
 
@@ -85,7 +86,7 @@ def test_criterion_4_word_constructors():
     from altgen.words import (conjugacy_word47, cycle_word, grid_route,
                               standard_cycle_length)
     t0 = time.time()
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     face = np.arange(7**5, dtype=np.int64) * 7
     rng = np.random.default_rng(42)
 
@@ -123,7 +124,7 @@ def test_criterion_4_word_constructors():
 def test_criterion_5_exact_walk_identities():
     from altgen.walks import ExactDistribution, FloatDistribution, full_sweep
     t0 = time.time()
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     rng = np.random.default_rng(0)
 
     w = rng.random(model.N)
@@ -131,14 +132,14 @@ def test_criterion_5_exact_walk_identities():
     once = d.axis_average(4)
     ok = np.allclose(once.weights, once.axis_average(4).weights, atol=1e-15)
     # idempotence is exact in rational mode
-    e = ExactDistribution.point_mass(CubeModel(1, 2), 5).axis_average(2)
+    e = ExactDistribution.point_mass(CubeGeometry(1, 2), 5).axis_average(2)
     e2 = e.axis_average(2)
     ok = ok and [Fraction(n, e.den) for n in e.num] == \
         [Fraction(n, e2.den) for n in e2.num]
 
     exact = full_sweep(ExactDistribution.point_mass(model, 31415))
     ok = ok and exact.tv_to_uniform() == 0
-    small = CubeModel(1, 2)
+    small = CubeGeometry(1, 2)
     nums = [i % 3 for i in range(small.N)]
     arb = ExactDistribution(small, nums, sum(nums))
     ok = ok and full_sweep(arb).tv_to_uniform() == 0
@@ -156,10 +157,9 @@ def test_criterion_6_mc_bounds():
     from altgen.walks import (binomial_sigma, point_walk_batch, tuple_walk,
                               urn_bound, urn_mc)
     t0 = time.time()
-    model = CubeModel(1, 6)
-    geo = model.geometry
+    model = CubeGeometry(1, 6)
 
-    start = [geo.index((0, 0, 0, i % 7, i // 7, 0)) for i in range(9)]
+    start = [model.index((0, 0, 0, i % 7, i // 7, 0)) for i in range(9)]
     b1 = tuple_walk(model, np.array(start), seed=6, samples=10**4)
     bound = 1 - 81 / 686
     sigma = binomial_sigma(bound, 10**4)

@@ -188,18 +188,16 @@ def test_gem_samples_are_factored_as_one_stack_per_pair(argv, calls, tmp_path, m
     assert sum(el.m for el in seen) == (50 * (1 + 2 + 1 + 2) if calls == 4 else 100 * 2)
 
 
-@pytest.mark.parametrize("count", ["0", "-2"])
-def test_factor_gem_without_samples_reads_zero(count, tmp_path, capsys):
-    code, report = run_cli(["factor", "gem", "--count", count], tmp_path, "nogem")
-    capsys.readouterr()
-    assert code == 0 and report["records"][0]["computed"]["max_length"] == 0
-
-
-@pytest.mark.parametrize("option", ["--samples", "--trials"])
+@pytest.mark.parametrize("command", [["verify", "--suite", "gem", "--samples"],
+                                     ["verify", "--suite", "gem", "--trials"],
+                                     ["factor", "gem", "--count"],
+                                     ["factor", "word47", "--trials"]],
+                         ids=["--samples", "--trials", "factor-gem---count",
+                              "factor-word47---trials"])
 @pytest.mark.parametrize("value", ["0", "-3"])
-def test_verify_counts_below_one_are_usage_errors(option, value, capsys):
+def test_verify_counts_below_one_are_usage_errors(command, value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "gem", option, value])
+        main(command + [value])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from altgen.embeddings import (CubeModel, GeneratingSet, ShiftVector,
-                               build_Fn, build_sym, build_SN, el3_line_actions)
-from altgen.gf2 import primitive_order_K_element
+from altgen.embeddings import (GeneratingSet, ShiftVector, build_Fn, build_sym, build_SN,
+                               el3_line_actions)
+from altgen.geometry import CubeGeometry
+from altgen.gf2 import SideFieldAction, primitive_order_K_element
 from altgen.ring import EL3Element, el3_generating_set, random_el3
 from altgen.schreier_sims import group_order
 from line_tables import line_and_coord, line_table
@@ -13,19 +14,19 @@ from line_tables import line_and_coord, line_table
 
 def embed_pi(model, axis, el3):
     """The axis-`axis` embedding of an EL3 element: copy j acts on line j."""
-    vid, tables = el3_line_actions(model, el3)
+    vid, tables = el3_line_actions(model, el3, SideFieldAction(model.s))
     return model.lines_to_permutation(axis, tables[vid])
 
 
 def test_embed_identity():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     ident = EL3Element.identity(1, 7)
     assert embed_pi(model, 1, ident).is_identity()
 
 
 def test_embed_shift_structure():
     # the all-lines order-K element along axis 1 is 7 disjoint 7-cycles at d=2
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     M = primitive_order_K_element(1)
     el = EL3Element(3, np.repeat(M.rows, 7, axis=0))
     p = embed_pi(model, 1, el)
@@ -35,7 +36,7 @@ def test_embed_shift_structure():
 
 
 def test_embed_is_homomorphism():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     rng = np.random.default_rng(0)
     for _ in range(100):
         g = random_el3(1, 7, rng, length=6)
@@ -44,11 +45,11 @@ def test_embed_is_homomorphism():
 
 
 def test_embed_acts_per_line():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     rng = np.random.default_rng(1)
     g = random_el3(1, 7, rng, length=8)
     p = embed_pi(model, 1, g)
-    lid, _ = line_and_coord(model.geometry, 1)
+    lid, _ = line_and_coord(model, 1)
     for x in range(model.N):
         assert lid[p.table[x]] == lid[x]
 
@@ -56,24 +57,23 @@ def test_embed_acts_per_line():
 @pytest.mark.parametrize("s, d", [(1, 3), (2, 2), (1, 4)])
 def test_line_permutations_match_the_line_tables(s, d):
     # the point at (line, c) goes to (line, perms[line, c]) of the same line
-    model = CubeModel(s, d)
-    geo = model.geometry
+    model = CubeGeometry(s, d)
     rng = np.random.default_rng(10 * s + d)
     for axis in range(1, d + 1):
-        lp = line_table(geo, axis)
-        perms = np.array([rng.permutation(geo.K) for _ in range(geo.lines_per_axis)])
-        expected = np.empty(geo.N, dtype=np.int64)
+        lp = line_table(model, axis)
+        perms = np.array([rng.permutation(model.K) for _ in range(model.lines_per_axis)])
+        expected = np.empty(model.N, dtype=np.int64)
         expected[lp] = np.take_along_axis(lp, perms, axis=1)
         assert np.array_equal(model.lines_to_permutation(axis, perms).table, expected)
-        shifts = rng.integers(0, geo.K, size=geo.lines_per_axis)
-        rolled = (np.arange(geo.K) + shifts[:, None]) % geo.K
+        shifts = rng.integers(0, model.K, size=model.lines_per_axis)
+        rolled = (np.arange(model.K) + shifts[:, None]) % model.K
         expected[lp] = np.take_along_axis(lp, rolled, axis=1)
         assert np.array_equal(ShiftVector(model, axis, shifts).materialize().table,
                               expected)
 
 
 def test_shift_vector_even_and_inverse():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     rng = np.random.default_rng(2)
     for _ in range(20):
         sv = ShiftVector(model, 1, rng.integers(0, 7, size=7))
@@ -84,7 +84,7 @@ def test_shift_vector_even_and_inverse():
 
 @pytest.mark.parametrize("s, dtype", [(1, np.uint8), (2, np.uint8), (3, np.uint16)])
 def test_shift_vector_takes_the_narrowest_dtype(s, dtype):
-    model = CubeModel(s, 2)
+    model = CubeGeometry(s, 2)
     sv = ShiftVector(model, 2, np.arange(model.K) - 3)
     assert sv.shifts.dtype == dtype
     assert sv.shifts.tolist() == [(i - 3) % model.K for i in range(model.K)]
@@ -95,7 +95,7 @@ def test_shift_vector_takes_the_narrowest_dtype(s, dtype):
 def test_shift_vector_arithmetic_matches_int64(s):
     # negating or adding the unsigned shifts directly would wrap modulo
     # 2**8 or 2**16, not modulo K
-    model = CubeModel(s, 2)
+    model = CubeGeometry(s, 2)
     K = model.K
     rng = np.random.default_rng(s)
     a = rng.integers(0, K, size=K)
@@ -132,14 +132,15 @@ def test_build_sn_unique_labels_and_parity():
 
 @pytest.mark.parametrize("s, d", [(1, 2), (1, 3), (2, 2)])
 def test_line_actions_match_every_copy(s, d):
-    model = CubeModel(s, d)
-    m = model.geometry.lines_per_axis
+    model = CubeGeometry(s, d)
+    m = model.lines_per_axis
+    action = SideFieldAction(s)
     rng = np.random.default_rng(11)
     for el in [random_el3(s, m, rng)] + el3_generating_set(s, m)[:6]:
-        vid, tables = el3_line_actions(model, el)
+        vid, tables = el3_line_actions(model, el, action)
         assert vid.shape == (m,) and set(vid.tolist()) == set(range(len(tables)))
         for j in range(m):
-            expect = model.action.matrix_to_permutation(el[j]).table
+            expect = action.matrix_to_permutation(el[j]).table
             assert np.array_equal(tables[vid[j]], expect)
 
 
@@ -185,12 +186,12 @@ def test_build_fn_trivial_window():
 
 def test_lines_parity_matches_the_materialized_generator():
     # odd and even line actions mixed, so the stacked-table count must be per row
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     rng = np.random.default_rng(7)
     actions = []
     for _ in range(6):
         tables = np.array([rng.permutation(model.K) for _ in range(3)])
-        vid = rng.integers(0, len(tables), size=model.geometry.lines_per_axis)
+        vid = rng.integers(0, len(tables), size=model.lines_per_axis)
         actions.append((vid, tables))
     parities = []
     for k, action in enumerate(actions):
@@ -205,8 +206,8 @@ def test_lines_parity_matches_the_materialized_generator():
 def test_all_even_reads_each_shared_stack_once(monkeypatch):
     import altgen.embeddings as emb
     # an odd line action shared by both axes, after two shared even ones
-    model = CubeModel(1, 2)
-    m = model.geometry.lines_per_axis
+    model = CubeGeometry(1, 2)
+    m = model.lines_per_axis
     ident = np.arange(model.K)
     swap = ident.copy()
     swap[[0, 1]] = swap[[1, 0]]
@@ -232,8 +233,9 @@ def test_all_even_reads_each_shared_stack_once(monkeypatch):
 
 
 def test_line_action_ids_take_the_narrowest_dtype():
-    model = CubeModel(1, 3)
-    vid, tables = el3_line_actions(model, el3_generating_set(1, model.geometry.lines_per_axis)[6])
+    model = CubeGeometry(1, 3)
+    vid, tables = el3_line_actions(model, el3_generating_set(1, model.lines_per_axis)[6],
+                                   SideFieldAction(1))
     assert vid.dtype == np.uint8 and len(tables) <= 256
 
 

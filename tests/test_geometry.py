@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from altgen.embeddings import CubeModel, ShiftVector, build_SN
+from altgen.embeddings import ShiftVector, build_SN
 from altgen.geometry import CubeGeometry
 from altgen.graphs import AxisBlockGraph, schreier_graph
 from altgen.spectral import spectral_gap
@@ -127,9 +127,9 @@ def test_shape_only_geometry_refuses_tables():
     with pytest.raises(ValueError):
         g.line_points(1)
     # N = 63^4 is over the table limit, but one shift per line still fits
-    model = CubeModel(2, 4)
-    assert not model.geometry.materializable
-    shift = ShiftVector(model, 1, np.ones(model.geometry.lines_per_axis, dtype=np.int64))
+    model = CubeGeometry(2, 4)
+    assert not model.materializable
+    shift = ShiftVector(model, 1, np.ones(model.lines_per_axis, dtype=np.int64))
     with pytest.raises(ValueError, match="table limit"):
         shift.materialize()
 
@@ -160,12 +160,12 @@ def test_the_package_builds_no_index_tables(monkeypatch):
     assert len(list(blocks.displacements(v))) == len(sn)
     counts = sum(np.broadcast_to(c, src.shape).sum() for src, _, c in blocks.edge_counts())
     assert counts == model.N * blocks.degree
-    grid_route(model, rng.permutation(model.geometry.lines_per_axis)).product()
+    grid_route(model, rng.permutation(model.lines_per_axis)).product()
     assert tosquare_word(model, rng.choice(model.N, size=5, replace=False)) is not None
     c0 = cycle_word(model, 1).product()
     assert conjugacy_word47(model, c0).product() == c0
-    six = CubeModel(1, 6)
-    start = np.array([six.geometry.index((0, 0, 0, i, 0, 0)) for i in range(5)])
+    six = CubeGeometry(1, 6)
+    start = np.array([six.index((0, 0, 0, i, 0, 0)) for i in range(5)])
     assert 0 <= tuple_walk(six, start, seed=1, samples=3) <= 1
     assert len(point_walk_batch(model, 3, 10, 5, [1, 2, 3])) == 10
     assert full_sweep(ExactDistribution.point_mass(model, 0)).tv_to_uniform() == 0

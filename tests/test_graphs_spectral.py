@@ -9,7 +9,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from altgen import graphs
-from altgen.embeddings import CubeModel, GeneratingSet, build_SN
+from altgen.embeddings import GeneratingSet, build_SN
+from altgen.geometry import CubeGeometry
 from altgen.errors import VerificationError
 from altgen.graphs import (ActionGraph, AxisBlockGraph, EdgeGraph, cayley_graph,
                            read_edge_list, schreier_graph, write_edge_list)
@@ -88,8 +89,8 @@ def test_is_connected_agrees_with_one_csr():
     assert AxisBlockGraph(sn).is_connected()
     assert one_csr_connected(sn.model.N, [sn.materialize(i) for i in range(len(sn))])
     # an axis-block stand-in whose line actions are all the identity
-    model = CubeModel(1, 2)
-    m, K = model.geometry.lines_per_axis, model.K
+    model = CubeGeometry(1, 2)
+    m, K = model.lines_per_axis, model.K
     still = GeneratingSet(model, ["e"], ["e"], [(np.zeros(m, dtype=np.int64),
                                                  np.arange(K)[None])])
     assert not AxisBlockGraph(still).is_connected()
@@ -230,7 +231,7 @@ def test_axis_blocks_are_exact_edge_counts():
     # compared as counts / degree, since (c / D) * D need not round back to c
     sn = build_SN(1, 3)
     g = AxisBlockGraph(sn)
-    geo = sn.model.geometry
+    geo = sn.model
     assert g.degree == 2 * len(sn)
     for axis in (1, 2, 3):
         lid, pos = line_and_coord(geo, axis)
@@ -441,7 +442,7 @@ def test_oversized_axis_blocks_are_refused_before_allocating():
     # the S_N(3, 2) shape (2 axes of 511 lines, K = 511, degree 96) through a
     # shape-only set: its block and counts would need about 1.2 GB
     labels = [f"g{k}" for k in range(24)]
-    shape_only = GeneratingSet(CubeModel(3, 2), labels, labels)
+    shape_only = GeneratingSet(CubeGeometry(3, 2), labels, labels)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"about 1200\d{6} bytes, over the "
@@ -459,7 +460,7 @@ def test_oversized_axis_blocks_are_refused_before_allocating():
 def reference_blocks(genset):
     """Each axis's block, counted from the set's actions, every one of which
     acts on every axis."""
-    geo = genset.model.geometry
+    geo = genset.model
     lines = np.arange(geo.lines_per_axis)[:, None]
     c = np.zeros((geo.lines_per_axis, geo.K, geo.K), dtype=np.int64)
     for vid, tables in genset.actions:
@@ -491,7 +492,7 @@ def sorted_triples(chunks):
 
 
 def assert_matches_line_tables(genset, seed):
-    geo = genset.model.geometry
+    geo = genset.model
     g = AxisBlockGraph(genset)
     blocks = reference_blocks(genset)
     assert np.array_equal(g._block, blocks[1])

@@ -61,8 +61,9 @@ def test_cycle_type_line_shift():
 
 def test_two_line_tree_cycle():
     # two crossing lines in the 7x7 grid: shift both, apply and trace
-    from altgen.embeddings import CubeModel, ShiftVector
-    model = CubeModel(1, 2)
+    from altgen.embeddings import ShiftVector
+    from altgen.geometry import CubeGeometry
+    model = CubeGeometry(1, 2)
     s1 = np.zeros(7, dtype=np.int64)
     s1[0] = 1
     axis1 = ShiftVector(model, 1, s1).materialize()   # the line x2 = 0

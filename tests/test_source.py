@@ -82,7 +82,10 @@ def test_every_public_definition_has_a_caller():
     # definition only tests call belongs in tests/, and re-exports in
     # __init__.py do not count as calls.  A top-level function counts only
     # references that must mean it, so a method of the same name elsewhere
-    # does not hide it; classes and methods count their bare name.
+    # does not hide it; a method counts only attributes of its name and
+    # strings naming it in other files (the benchmark's tracer wraps methods
+    # by name), so a variable or a tag of that name does not hide it; a
+    # class counts its bare name.
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     demos = sorted((REPO / "demos").glob("*.py"))
     bench = [p for p in sorted((REPO / "perfbench").glob("*.py"))
@@ -90,15 +93,25 @@ def test_every_public_definition_has_a_caller():
     assert demos and bench, "demos/ and perfbench/ must sit next to src/"
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in modules + demos + bench}
-    total, qualified = Counter(), Counter()
-    for tree in trees.values():
+    total, attributes, qualified, strings = Counter(), Counter(), Counter(), {}
+    for path, tree in trees.items():
         total.update(_references(tree))
+        attributes.update(sub.attr for sub in ast.walk(tree)
+                          if isinstance(sub, ast.Attribute))
         qualified.update(_module_references(tree))
+        strings[path] = Counter(sub.value for sub in ast.walk(tree)
+                                if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+    all_strings = sum(strings.values(), Counter())
     uncalled = []
     for path in modules:
         bare = Counter(sub.id for sub in ast.walk(trees[path]) if isinstance(sub, ast.Name))
         for node in _public_definitions(trees[path]):
-            if node in trees[path].body and isinstance(node, ast.FunctionDef):
+            if node not in trees[path].body:
+                inside = sum(isinstance(sub, ast.Attribute) and sub.attr == node.name
+                             for sub in ast.walk(node))
+                called = (attributes[node.name] > inside
+                          or all_strings[node.name] > strings[path][node.name])
+            elif isinstance(node, ast.FunctionDef):
                 inside = sum(isinstance(sub, ast.Name) and sub.id == node.name
                              for sub in ast.walk(node))
                 called = (bare[node.name] > inside or qualified[None, node.name]
@@ -123,6 +136,26 @@ def test_only_geometry_calls_the_index_tables():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr in tables]
     assert not found, f"index-table calls outside geometry.py: {found}"
+
+
+def test_one_cube_object():
+    # CubeGeometry is the one cube object: no code hops through a
+    # `.geometry` attribute to reach it, and the package names no second cube
+    # class; only the old name stays, as an alias the benchmark builds by
+    alias = "CubeModel = CubeGeometry"
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((REPO / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "geometry":
+                found.append(f"{path.name}:{node.lineno} .geometry")
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if path.parent == PACKAGE and "CubeModel" in names:
+                found.append(f"{path.name}:{node.lineno} CubeModel")
+    lines = (PACKAGE / "embeddings.py").read_text().splitlines()
+    assert alias in lines, "perfbench/ builds the cube as embeddings.CubeModel"
+    found.remove(f"embeddings.py:{lines.index(alias) + 1} CubeModel")
+    assert not found, f"a second cube object or a hop to one: {found}"
 
 
 def test_no_id_calls_in_embeddings_or_graphs():

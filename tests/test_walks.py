@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altgen.embeddings import CubeModel, ShiftVector
+from altgen.embeddings import ShiftVector
+from altgen.geometry import CubeGeometry
 from altgen.walks import (WALK_BLOCK, ExactDistribution, FloatDistribution,
                           _block_draws, _walk_blocks, averaging_operator,
                           binomial_sigma, doeblin_contraction_check, full_sweep,
@@ -14,16 +15,16 @@ from oracles import reference_tuple_walk
 
 
 def test_uniform_fixed_by_averaging():
-    model = CubeModel(1, 2)
-    u = ExactDistribution.uniform(model)
+    model = CubeGeometry(1, 2)
+    u = ExactDistribution(model, np.ones(model.N, dtype=np.int64), model.N)
     for axis in (1, 2):
         assert u.axis_average(axis).tv_to_uniform() == 0
-    uf = FloatDistribution.uniform(model)
+    uf = FloatDistribution(model, np.full(model.N, 1.0 / model.N))
     assert np.allclose(uf.axis_average(1).weights, uf.weights)
 
 
 def test_axis_average_idempotent():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     rng = np.random.default_rng(0)
     w = rng.random(model.N)
     d = FloatDistribution(model, w / w.sum())
@@ -38,7 +39,7 @@ def test_axis_average_idempotent():
 
 
 def test_full_sweep_exactly_uniform():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     for start in (0, 17, 48):
         d = full_sweep(ExactDistribution.point_mass(model, start))
         assert d.tv_to_uniform() == 0
@@ -52,7 +53,7 @@ def test_full_sweep_exactly_uniform():
 def test_exact_weights_refuse_the_int64_range():
     # the distance to uniform sums terms up to den * N, twice over; a
     # denominator past that range is refused, never wrapped
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     den = 2**63 // (2 * model.N)
     num = np.zeros(model.N, dtype=np.int64)
     num[0] = den - 1
@@ -71,7 +72,7 @@ def test_exact_weights_refuse_the_int64_range():
 
 
 def test_mass_preserved():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     rng = np.random.default_rng(1)
     w = rng.random(model.N)
     d = FloatDistribution(model, w / w.sum())
@@ -81,14 +82,14 @@ def test_mass_preserved():
 
 
 def test_composition_of_samples_is_group_addition():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     rng = sample_stream(1, 0)
     a, b = (ShiftVector(model, 2, rng.integers(0, model.K, size=7)) for _ in range(2))
     assert (a * b).materialize() == a.materialize() * b.materialize()
 
 
 def test_tuple_distinctness_preserved():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     start = np.array([0, 1, 7, 50, 117648])
     b1 = tuple_walk(model, start, seed=2, samples=50)  # a require checks each step
     assert 0 <= b1 <= 1
@@ -96,7 +97,7 @@ def test_tuple_distinctness_preserved():
 
 def _line_sharing_start(model, h):
     # the verify suite's start: points differing only on axes 4 and 5
-    return np.array([model.geometry.index((0, 0, 0, i % 7, i // 7, 0))
+    return np.array([model.index((0, 0, 0, i % 7, i // 7, 0))
                      for i in range(h)])
 
 
@@ -116,7 +117,7 @@ def _assert_walk_matches_reference(model, start, seed, samples):
 
 @pytest.mark.parametrize("h", [1, 2, 5, 9, 30])
 def test_batched_walk_matches_the_per_sample_loop(h):
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     for seed in range(4):
         _assert_walk_matches_reference(model, _line_sharing_start(model, h), seed, 150)
         scattered = np.random.default_rng(seed).choice(model.N, size=h, replace=False)
@@ -124,7 +125,7 @@ def test_batched_walk_matches_the_per_sample_loop(h):
 
 
 def test_batched_walk_matches_on_a_shared_line_start_and_block_edges():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     _assert_walk_matches_reference(model, [0, 1, 7, 50, 117648], 2, 150)
     start = _line_sharing_start(model, 9)
     for samples in (1, WALK_BLOCK + 1):
@@ -156,7 +157,7 @@ def test_block_draws_equal_each_samples_own_stream(K):
 
 
 def test_tuple_walk_memory_is_flat_in_the_sample_count():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     start = _line_sharing_start(model, 9)
     peaks = []
     for samples in (WALK_BLOCK, 50000):
@@ -170,7 +171,7 @@ def test_tuple_walk_memory_is_flat_in_the_sample_count():
 
 
 def test_point_walk_uniform_after_full_block():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     pts = point_walk_batch(model, seed=3, samples=200000, start_point=5,
                            axes=[3, 2, 1, 6, 5, 4])
     # frequency of an arbitrary target within 4 sigma of 1/N
@@ -184,15 +185,14 @@ def test_point_walk_uniform_after_full_block():
 def test_h1_exactly_uniform_via_averaging():
     # h = 1 reduces the tuple walk to the point walk, whose distribution
     # after the six averages is exactly uniform
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     d = full_sweep(ExactDistribution.point_mass(model, 11))
     assert d.tv_to_uniform() == 0
 
 
 def test_b1_fraction_bound():
-    model = CubeModel(1, 6)
-    geo = model.geometry
-    start = [geo.index((0, 0, 0, i % 7, i // 7, 0)) for i in range(9)]
+    model = CubeGeometry(1, 6)
+    start = [model.index((0, 0, 0, i % 7, i // 7, 0)) for i in range(9)]
     b1 = tuple_walk(model, np.array(start), seed=4, samples=3000)
     bound = 1 - Fraction(81, 686)
     sigma = binomial_sigma(bound, 3000)
@@ -252,7 +252,7 @@ def test_stream_independence_of_batching():
 
 
 def test_mixing_time_monotone_and_averaging_one_step():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     op = averaging_operator(model)
     steps, curve = mixing_time_points(op, model, tol=1e-9, lazy=False)
     assert steps == 1

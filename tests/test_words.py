@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from altgen.blocks import color_regular_bipartite
-from altgen.embeddings import CubeModel, ShiftVector
+from altgen.embeddings import ShiftVector
+from altgen.geometry import CubeGeometry
 from altgen.perms import Permutation
 from altgen.words import (WordInE, butterfly_factor, comb_tree_lines,
                           conjugacy_word47, cycle_word, face_restriction,
@@ -71,7 +72,7 @@ def test_butterfly_random_grids():
 
 def test_grid_route_identity_letter_pattern():
     # the identity still uses the full 4d-5 letters; off-face action is free
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     sigma = np.arange(7**5, dtype=np.int64)
     word = grid_route(model, sigma)
     assert len(word) == 19
@@ -82,7 +83,7 @@ def test_grid_route_identity_letter_pattern():
 
 
 def test_grid_route_exact_on_face():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     rng = np.random.default_rng(2)
     for _ in range(3):
         sigma = rng.permutation(7**5).astype(np.int64)
@@ -94,13 +95,13 @@ def test_grid_route_exact_on_face():
 
 
 def test_grid_route_letters_hold_one_byte_per_line():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     word = grid_route(model, np.random.default_rng(4).permutation(7**5))
     assert sum(letter.shifts.nbytes for letter in word.letters) <= 19 * 7**5
 
 
 def test_grid_route_small_dimension():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     rng = np.random.default_rng(3)
     for _ in range(20):
         sigma = rng.permutation(7).astype(np.int64)
@@ -111,7 +112,7 @@ def test_grid_route_small_dimension():
 
 
 def test_tosquare_single_point_always_succeeds():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     for pt in range(0, 49, 5):
         res = tosquare_word(model, [pt])
         assert res is not None
@@ -121,20 +122,18 @@ def test_tosquare_single_point_always_succeeds():
 
 
 def test_tosquare_face_subset():
-    model = CubeModel(1, 6)
-    geo = model.geometry
+    model = CubeGeometry(1, 6)
     pts = (np.arange(10) * 7)  # already on the face
     res = tosquare_word(model, pts)
     assert res is not None
     g, h = res
     final = h.materialize().table[g.materialize().table[pts]]
-    assert (geo.coord_array(1)[final] == 0).all()
+    assert (model.coord_array(1)[final] == 0).all()
 
 
 def test_tosquare_random_sets():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     rng = np.random.default_rng(4)
-    geo = model.geometry
     successes = 0
     for _ in range(10):
         pts = rng.choice(model.N, size=500, replace=False)
@@ -144,13 +143,13 @@ def test_tosquare_random_sets():
         successes += 1
         g, h = res
         final = h.materialize().table[g.materialize().table[np.sort(pts)]]
-        assert (geo.coord_array(1)[final] == 0).all()
+        assert (model.coord_array(1)[final] == 0).all()
         assert len(np.unique(final)) == 500
     assert successes >= 8  # measured, not asserted at 1; tiny sets rarely fail
 
 
 def test_comb_tree_capacity():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     with pytest.raises(ValueError):
         comb_tree_lines(model, 2801)  # the strict bound excludes the full comb
     lines = comb_tree_lines(model, 2800)
@@ -158,7 +157,7 @@ def test_comb_tree_capacity():
 
 
 def test_cycle_word_small_counts():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     for a in (1, 2, 9, 60):
         word = cycle_word(model, a)
         assert len(word) <= 5
@@ -167,19 +166,19 @@ def test_cycle_word_small_counts():
 
 
 def test_cycle_word_standard_length():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     L, a = standard_cycle_length(7, 6)
     assert (L, a) == (2875, 479)
     word = cycle_word(model, a)
     p = word.product()
     assert p.cycle_type()[0] == 2875
-    assert (model.geometry.coord_array(1)[p.support()] == 0).all()
+    assert (model.coord_array(1)[p.support()] == 0).all()
     # odd cycle length means an even permutation
     assert p.parity == 0
 
 
 def test_conjugacy_word47_roundtrip():
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     rng = np.random.default_rng(5)
     succ = 0
     for _ in range(4):
@@ -199,7 +198,7 @@ def test_conjugacy_word47_roundtrip():
 
 def test_conjugacy_word47_standard_cycle():
     # conjugating the standard cycle to itself stays within the length bound
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     c0 = cycle_word(model, 479).product()
     word = conjugacy_word47(model, c0)
     assert word is not None and len(word) <= 47
@@ -208,7 +207,7 @@ def test_conjugacy_word47_standard_cycle():
 
 def test_conjugacy_word47_materializes_no_letter_twice(monkeypatch):
     # two face-moving letters and the standard cycle's letters, once each
-    model = CubeModel(1, 6)
+    model = CubeGeometry(1, 6)
     rng = np.random.default_rng(5)
     pts = rng.choice(model.N, size=2875, replace=False)
     c = Permutation.from_cycles(model.N, [pts[rng.permutation(2875)].tolist()])
@@ -229,7 +228,7 @@ def test_conjugacy_word47_materializes_no_letter_twice(monkeypatch):
 
 
 def test_word_serialization_roundtrip():
-    model = CubeModel(1, 2)
+    model = CubeGeometry(1, 2)
     rng = np.random.default_rng(6)
     letters = [ShiftVector(model, 1 + int(rng.integers(2)),
                            rng.integers(0, 7, size=7)) for _ in range(4)]
@@ -240,9 +239,9 @@ def test_word_serialization_roundtrip():
 
 
 def test_images_are_the_product_table_at_the_points():
-    model = CubeModel(1, 4)
+    model = CubeGeometry(1, 4)
     rng = np.random.default_rng(8)
-    route = grid_route(model, rng.permutation(model.geometry.lines_per_axis))
+    route = grid_route(model, rng.permutation(model.lines_per_axis))
     L, a = standard_cycle_length(model.K, model.d)
     pts = rng.choice(model.N, size=L, replace=False)
     cycle = Permutation.from_cycles(model.N, [pts[rng.permutation(L)].tolist()])
