@@ -151,11 +151,12 @@ def _color_edges(col_from, col_to, sizes):
 def three_stage(dest, col, sizes):
     """Route every point x to dest[x] in three stages on a column grid.
 
-    Cell j * mt + r is row r of column j, with mt = max(sizes); point x sits
-    in cell x, in column col[x].  Returns tables (first, middle, last) with
-    last[middle[first]] == dest: `first` moves x inside its column to the row
-    its edge color names, `middle` moves it along that row to the column of
-    dest[x], and `last` moves it inside that column to dest[x].
+    Cell j * mt + r is row r of column j, with mt = max(sizes); point x
+    starts in column col[x].  Returns tables (first, middle, last) with
+    last[middle[first]] == dest: `first` sends x to the row of its column
+    that its edge color names, `middle` moves that cell along its row to the
+    column of dest[x], and `last` sends the arrived cell to dest[x].  When
+    point x sits in cell x, all three are permutations of the cells.
     """
     mt = max(sizes)
     dest_col = col[dest]

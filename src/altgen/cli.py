@@ -413,9 +413,8 @@ def cmd_verify(args, report):
     if "words" in suites:
         rng = np.random.default_rng(args.seed)
         model = CubeGeometry(args.s or 1, args.d or 6)
-        L_face = model.K ** (model.d - 1)
         trials = args.trials or 3
-        exact = [_route_is_exact(model, rng.permutation(L_face).astype(np.int64))
+        exact = [_route_is_exact(model, rng.permutation(model.lines_per_axis))
                  for _ in range(trials)]
         report.check("words.route-exact", "face routing is exact with the "
                      "stated letter count", trials, ok=all(exact))

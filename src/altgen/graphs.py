@@ -12,7 +12,6 @@ from .errors import require
 from .perms import Permutation
 
 CAYLEY_LIMIT = 2 * 10**6
-SCHREIER_LIMIT = 10**7
 # cube sets of at most this many points materialize their permutations
 ACTION_FORM_LIMIT = 4000
 # bytes an AxisBlockGraph may spend on its float blocks plus integer counts
@@ -201,12 +200,9 @@ def schreier_graph(genset):
     Small sets materialize their permutations; larger ones stay in the
     axis-block implicit form.
     """
-    N = genset.model.N
-    if N > SCHREIER_LIMIT:
-        raise ValueError(f"{N} points exceed the Schreier limit {SCHREIER_LIMIT}")
     if not genset.materializable:
         raise ValueError("shape-only generating set cannot be realized")
-    if N <= ACTION_FORM_LIMIT:
+    if genset.model.N <= ACTION_FORM_LIMIT:
         return ActionGraph(genset.permutations())
     return AxisBlockGraph(genset)
 

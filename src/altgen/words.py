@@ -9,7 +9,8 @@ conjugation word assembling all three.
 
 import numpy as np
 
-from .blocks import color_regular_bipartite, three_stage
+# perfbench/tracer.py counts the edge colourings as words.color_regular_bipartite
+from .blocks import color_regular_bipartite, three_stage  # noqa: F401
 from .embeddings import ShiftVector
 from .errors import require
 from .perms import Permutation
@@ -114,28 +115,22 @@ def _axis_level_shifts(model, axis):
     return model.line_coords(first, 1)[1]
 
 
-def _round_letters(model, axis, targets):
+def _round_letters(model, face, axis, coord, targets):
     """Three letters realizing prescribed within-line moves on the face.
 
-    targets[f] is the wanted axis-`axis` coordinate of the face point at
-    face position f.  The first letter lifts each face point to the level
-    named by its shift amount, the middle letter shifts every line at level
-    r by r (delivering the move), the final letter drops everything back to
-    the face.  Returned in application order.
+    targets[f] is the wanted axis-`axis` coordinate of face point face[f],
+    whose coordinate is coord[f].  The first letter lifts each face point to
+    the level named by its shift amount, the middle letter shifts every line
+    at level r by r (delivering the move), the final letter drops everything
+    back to the face.  Returned in application order.
     """
-    K, d = model.K, model.d
-    L = K ** (d - 1)
-    f = np.arange(L, dtype=np.int64)
-    weight = K ** (axis - 2)
-    digit = (f // weight) % K
-    targets = np.asarray(targets, dtype=np.int64)
-    delta = (targets - digit) % K
-
+    K = model.K
+    delta = (targets - coord) % K
     lift = ShiftVector(model, 1, delta)
     deliver = ShiftVector(model, axis, _axis_level_shifts(model, axis))
-    f_to = f + (targets - digit) * weight
-    drop_shifts = np.zeros(L, dtype=np.int64)
-    drop_shifts[f_to] = (K - delta) % K
+    landed = model.line_coords(model.move(face, axis, targets - coord), 1)[0]
+    drop_shifts = np.zeros(model.lines_per_axis, dtype=np.int64)
+    drop_shifts[landed] = (K - delta) % K
     drop = ShiftVector(model, 1, drop_shifts)
     return [lift, deliver, drop]
 
@@ -145,53 +140,40 @@ def grid_route(model, sigma_face):
 
     The letters alternate between axis 1 and axes 2..d..2 in a palindrome;
     off-face behaviour is unconstrained.  sigma_face is a permutation of the
-    K^(d-1) face indices.
+    K^(d-1) face indices.  Each axis a = 2..d-1 is peeled by one three-stage
+    route whose columns are the face's axis-a lines: a pre-round moves along
+    axis a, the rest of the route moves along the higher axes, and a
+    post-round moves along axis a again.  The residue moves along axis d.
     """
-    K, d = model.K, model.d
-    L = K ** (d - 1)
-    cur = np.asarray(sigma_face, dtype=np.int64).copy()
+    K, d, L = model.K, model.d, model.lines_per_axis
+    cur = np.asarray(sigma_face, dtype=np.int64)
     if cur.shape != (L,):
         raise ValueError(f"face permutation must have length {L}")
 
-    pre_rounds = []   # (axis, targets), application order
+    face = face_points(model)
+    pre_rounds = []   # (axis, coord, targets), application order
     post_rounds = []  # gathered in reverse
-    f = np.arange(L, dtype=np.int64)
-    for q in range(d - 2):  # peel axes 2..d-1
-        axis = q + 2
-        weight = K ** q
-        digit = (f // weight) % K
-        suffix = f // (weight * K)
-        img_digit = (cur // weight) % K
-        img_suffix = cur // (weight * K)
-        # nodes combine the already-fixed prefix with the suffix
-        prefix = f % weight
-        node_from = prefix + weight * suffix
-        node_to = cur % weight + weight * img_suffix
-        require((cur % weight == prefix).all(), "peel invariant broken")
-        n_nodes = L // K
-        colors = color_regular_bipartite(node_from, node_to, n_nodes, n_nodes, K)
+    for axis in range(2, d):
+        line, coord = model.line_coords(face, axis)
+        # face points sit at 0 on axis 1, the fastest digit, so each line id
+        # is K times a column number: face point f takes cell line + coord,
+        # row coord of its line's column
+        cell = line + coord
+        first, middle, last = three_stage(cur, cell // K, [K] * (L // K))
+        at = np.empty(L, dtype=np.int64)
+        at[cell] = np.arange(L)  # the face point in each cell
+        pre_rounds.append((axis, coord, first % K))
+        post_rounds.append((axis, coord, coord[last[cell]]))
+        cur = at[middle[cell]]
+        require(all((c[cur] == c).all() for _, c, _ in pre_rounds),
+                "peel invariant broken: the residue moves a routed coordinate")
 
-        pre_rounds.append((axis, colors.copy()))
-        f_c = f + (colors - digit) * weight
-        # after the middle stages the point sits at (prefix, color, image suffix)
-        p_ab = prefix + weight * colors + weight * K * img_suffix
-        post_targets = np.empty(L, dtype=np.int64)
-        post_targets[p_ab] = img_digit
-        post_rounds.append((axis, post_targets))
-
-        nxt = np.empty(L, dtype=np.int64)
-        nxt[f_c] = prefix + weight * colors + weight * K * img_suffix
-        cur = nxt
-
-    # the residue moves points only along the last axis
-    weight = K ** (d - 2)
-    require(((cur % weight) == (f % weight)).all(), "residue touches lower digits")
-    middle = (d, (cur // weight) % K)
-
-    rounds = pre_rounds + [middle] + post_rounds[::-1]
+    line, coord = model.line_coords(face, d)
+    require((line[cur] == line).all(), "residue leaves its axis-d lines")
+    rounds = pre_rounds + [(d, coord, coord[cur])] + post_rounds[::-1]
     letters_app = []
-    for axis, targets in rounds:
-        lift, deliver, drop = _round_letters(model, axis, targets)
+    for axis, coord, targets in rounds:
+        lift, deliver, drop = _round_letters(model, face, axis, coord, targets)
         if letters_app:
             letters_app[-1] = letters_app[-1] * lift  # merge adjacent axis-1 letters
         else:
@@ -268,7 +250,7 @@ def comb_tree_lines(model, count):
     (axis, line_id) pairs.
     """
     K, d = model.K, model.d
-    capacity = (K ** (d - 1) - 1) // (K - 1)
+    capacity = (model.lines_per_axis - 1) // (K - 1)
     if not 1 <= count < capacity:
         raise ValueError(f"line count must be in [1, {capacity})")
     lines = [(2, 0)]  # the spine: all coordinates zero except axis 2
@@ -362,8 +344,7 @@ def conjugacy_word47(model, cycle_perm):
 
 def _match_cycles(model, c0, sigma_face):
     """Face permutation conjugating the standard cycle to the target cycle."""
-    K = model.K
-    L_face = K ** (model.d - 1)
+    L_face = model.lines_per_axis
     c0_face = face_restriction(model, c0)
 
     def orbit(table, start):

@@ -118,6 +118,9 @@ def test_exit_code_on_config_error(capsys):
     code = main(["construct-general", "--n", "500", "--base-m", "10"])
     capsys.readouterr()
     assert code == 2
+    # past the table limit the generating set is shape-only
+    assert main(["schreier", "--s", "7", "--d", "6"]) == 2
+    assert "shape-only generating set" in capsys.readouterr().err
 
 
 def test_factor_commands(tmp_path, capsys):

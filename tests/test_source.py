@@ -31,19 +31,6 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements or raised AssertionErrors in altgen: {found}"
 
 
-def _references(node):
-    """Names, attributes, imported names and string constants under node."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name.rpartition(".")[2]
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            yield sub.value
-
-
 def _public_definitions(tree):
     """Public top-level functions and classes, and the public methods of every class."""
     for node in tree.body:
@@ -82,10 +69,11 @@ def test_every_public_definition_has_a_caller():
     # definition only tests call belongs in tests/, and re-exports in
     # __init__.py do not count as calls.  A top-level function counts only
     # references that must mean it, so a method of the same name elsewhere
-    # does not hide it; a method counts only attributes of its name and
-    # strings naming it in other files (the benchmark's tracer wraps methods
-    # by name), so a variable or a tag of that name does not hide it; a
-    # class counts its bare name.
+    # does not hide it; a class counts the same references and also strings
+    # naming it in other files; a method counts only attributes of its name
+    # and strings naming it in other files (the benchmark's tracer wraps
+    # classes and methods by name), so a variable or a tag of that name does
+    # not hide it.
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     demos = sorted((REPO / "demos").glob("*.py"))
     bench = [p for p in sorted((REPO / "perfbench").glob("*.py"))
@@ -93,9 +81,8 @@ def test_every_public_definition_has_a_caller():
     assert demos and bench, "demos/ and perfbench/ must sit next to src/"
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in modules + demos + bench}
-    total, attributes, qualified, strings = Counter(), Counter(), Counter(), {}
+    attributes, qualified, strings = Counter(), Counter(), {}
     for path, tree in trees.items():
-        total.update(_references(tree))
         attributes.update(sub.attr for sub in ast.walk(tree)
                           if isinstance(sub, ast.Attribute))
         qualified.update(_module_references(tree))
@@ -111,13 +98,13 @@ def test_every_public_definition_has_a_caller():
                              for sub in ast.walk(node))
                 called = (attributes[node.name] > inside
                           or all_strings[node.name] > strings[path][node.name])
-            elif isinstance(node, ast.FunctionDef):
+            else:
                 inside = sum(isinstance(sub, ast.Name) and sub.id == node.name
                              for sub in ast.walk(node))
                 called = (bare[node.name] > inside or qualified[None, node.name]
-                          or qualified[path.stem, node.name])
-            else:
-                called = total[node.name] > Counter(_references(node))[node.name]
+                          or qualified[path.stem, node.name]
+                          or isinstance(node, ast.ClassDef)
+                          and all_strings[node.name] > strings[path][node.name])
             if not called and f"{path.stem}.{node.name}" not in UNCALLED_ALLOWED:
                 uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert not uncalled, f"public definitions with no caller outside tests: {uncalled}"

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -109,6 +111,21 @@ def test_grid_route_small_dimension():
         assert len(word) == 3 and word.axes() == [1, 2, 1]
         got = word.product().table[np.arange(7) * 7]
         assert np.array_equal(got // 7, sigma) and (got % 7 == 0).all()
+
+
+@pytest.mark.parametrize("s, d, seed, digest", [
+    (1, 3, 11, "8a04c27c69c19c6976e8c0f2fae57619ac3b4fafe4d9862e1a5ac3a6ddca3a36"),
+    (1, 4, 12, "c3bade86249358515959d1360455165fdc9ce9f72454934f174d8dc8c3432554"),
+    (2, 3, 13, "70da9892625e5b96f7eae64846ed11e4c61b198feff2fde309c64a9075594b81"),
+    (1, 6, None, "8086fd55498f1a457c3616ce3120681c0469ca621ad50960e421a590d9ceae2c"),
+], ids=["s1-d3", "s1-d4", "s2-d3", "s1-d6-identity"])
+def test_grid_route_letters_are_pinned(s, d, seed, digest):
+    # any change to a letter, its axis or the letter order changes the digest
+    model = CubeGeometry(s, d)
+    L = model.lines_per_axis
+    sigma = np.arange(L) if seed is None else np.random.default_rng(seed).permutation(L)
+    records = json.dumps(grid_route(model, sigma).to_records())
+    assert hashlib.sha256(records.encode()).hexdigest() == digest
 
 
 def test_tosquare_single_point_always_succeeds():
