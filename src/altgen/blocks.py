@@ -110,13 +110,18 @@ def color_regular_bipartite(left, right, n_left, n_right, degree):
     order = np.argsort(key, kind="stable")
     pairs, first, pool = np.unique(key[order], return_index=True,
                                    return_counts=True)
+    # pairs are sorted by (left, right), so each round's live pairs are
+    # already its CSR rows in order, with sorted columns
+    pair_left = (pairs // n_right).astype(np.int32)
+    pair_right = (pairs % n_right).astype(np.int32)
     taken = np.zeros(len(pairs), dtype=np.int64)
     colors = np.full(len(left), -1, dtype=np.int64)
     for color in range(degree):
         live = np.flatnonzero(taken < pool)
-        support = csr_array((np.ones(len(live), dtype=np.int8),
-                             (pairs[live] // n_right, pairs[live] % n_right)),
-                            shape=(n_left, n_right))
+        indptr = np.zeros(n_left + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pair_left[live], minlength=n_left), out=indptr[1:])
+        support = csr_array((np.ones(len(live), dtype=np.int8), pair_right[live],
+                             indptr), shape=(n_left, n_right))
         mate = maximum_bipartite_matching(support, perm_type="column")
         require((mate >= 0).all(), "no perfect matching: the graph is not regular")
         hit = np.searchsorted(pairs, np.arange(n_left) * n_right + mate)
@@ -180,10 +185,25 @@ def _swap_between(before, after, a, b):
     after[[a, b]] = after[[b, a]]
 
 
+def _cycles_per_part(count, labels, part, n_parts):
+    """How many of the `count` cycles lie in each part; cell i of part[i] is on cycle labels[i].
+
+    Every cell writes its part onto its cycle, so a cycle that meets two
+    parts fails the check.
+    """
+    cycle_part = np.full(count, n_parts)
+    cycle_part[labels] = part
+    require(np.array_equal(cycle_part[labels], part), "a cycle leaves its part")
+    return np.bincount(cycle_part, minlength=n_parts + 1)[:n_parts]
+
+
 def _odd_parts(table, parts):
     """The parts on which `table` acts as an odd permutation; no cycle leaves a part."""
-    labels = cycle_labels(table)[1]
-    return [cells for cells in parts if (len(cells) - len(np.unique(labels[cells]))) % 2]
+    count, labels = cycle_labels(table)
+    sizes = [len(cells) for cells in parts]
+    part = np.repeat(np.arange(len(parts)), sizes)
+    cycles = _cycles_per_part(count, labels[np.concatenate(parts)], part, len(parts))
+    return [cells for cells, size, c in zip(parts, sizes, cycles) if (size - c) % 2]
 
 
 # -- the factorization ---------------------------------------------------------
@@ -237,9 +257,11 @@ def block_factor(g, m):
                 window_index.append(w)
 
     # every factor even, counted on the factors themselves in one stack
-    labels = cycle_labels([f.table for f in factors] or [np.arange(n)])[1]
-    require(all((n - len(np.unique(row))) % 2 == 0 for row in labels),
-            "factor parity fix failed")
+    tables = [f.table for f in factors] or [np.arange(n)]
+    count, labels = cycle_labels(tables)
+    cycles = _cycles_per_part(count, labels.ravel(),
+                              np.repeat(np.arange(len(tables)), n), len(tables))
+    require(((n - cycles) % 2 == 0).all(), "factor parity fix failed")
     bound = factor_count_bound(n, m)
     require(len(factors) <= bound, f"{len(factors)} factors exceed bound {bound}")
     _check_block_product(factors, g)

@@ -104,9 +104,15 @@ class Permutation:
         return cycle_labels(self.table)[0]
 
     def cycle_type(self):
-        """Multiset of cycle lengths, fixed points included, sorted descending."""
-        return tuple(sorted(np.bincount(cycle_labels(self.table)[1]).tolist(),
-                            reverse=True))
+        """Multiset of cycle lengths, fixed points included, sorted descending.
+
+        Cycles are found on the moved points alone, renumbered in order, so a
+        permutation moving few of many points costs its support.
+        """
+        support = self.support()
+        labels = cycle_labels(np.searchsorted(support, self.table[support]))[1]
+        moved = sorted(np.bincount(labels).tolist(), reverse=True)
+        return tuple(moved) + (1,) * (self.n - len(support))
 
     @property
     def parity(self):

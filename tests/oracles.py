@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from altgen.perms import cycle_labels
 from altgen.schreier_sims import StabilizerChain, _product_replacement, _to_bytes
 
 # subsets of more vertices than this are too many to enumerate
@@ -134,3 +135,40 @@ def sifted_order_lower_bound(gens, seed=0):
     while chain.order() != ceiling and stalls < SIFT_STALLS:
         stalls = 0 if chain.add_element(_to_bytes(next(elements))) else stalls + 1
     return chain.order()
+
+
+def coo_round_coloring(left, right, n_left, n_right, degree):
+    """color_regular_bipartite with each round's support graph built as a COO
+    matrix and converted to CSR, the package's first form of the rounds.
+
+    Each of `degree` Hopcroft-Karp rounds takes one edge from every matched
+    pair's pool of parallel edges, in input order.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    key = left * n_right + right
+    order = np.argsort(key, kind="stable")
+    pairs, first, pool = np.unique(key[order], return_index=True,
+                                   return_counts=True)
+    taken = np.zeros(len(pairs), dtype=np.int64)
+    colors = np.full(len(left), -1, dtype=np.int64)
+    for color in range(degree):
+        live = np.flatnonzero(taken < pool)
+        support = csr_array((np.ones(len(live), dtype=np.int8),
+                             (pairs[live] // n_right, pairs[live] % n_right)),
+                            shape=(n_left, n_right))
+        mate = maximum_bipartite_matching(support, perm_type="column")
+        if (mate < 0).any():
+            raise AssertionError("no perfect matching")
+        hit = np.searchsorted(pairs, np.arange(n_left) * n_right + mate)
+        colors[order[first[hit] + taken[hit]]] = color
+        taken[hit] += 1
+    return colors
+
+
+def full_table_cycle_type(perm):
+    """Cycle type from the cycles of every point of the table, fixed ones too."""
+    return tuple(sorted(np.bincount(cycle_labels(perm.table)[1]).tolist(), reverse=True))

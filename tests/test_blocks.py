@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import altgen
-from altgen.blocks import (_check_block_product, _color_edges, block_factor,
-                           color_regular_bipartite, factor_count_bound,
+from altgen.blocks import (_check_block_product, _color_edges, _layout, _odd_parts,
+                           block_factor, color_regular_bipartite, factor_count_bound,
                            three_stage, window_family)
-from altgen.perms import Permutation, product
+from altgen.errors import VerificationError
+from altgen.perms import Permutation, cycle_labels, product
+from oracles import coo_round_coloring
 
 
 def random_even(n, rng):
@@ -115,6 +118,8 @@ def test_regular_coloring_is_proper(data):
     colors = color_regular_bipartite(left, right, n, n, degree)
     assert colors.min() >= 0 and colors.max() < degree
     _assert_proper(colors, (left, right))
+    # the same matchings in the same rounds give the same colors, edge for edge
+    assert np.array_equal(colors, coo_round_coloring(left, right, n, n, degree))
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,6 +156,59 @@ def test_three_stage_routes_within_columns_rows_columns(data):
     assert np.array_equal(first // mt, col)       # within its column
     assert np.array_equal(middle % mt, cells % mt)  # along its row
     assert np.array_equal(last // mt, col)        # within the column it reached
+
+
+@pytest.mark.parametrize("n, digest", [
+    (1000, "0e704e4c506270b6c1c9762e6d5a412846cda6f91269ffdff031be67f42bcfa8"),
+    (300, "dba6ebe8cbff17b063264b8b5ce132a24fe70fc4aa7e6c3a3c156a5c9d09951c"),
+    (100, "11b6d814fb8ea9576307c4fd0f2f902b4c973eb938b400da48ccf808f3b133f3"),
+], ids=["n1000", "n300", "n100"])
+def test_block_factors_are_pinned(n, digest):
+    # any change to a factor, the factor order or a factor's window changes
+    # the digest of the factor tables followed by each one's window index
+    g = random_even(n, np.random.default_rng(n))
+    factors, windows = block_factor(g, 49)
+    window_sets = [set(w) for w in windows]
+    index = [next(i for i, w in enumerate(window_sets) if set(f.support().tolist()) <= w)
+             for f in factors]
+    h = hashlib.sha256()
+    for f in factors:
+        h.update(f.table.tobytes())
+    h.update(np.asarray(index, dtype=np.int64).tobytes())
+    assert h.hexdigest() == digest
+
+
+def _odd_parts_by_unique(table, parts):
+    """The parts on which `table` is odd, one np.unique count of cycles per part."""
+    labels = cycle_labels(table)[1]
+    return [cells for cells in parts
+            if (len(cells) - len(np.unique(labels[cells]))) % 2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_odd_parts_match_a_per_part_count(data):
+    m = data.draw(st.integers(5, 14), label="window size")
+    n = data.draw(st.integers(m + 1, m * m // 2), label="points")
+    try:
+        q, _, _, parts = _layout(n, m)
+    except ValueError:
+        assume(False)
+    # a table that keeps every column, or every row group, as a set
+    parts = parts[:q] if data.draw(st.booleans(), label="columns") else parts[q:]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    table = np.arange(n)
+    for cells in parts:
+        table[cells] = rng.permutation(cells)
+    assert _odd_parts(table, parts) == _odd_parts_by_unique(table, parts)
+
+
+def test_odd_parts_refuse_a_cycle_that_crosses_parts():
+    q, mt, _, parts = _layout(100, 49)
+    table = np.arange(100)
+    table[[0, 1, mt]] = [1, mt, 0]   # a 3-cycle through columns 0 and 1
+    with pytest.raises(VerificationError, match="a cycle leaves its part"):
+        _odd_parts(table, parts[:q])
 
 
 def test_multiply_back_check_survives_optimize():

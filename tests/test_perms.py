@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altgen.perms import Permutation, cycle_labels, product
+from oracles import full_table_cycle_type
 
 
 def brute_parity(table):
@@ -99,6 +101,33 @@ def test_cycle_labels_match_the_cycle_walk():
         assert p.cycle_type() == tuple(sorted(map(len, cycles), reverse=True))
         assert p.parity == brute_parity(t)
     assert Permutation.identity(0).cycle_type() == ()
+
+
+def _assert_cycle_type_of_the_full_table(p):
+    got = p.cycle_type()
+    assert got == full_table_cycle_type(p)
+    assert all(type(k) is int for k in got)
+
+
+@pytest.mark.parametrize("p", [
+    Permutation.identity(0), Permutation.identity(1), Permutation.identity(49),
+    Permutation.from_cycles(10_000, [(5, 9_000, 17), (3, 4)]),
+    Permutation.random(200, np.random.default_rng(7)),
+], ids=["n0", "n1", "identity", "sparse", "dense"])
+def test_cycle_type_matches_the_full_table(p):
+    _assert_cycle_type_of_the_full_table(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cycle_type_matches_the_full_table_at_any_support(data):
+    n = data.draw(st.integers(1, 80), label="points")
+    moved = data.draw(st.integers(0, n), label="points that may move")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pts = rng.choice(n, size=moved, replace=False)
+    table = np.arange(n)
+    table[pts] = pts[rng.permutation(moved)]
+    _assert_cycle_type_of_the_full_table(Permutation(table))
 
 
 def test_mismatched_sizes():

@@ -244,6 +244,25 @@ def test_conjugacy_word47_materializes_no_letter_twice(monkeypatch):
     assert word.product() == c
 
 
+def test_cycle_checks_label_only_the_moved_points(monkeypatch):
+    # both single-cycle checks label the 2875 moved points, not all 7^6
+    from altgen import perms
+    model = CubeGeometry(1, 6)
+    rng = np.random.default_rng(5)
+    pts = rng.choice(model.N, size=2875, replace=False)
+    c = Permutation.from_cycles(model.N, [pts[rng.permutation(2875)].tolist()])
+    sizes = []
+    cycle_labels = perms.cycle_labels
+
+    def recorded(tables):
+        sizes.append(np.asarray(tables).size)
+        return cycle_labels(tables)
+
+    monkeypatch.setattr(perms, "cycle_labels", recorded)
+    assert conjugacy_word47(model, c) is not None
+    assert len(sizes) >= 2 and max(sizes) <= 2875
+
+
 def test_word_serialization_roundtrip():
     model = CubeGeometry(1, 2)
     rng = np.random.default_rng(6)
