@@ -222,6 +222,39 @@ def test_conjugacy_word47_standard_cycle():
     assert word.product() == c0
 
 
+def _records_digest(word):
+    return hashlib.sha256(json.dumps(word.to_records()).encode()).hexdigest()
+
+
+def _random_cycle(model, seed):
+    """A standard-length cycle on points drawn from default_rng(seed)."""
+    L, _ = standard_cycle_length(model.K, model.d)
+    rng = np.random.default_rng(seed)
+    pts = rng.choice(model.N, size=L, replace=False)
+    return Permutation.from_cycles(model.N, [pts[rng.permutation(L)].tolist()])
+
+
+@pytest.mark.parametrize("d, seed, digest", [
+    (6, 1, "40d22e86935048fa675d00a35f6cfec2f2856312eeda3af2fb69e8c289933a88"),
+    (6, 3, "fdeb875a56b0fd8088e4d11561db62857745897f95fb8adeb290a102f7074df3"),
+    (6, None, "ebc61786d84d986625900fe372da3221bb5aba8fa4c0dd96c738b60fee09c490"),
+    (4, 1, "92c2e22b440a474ae557aeb20d882249a5e80ef790f2de8b8362d8285479337f"),
+], ids=["d6-seed1", "d6-seed3", "d6-standard", "d4-seed1"])
+def test_conjugacy_word47_letters_are_pinned(d, seed, digest):
+    # any change to a letter, its axis or the letter order changes the digest
+    model = CubeGeometry(1, d)
+    if seed is None:
+        cycle = cycle_word(model, standard_cycle_length(model.K, d)[1]).product()
+    else:
+        cycle = _random_cycle(model, seed)
+    assert _records_digest(conjugacy_word47(model, cycle)) == digest
+
+
+def test_cycle_word_letters_are_pinned():
+    digest = "f3650309cdcc912c45daa40cce95a307e5f158b1e8fb4a203160018524353835"
+    assert _records_digest(cycle_word(CubeGeometry(1, 6), 479)) == digest
+
+
 def test_conjugacy_word47_materializes_no_letter_twice(monkeypatch):
     # two face-moving letters and the standard cycle's letters, once each
     model = CubeGeometry(1, 6)
