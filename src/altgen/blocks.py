@@ -226,9 +226,10 @@ def block_factor(g, m):
 
     first, middle, last = three_stage(g.table, np.arange(n) // mt, sizes)
     columns, rows = parts[:q], parts[q:]
-    for cells in rows:
-        require(np.isin(middle[cells], cells).all(),
-                "stage-2 target leaves its row-group window")
+    row_group = np.empty(n, dtype=np.int64)
+    row_group[np.concatenate(rows)] = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    require((row_group[middle] == row_group).all(),
+            "stage-2 target leaves its row-group window")
 
     # an odd factor is made even by swapping the first two cells of its part
     # after it; the next stage undoes the swap inside one of its own parts
@@ -256,19 +257,26 @@ def block_factor(g, m):
                 factors.append(Permutation(f, _validate=False))
                 window_index.append(w)
 
-    # every factor even, counted on the factors themselves in one stack
-    tables = [f.table for f in factors] or [np.arange(n)]
-    count, labels = cycle_labels(tables)
-    cycles = _cycles_per_part(count, labels.ravel(),
-                              np.repeat(np.arange(len(tables)), n), len(tables))
-    require(((n - cycles) % 2 == 0).all(), "factor parity fix failed")
     bound = factor_count_bound(n, m)
     require(len(factors) <= bound, f"{len(factors)} factors exceed bound {bound}")
+    # every factor moves only points of its window, checked in one stack
+    stack = np.array([f.table for f in factors], dtype=np.int64).reshape(-1, n)
+    window_points = np.asarray(windows)
+    in_window = np.zeros((len(windows), n), dtype=bool)
+    in_window[np.arange(len(windows))[:, None], window_points] = True
+    require(not ((stack != np.arange(n)) & ~in_window[window_index]).any(),
+            "factor support leaves its window")
+    # every factor even, counted on the factors themselves: each maps its
+    # window to itself, so factor i's sorted window points, shifted by i*n,
+    # renumber to i*m + [0, m) and one labelling covers every factor
+    windows_of = window_points[window_index]
+    shift = n * np.arange(len(factors))[:, None]
+    images = np.take_along_axis(stack, windows_of, axis=1) + shift
+    count, labels = cycle_labels(np.searchsorted((windows_of + shift).ravel(), images.ravel()))
+    cycles = _cycles_per_part(count, labels, np.repeat(np.arange(len(factors)), m),
+                              len(factors))
+    require(((m - cycles) % 2 == 0).all(), "factor parity fix failed")
     _check_block_product(factors, g)
-    window_sets = [set(w) for w in windows]
-    for f, widx in zip(factors, window_index):
-        require(set(map(int, f.support())) <= window_sets[widx],
-                "factor support leaves its window")
     return factors, windows
 
 

@@ -100,17 +100,22 @@ class Permutation:
             out.append(cyc)
         return out
 
+    def _moved_cycle_labels(self):
+        """(support, count, labels): the cycles of the moved points alone,
+        renumbered in order, so a permutation moving few of many points
+        costs its support."""
+        support = self.support()
+        count, labels = cycle_labels(np.searchsorted(support, self.table[support]))
+        return support, count, labels
+
     def cycle_count(self):
-        return cycle_labels(self.table)[0]
+        """Number of cycles, fixed points included."""
+        support, count, _ = self._moved_cycle_labels()
+        return count + self.n - len(support)
 
     def cycle_type(self):
-        """Multiset of cycle lengths, fixed points included, sorted descending.
-
-        Cycles are found on the moved points alone, renumbered in order, so a
-        permutation moving few of many points costs its support.
-        """
-        support = self.support()
-        labels = cycle_labels(np.searchsorted(support, self.table[support]))[1]
+        """Multiset of cycle lengths, fixed points included, sorted descending."""
+        support, _, labels = self._moved_cycle_labels()
         moved = sorted(np.bincount(labels).tolist(), reverse=True)
         return tuple(moved) + (1,) * (self.n - len(support))
 

@@ -9,6 +9,7 @@ conjugation word assembling all three.
 
 import numpy as np
 
+from . import perms
 # perfbench/tracer.py counts the edge colourings as words.color_regular_bipartite
 from .blocks import color_regular_bipartite, three_stage  # noqa: F401
 from .embeddings import ShiftVector
@@ -94,19 +95,6 @@ def face_points(model):
     Face index f names the point's axis-1 line.
     """
     return model.lines(model.points(), 1)[..., 0].ravel()
-
-
-def face_restriction(model, perm):
-    """Face permutation induced by a cube permutation supported on the face."""
-    face_idx = face_points(model)
-    images = perm.table[face_idx]
-    line, coord = model.line_coords(images, 1)
-    if coord.any():
-        raise ValueError("permutation does not preserve the face")
-    off_face = np.delete(perm.table, face_idx)
-    if (off_face != np.delete(np.arange(model.N), face_idx)).any():
-        raise ValueError("permutation moves points outside the face")
-    return line
 
 
 def _axis_level_shifts(model, axis):
@@ -279,25 +267,40 @@ def cycle_word(model, a):
 
 
 def _checked_cycle_word(model, a):
-    """(word, product) of cycle_word; its checks compute the product anyway."""
-    K = model.K
+    """(word, c0_face) of cycle_word; c0_face is the cycle on the face lines.
+
+    Only points on the tree's shifted lines can move, so the checks take
+    those points through the word and build no N-point table.
+    """
+    K, L = model.K, model.lines_per_axis
     lines = comb_tree_lines(model, a)
     by_axis = {}
     for axis, lid in lines:
         by_axis.setdefault(axis, []).append(lid)
     letters = []
+    face = face_points(model)
+    on_tree = np.zeros(L, dtype=bool)
     for axis in sorted(by_axis):
-        shifts = np.zeros(model.lines_per_axis, dtype=np.int64)
+        shifts = np.zeros(L, dtype=np.int64)
         shifts[by_axis[axis]] = 1
         letters.append(ShiftVector(model, axis, shifts))
+        # a line along axis > 1 lies in the face or misses it, so this count
+        # puts every shifted line, and every point that can move, in the face
+        on_line = shifts[model.line_coords(face, axis)[0]] == 1
+        require(np.count_nonzero(on_line) == K * len(by_axis[axis]), "cycle leaves the face")
+        on_tree |= on_line
     word = WordInE(model, letters)
-    perm = word.product()
-    support = perm.support()
+    points = face[on_tree]   # sorted, as the face is
+    images = word.images(points)
+    moved = images != points
+    support, images = points[moved], images[moved]
     expected = 1 + a * (K - 1)
     require(len(support) == expected, "tree union has the wrong size")
-    require((model.line_coords(support, 1)[1] == 0).all(), "cycle leaves the face")
-    require(perm.cycle_type()[0] == expected, "product is not a single cycle")
-    return word, perm
+    require(perms.cycle_labels(np.searchsorted(support, images))[0] == 1,
+            "product is not a single cycle")
+    c0_face = np.arange(L)
+    c0_face[model.line_coords(support, 1)[0]] = model.line_coords(images, 1)[0]
+    return word, c0_face
 
 
 # -- conjugating an arbitrary cycle into the standard one -----------------------
@@ -322,13 +325,11 @@ def conjugacy_word47(model, cycle_perm):
     if moved is None:
         return None
     g, h = moved
-    t = h.materialize() * g.materialize()
-    sigma_hat = t * cycle_perm * t.inverse()
-    sigma_face = face_restriction(model, sigma_hat)
+    sigma_face = _face_cycle(model, WordInE(model, [h, g]), cycle_perm, support)
 
-    c0_word, c0 = _checked_cycle_word(model, a)
+    c0_word, c0_face = _checked_cycle_word(model, a)
 
-    rho = _match_cycles(model, c0, sigma_face)
+    rho = _match_cycles(c0_face, sigma_face)
     w = grid_route(model, rho)
 
     letters = ([g.inverse(), h.inverse()]
@@ -342,28 +343,44 @@ def conjugacy_word47(model, cycle_perm):
     return word
 
 
-def _match_cycles(model, c0, sigma_face):
+def _face_cycle(model, t, cycle_perm, support):
+    """The face permutation of t c t^-1, c = cycle_perm supported on `support`.
+
+    t c t^-1 moves only t(support), so t must put every point of the
+    support on the face; it sends face line t(x) to face line t(c(x)).
+    """
+    src_line, src_coord = model.line_coords(t.images(support), 1)
+    dst_line, dst_coord = model.line_coords(t.images(cycle_perm.table[support]), 1)
+    require(not src_coord.any() and not dst_coord.any(),
+            "face move leaves a cycle point off the face")
+    sigma_face = np.arange(model.lines_per_axis)
+    sigma_face[src_line] = dst_line
+    return sigma_face
+
+
+def _match_cycles(c0_face, sigma_face):
     """Face permutation conjugating the standard cycle to the target cycle."""
-    L_face = model.lines_per_axis
-    c0_face = face_restriction(model, c0)
+    L_face = len(c0_face)
 
     def orbit(table, start):
         out = [start]
-        x = int(table[start])
+        x = table[start]
         while x != start:
             out.append(x)
-            x = int(table[x])
+            x = table[x]
         return out
 
     c0_start = int(np.flatnonzero(c0_face != np.arange(L_face))[0])
     sg_start = int(np.flatnonzero(sigma_face != np.arange(L_face))[0])
-    src = orbit(c0_face, c0_start)
-    dst = orbit(sigma_face, sg_start)
+    src = orbit(c0_face.tolist(), c0_start)
+    dst = orbit(sigma_face.tolist(), sg_start)
     require(len(src) == len(dst), "standard and target cycles differ in length")
 
     rho = np.full(L_face, -1, dtype=np.int64)
     rho[src] = dst
-    rest_src = np.setdiff1d(np.arange(L_face), np.array(src))
-    rest_dst = np.setdiff1d(np.arange(L_face), np.array(dst))
-    rho[rest_src] = rest_dst
+    rest_src = np.ones(L_face, dtype=bool)
+    rest_src[src] = False
+    rest_dst = np.ones(L_face, dtype=bool)
+    rest_dst[dst] = False
+    rho[rest_src] = np.flatnonzero(rest_dst)
     return rho

@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from altgen.perms import cycle_labels
+from altgen.words import face_points
 from altgen.schreier_sims import StabilizerChain, _product_replacement, _to_bytes
 
 # subsets of more vertices than this are too many to enumerate
@@ -172,3 +173,16 @@ def coo_round_coloring(left, right, n_left, n_right, degree):
 def full_table_cycle_type(perm):
     """Cycle type from the cycles of every point of the table, fixed ones too."""
     return tuple(sorted(np.bincount(cycle_labels(perm.table)[1]).tolist(), reverse=True))
+
+
+def face_restriction(model, perm):
+    """Face permutation induced by a cube permutation supported on the face,
+    read off its whole N-point table."""
+    face_idx = face_points(model)
+    line, coord = model.line_coords(perm.table[face_idx], 1)
+    if coord.any():
+        raise ValueError("permutation does not preserve the face")
+    off_face = np.delete(perm.table, face_idx)
+    if (off_face != np.delete(np.arange(model.N), face_idx)).any():
+        raise ValueError("permutation moves points outside the face")
+    return line

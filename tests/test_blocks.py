@@ -178,6 +178,26 @@ def test_block_factors_are_pinned(n, digest):
     assert h.hexdigest() == digest
 
 
+def test_block_factor_refuses_a_factor_outside_its_window(monkeypatch):
+    # hand each factor the next part's window: its support leaves the window
+    from altgen import blocks
+    windows = blocks.window_family
+    monkeypatch.setattr(blocks, "window_family",
+                        lambda n, m: (lambda w: w[1:] + w[:1])(windows(n, m)))
+    g = random_even(1000, np.random.default_rng(1000))
+    with pytest.raises(VerificationError, match="factor support leaves its window"):
+        block_factor(g, 49)
+
+
+def test_block_factor_refuses_an_odd_factor(monkeypatch):
+    # with no parity swaps the factors of a random even permutation are odd
+    from altgen import blocks
+    monkeypatch.setattr(blocks, "_odd_parts", lambda table, parts: [])
+    g = random_even(1000, np.random.default_rng(1000))
+    with pytest.raises(VerificationError, match="factor parity fix failed"):
+        block_factor(g, 49)
+
+
 def _odd_parts_by_unique(table, parts):
     """The parts on which `table` is odd, one np.unique count of cycles per part."""
     labels = cycle_labels(table)[1]

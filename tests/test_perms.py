@@ -109,13 +109,34 @@ def _assert_cycle_type_of_the_full_table(p):
     assert all(type(k) is int for k in got)
 
 
-@pytest.mark.parametrize("p", [
+FULL_TABLE_CASES = pytest.mark.parametrize("p", [
     Permutation.identity(0), Permutation.identity(1), Permutation.identity(49),
     Permutation.from_cycles(10_000, [(5, 9_000, 17), (3, 4)]),
     Permutation.random(200, np.random.default_rng(7)),
 ], ids=["n0", "n1", "identity", "sparse", "dense"])
+
+
+@FULL_TABLE_CASES
 def test_cycle_type_matches_the_full_table(p):
     _assert_cycle_type_of_the_full_table(p)
+
+
+@FULL_TABLE_CASES
+def test_cycle_count_and_parity_match_the_full_table(p):
+    count = len(full_table_cycle_type(p))
+    assert p.cycle_count() == count
+    assert Permutation(p.table).parity == (p.n - count) % 2
+
+
+def test_parity_labels_only_the_moved_points(monkeypatch):
+    from altgen import perms
+    sizes = []
+    labels = perms.cycle_labels
+    monkeypatch.setattr(perms, "cycle_labels",
+                        lambda tables: sizes.append(np.asarray(tables).size) or labels(tables))
+    p = Permutation.from_cycles(10_000, [(5, 9_000, 17), (3, 4)])
+    assert p.parity == 1 and p.cycle_count() == 9_997
+    assert sizes == [5, 5]
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,10 @@ from altgen.blocks import color_regular_bipartite
 from altgen.embeddings import ShiftVector
 from altgen.geometry import CubeGeometry
 from altgen.perms import Permutation
-from altgen.words import (WordInE, butterfly_factor, comb_tree_lines,
-                          conjugacy_word47, cycle_word, face_restriction,
-                          grid_route, standard_cycle_length, tosquare_word)
+from altgen.words import (WordInE, _checked_cycle_word, _face_cycle, butterfly_factor,
+                          comb_tree_lines, conjugacy_word47, cycle_word, grid_route,
+                          standard_cycle_length, tosquare_word)
+from oracles import face_restriction
 
 
 def test_edge_coloring_regular_random():
@@ -256,25 +257,47 @@ def test_cycle_word_letters_are_pinned():
 
 
 def test_conjugacy_word47_materializes_no_letter_twice(monkeypatch):
-    # two face-moving letters and the standard cycle's letters, once each
+    # every letter moves the cycle's points along their lines: no letter is
+    # materialized and no N-point permutation is composed or inverted
     model = CubeGeometry(1, 6)
     rng = np.random.default_rng(5)
     pts = rng.choice(model.N, size=2875, replace=False)
     c = Permutation.from_cycles(model.N, [pts[rng.permutation(2875)].tolist()])
     calls = []
-    materialize = ShiftVector.materialize
-
-    def counted(self):
-        calls.append(self)
-        return materialize(self)
-
-    monkeypatch.setattr(ShiftVector, "materialize", counted)
+    for cls, name in [(ShiftVector, "materialize"), (Permutation, "__mul__"),
+                      (Permutation, "inverse")]:
+        def counted(*args, _method=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _method(*args)
+        monkeypatch.setattr(cls, name, counted)
     word = conjugacy_word47(model, c)
     assert word is not None
-    assert len(calls) <= 7
-    assert len({id(letter) for letter in calls}) == len(calls)
+    assert calls == []
     monkeypatch.undo()
     assert word.product() == c
+
+
+@pytest.mark.parametrize("d, a", [(6, 479), (6, 9), (4, 1)])
+def test_face_cycles_match_the_face_restriction(d, a):
+    # the standard cycle's face lines, and the target cycle's after the face
+    # move, equal the restriction of the whole N-point product to the face
+    model = CubeGeometry(1, d)
+    word, c0_face = _checked_cycle_word(model, a)
+    assert np.array_equal(c0_face, face_restriction(model, word.product()))
+    rng = np.random.default_rng(d + a)
+    checked = 0
+    for _ in range(3):
+        pts = rng.choice(model.N, size=1 + a * (model.K - 1), replace=False)
+        c = Permutation.from_cycles(model.N, [pts[rng.permutation(len(pts))].tolist()])
+        moved = tosquare_word(model, c.support())
+        if moved is None:
+            continue
+        checked += 1
+        t = WordInE(model, moved[::-1])
+        table = t.product()
+        assert np.array_equal(_face_cycle(model, t, c, c.support()),
+                              face_restriction(model, table * c * table.inverse()))
+    assert checked
 
 
 def test_cycle_checks_label_only_the_moved_points(monkeypatch):
