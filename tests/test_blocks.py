@@ -178,6 +178,34 @@ def test_block_factors_are_pinned(n, digest):
     assert h.hexdigest() == digest
 
 
+def _int64_digest(h, values):
+    h.update(np.asarray(values, dtype=np.int64).tobytes())
+
+
+@pytest.mark.parametrize("n, windows_digest, layout_digest", [
+    (1000, "c9fd759f6582a36cd16fdbaa616a8718c09ba0604fa6db628ec6bcce471de401",
+     "9da0a4be201c1b0f33a644f3f7f889375493f1e2da85039fb236f6864ea957e7"),
+    (300, "4305aad5eb45b9ee38a085d9bc3922d8fa2d62eb5f58bd4a48eddcf66da34bcd",
+     "82f365736e706f06e263e2bc927e6cc30fcc08601be8a7079dbf19a007416f2a"),
+    (100, "8015d14807e6280a88d64416e818bf95c168a796c525b4a7871b0635f7f7b2f7",
+     "a6a08c49f384aafa4a9220a298c377b7ea651726c1a79aa346f561399738d894"),
+], ids=["n1000", "n300", "n100"])
+def test_window_family_and_layout_are_pinned(n, windows_digest, layout_digest):
+    # digests of the int64 values, so a list or an array of the same
+    # numbers gives the same digest; part lengths keep the parts apart
+    h = hashlib.sha256()
+    _int64_digest(h, window_family(n, 49))
+    assert h.hexdigest() == windows_digest
+    q, mt, sizes, parts = _layout(n, 49)
+    h = hashlib.sha256()
+    _int64_digest(h, [q, mt, len(parts)])
+    _int64_digest(h, sizes)
+    for cells in parts:
+        _int64_digest(h, [len(cells)])
+        _int64_digest(h, cells)
+    assert h.hexdigest() == layout_digest
+
+
 def test_block_factor_refuses_a_factor_outside_its_window(monkeypatch):
     # hand each factor the next part's window: its support leaves the window
     from altgen import blocks
