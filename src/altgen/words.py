@@ -97,30 +97,18 @@ def face_points(model):
     return model.lines(model.points(), 1)[..., 0].ravel()
 
 
-def _axis_level_shifts(model, axis):
-    """Shift of each axis-`axis` line (axis > 1) by its own first coordinate."""
-    first = model.lines(model.points(), axis)[..., 0].ravel()
-    return model.line_coords(first, 1)[1]
+def _deliver_letter(model, face, axis, coord):
+    """The letter shifting each axis-`axis` line (axis > 1) by its own first coordinate.
 
-
-def _round_letters(model, face, axis, coord, targets):
-    """Three letters realizing prescribed within-line moves on the face.
-
-    targets[f] is the wanted axis-`axis` coordinate of face point face[f],
-    whose coordinate is coord[f].  The first letter lifts each face point to
-    the level named by its shift amount, the middle letter shifts every line
-    at level r by r (delivering the move), the final letter drops everything
-    back to the face.  Returned in application order.
+    coord is the axis-`axis` coordinate of each face point.  Every line has
+    one point at coordinate 0 along its axis; moved r places along axis 1
+    from the face, those points start the lines at level r.
     """
-    K = model.K
-    delta = (targets - coord) % K
-    lift = ShiftVector(model, 1, delta)
-    deliver = ShiftVector(model, axis, _axis_level_shifts(model, axis))
-    landed = model.line_coords(model.move(face, axis, targets - coord), 1)[0]
-    drop_shifts = np.zeros(model.lines_per_axis, dtype=np.int64)
-    drop_shifts[landed] = (K - delta) % K
-    drop = ShiftVector(model, 1, drop_shifts)
-    return [lift, deliver, drop]
+    levels = np.arange(model.K)[:, None]
+    starts = model.move(face[coord == 0], 1, levels)
+    shifts = np.empty(model.lines_per_axis, dtype=np.int64)
+    shifts[model.line_coords(starts, axis)[0]] = levels
+    return ShiftVector(model, axis, shifts)
 
 
 def grid_route(model, sigma_face):
@@ -132,6 +120,12 @@ def grid_route(model, sigma_face):
     route whose columns are the face's axis-a lines: a pre-round moves along
     axis a, the rest of the route moves along the higher axes, and a
     post-round moves along axis a again.  The residue moves along axis d.
+
+    A round moving face point f to coordinate targets[f] along axis a takes
+    three letters: the first lifts f along axis 1 to the level named by its
+    shift amount, the middle letter shifts every axis-a line at level r by r
+    (delivering the move) and the last drops everything back to the face.
+    The drop of one round and the lift of the next merge into one letter.
     """
     K, d, L = model.K, model.d, model.lines_per_axis
     cur = np.asarray(sigma_face, dtype=np.int64)
@@ -139,35 +133,44 @@ def grid_route(model, sigma_face):
         raise ValueError(f"face permutation must have length {L}")
 
     face = face_points(model)
-    pre_rounds = []   # (axis, coord, targets), application order
+    # face points sit at 0 on axis 1, the fastest digit, so each axis-a line
+    # id is K times a column number: face point f takes cell line + coord,
+    # row coord of its line's column, and face point at[c] sits in cell c
+    grid = {}
+    for axis in range(2, d + 1):
+        line, coord = model.line_coords(face, axis)
+        at = np.empty(L, dtype=np.int64)
+        at[line + coord] = np.arange(L)
+        grid[axis] = line, coord, at
+    pre_rounds = []   # (axis, targets), application order
     post_rounds = []  # gathered in reverse
     for axis in range(2, d):
-        line, coord = model.line_coords(face, axis)
-        # face points sit at 0 on axis 1, the fastest digit, so each line id
-        # is K times a column number: face point f takes cell line + coord,
-        # row coord of its line's column
+        line, coord, at = grid[axis]
         cell = line + coord
         first, middle, last = three_stage(cur, cell // K, [K] * (L // K))
-        at = np.empty(L, dtype=np.int64)
-        at[cell] = np.arange(L)  # the face point in each cell
-        pre_rounds.append((axis, coord, first % K))
-        post_rounds.append((axis, coord, coord[last[cell]]))
+        pre_rounds.append((axis, first % K))
+        post_rounds.append((axis, coord[last[cell]]))
         cur = at[middle[cell]]
-        require(all((c[cur] == c).all() for _, c, _ in pre_rounds),
+        require(all((grid[a][1][cur] == grid[a][1]).all() for a, _ in pre_rounds),
                 "peel invariant broken: the residue moves a routed coordinate")
 
-    line, coord = model.line_coords(face, d)
+    line, coord, _ = grid[d]
     require((line[cur] == line).all(), "residue leaves its axis-d lines")
-    rounds = pre_rounds + [(d, coord, coord[cur])] + post_rounds[::-1]
+    rounds = pre_rounds + [(d, coord[cur])] + post_rounds[::-1]
+    deliver = {axis: _deliver_letter(model, face, axis, grid[axis][1]) for axis in grid}
     letters_app = []
-    for axis, coord, targets in rounds:
-        lift, deliver, drop = _round_letters(model, face, axis, coord, targets)
-        if letters_app:
-            letters_app[-1] = letters_app[-1] * lift  # merge adjacent axis-1 letters
-        else:
-            letters_app.append(lift)
-        letters_app.append(deliver)
-        letters_app.append(drop)
+    drop = 0   # the previous round's drop shifts, merged into this round's lift
+    for axis, targets in rounds:
+        line, coord, at = grid[axis]
+        move = targets - coord
+        # face point f is on axis-1 line f: the lift raises it to level
+        # move mod K, the level the deliver letter shifts by that much
+        letters_app += [ShiftVector(model, 1, drop + move), deliver[axis]]
+        # the drop lowers it back along the axis-1 line it landed on, that
+        # of the face point in its target cell
+        drop = np.zeros(L, dtype=np.int64)
+        drop[at[line + targets]] = -move
+    letters_app.append(ShiftVector(model, 1, drop))
 
     word = WordInE(model, letters_app[::-1])
     require(len(word) == 4 * d - 5, f"face route has {len(word)} letters, not 4d-5")
@@ -183,38 +186,50 @@ def tosquare_word(model, points):
     Greedy over the axis-2 lines in index order: each line gets the smallest
     shift that avoids putting two points onto one axis-1 line; a bad position
     makes the greedy fail, which is reported as None.
+
+    Two points can land on one axis-1 line only if they lie in one (axis-1,
+    axis-2) plane, and within a plane the axis-2 lines come in order of
+    their axis-1 coordinate.  So the greedy runs in K steps, one per axis-1
+    coordinate, each over the lines at that coordinate in every plane.
     """
     K = model.K
-    points = np.asarray(sorted(set(map(int, points))), dtype=np.int64)
+    points = np.sort(np.asarray(points, dtype=np.int64))
     if len(points) == 0:
         zero = np.zeros(model.lines_per_axis, dtype=np.int64)
         return ShiftVector(model, 2, zero), ShiftVector(model, 1, zero)
-    if points.min() < 0 or points.max() >= model.N:
+    if points[0] < 0 or points[-1] >= model.N:
         raise ValueError("point index out of range")
+    points = points[np.r_[True, points[1:] != points[:-1]]]
 
     lid2, x2 = model.line_coords(points, 2)
-    # landing[p][t]: the axis-1 line point p lands on when its axis-2 line
+    x1 = model.line_coords(points, 1)[1]
+    # the points by axis-1 coordinate, then by axis-2 line; an axis-2 line
+    # keeps its axis-1 coordinate, so each line's points are adjacent
+    by_step = np.lexsort((lid2, x1))
+    points, lid2, x2, x1 = points[by_step], lid2[by_step], x2[by_step], x1[by_step]
+    new_line = np.r_[True, lid2[1:] != lid2[:-1]]
+    line_start = np.flatnonzero(new_line)
+    point_line = np.cumsum(new_line) - 1
+    step_lines = np.searchsorted(x1[line_start], np.arange(K + 1))
+    step_points = np.append(line_start, len(points))[step_lines]
+    # landing[p, t]: the axis-1 line point p lands on when its axis-2 line
     # is shifted by t
     shifted = model.move(points, 2, (x2 + np.arange(K)[:, None]) % K - x2)
-    landing = model.line_coords(shifted, 1)[0].T.tolist()
-
-    by_line = {}
-    for line, slots in zip(lid2.tolist(), landing):
-        by_line.setdefault(line, []).append(slots)
-
-    shifts2 = np.zeros(model.lines_per_axis, dtype=np.int64)
-    occupied = set()
-    for line in sorted(by_line):
-        good = -1
-        for t in range(K):
-            trial = [landed[t] for landed in by_line[line]]
-            if all(sl not in occupied for sl in trial):
-                good = t
-                occupied.update(trial)
-                break
-        if good == -1:
+    landing = model.line_coords(shifted, 1)[0].T
+    shift = np.zeros(len(line_start), dtype=np.int64)
+    occupied = np.zeros(model.lines_per_axis, dtype=bool)
+    for step in range(K):
+        (l0, l1), (p0, p1) = step_lines[step:step + 2], step_points[step:step + 2]
+        if l0 == l1:
+            continue
+        # blocked[l, t]: shifting line l by t puts a point on an occupied line
+        blocked = np.logical_or.reduceat(occupied[landing[p0:p1]], line_start[l0:l1] - p0)
+        if blocked.all(axis=1).any():
             return None
-        shifts2[line] = good
+        shift[l0:l1] = np.argmin(blocked, axis=1)
+        occupied[landing[np.arange(p0, p1), shift[point_line[p0:p1]]]] = True
+    shifts2 = np.zeros(model.lines_per_axis, dtype=np.int64)
+    shifts2[lid2[line_start]] = shift
 
     # each letter moves a point along its own line, so the points are moved
     # by arithmetic rather than through N-sized tables

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from altgen.embeddings import ShiftVector
 from altgen.perms import cycle_labels
 from altgen.words import face_points
 from altgen.schreier_sims import StabilizerChain, _product_replacement, _to_bytes
@@ -186,3 +187,41 @@ def face_restriction(model, perm):
     if (off_face != np.delete(np.arange(model.N), face_idx)).any():
         raise ValueError("permutation moves points outside the face")
     return line
+
+
+def linewise_tosquare_word(model, points):
+    """tosquare_word's greedy one axis-2 line at a time, in line-id order,
+    the package's first form of it: each line takes the smallest shift that
+    puts none of its points onto an axis-1 line already taken, or the greedy
+    fails and returns None."""
+    K = model.K
+    points = np.asarray(sorted(set(map(int, points))), dtype=np.int64)
+    if len(points) == 0:
+        zero = np.zeros(model.lines_per_axis, dtype=np.int64)
+        return ShiftVector(model, 2, zero), ShiftVector(model, 1, zero)
+    lid2, x2 = model.line_coords(points, 2)
+    # landing[p][t]: the axis-1 line point p lands on when its axis-2 line
+    # is shifted by t
+    shifted = model.move(points, 2, (x2 + np.arange(K)[:, None]) % K - x2)
+    landing = model.line_coords(shifted, 1)[0].T.tolist()
+    by_line = {}
+    for line, slots in zip(lid2.tolist(), landing):
+        by_line.setdefault(line, []).append(slots)
+    shifts2 = np.zeros(model.lines_per_axis, dtype=np.int64)
+    occupied = set()
+    for line in sorted(by_line):
+        good = -1
+        for t in range(K):
+            trial = [landed[t] for landed in by_line[line]]
+            if all(sl not in occupied for sl in trial):
+                good = t
+                occupied.update(trial)
+                break
+        if good == -1:
+            return None
+        shifts2[line] = good
+    moved = model.move(points, 2, (x2 + shifts2[lid2]) % K - x2)
+    lid1, x1 = model.line_coords(moved, 1)
+    shifts1 = np.zeros(model.lines_per_axis, dtype=np.int64)
+    shifts1[lid1] = (K - x1) % K
+    return ShiftVector(model, 2, shifts2), ShiftVector(model, 1, shifts1)

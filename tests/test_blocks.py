@@ -122,6 +122,54 @@ def test_regular_coloring_is_proper(data):
     assert np.array_equal(colors, coo_round_coloring(left, right, n, n, degree))
 
 
+def _count_matchings(monkeypatch):
+    """The list that gets one entry per Hopcroft-Karp call from here on."""
+    from scipy.sparse import csgraph
+    calls = []
+    matcher = csgraph.maximum_bipartite_matching
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matcher(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "maximum_bipartite_matching", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, degree", [(1, 3), (5, 1), (6, 4), (30, 12)])
+def test_r_fold_perfect_matching_needs_no_matcher(monkeypatch, n, degree):
+    # every round must take the one perfect matching the support graph has
+    rng = np.random.default_rng(n * degree)
+    left = np.tile(np.arange(n), degree)
+    right = np.tile(rng.permutation(n), degree)
+    order = rng.permutation(n * degree)
+    left, right = left[order], right[order]
+    calls = _count_matchings(monkeypatch)
+    colors = color_regular_bipartite(left, right, n, n, degree)
+    assert calls == []
+    assert np.array_equal(colors, coo_round_coloring(left, right, n, n, degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_regular_coloring_matches_the_coo_rounds_on_larger_graphs(data):
+    n = data.draw(st.integers(1, 40), label="nodes per side")
+    degree = data.draw(st.integers(1, 12), label="degree")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # a union of random perfect matchings, with parallel edges at small n
+    right = np.concatenate([rng.permutation(n) for _ in range(degree)])
+    left = np.tile(np.arange(n), degree)
+    order = rng.permutation(n * degree)
+    left, right = left[order], right[order]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_matchings(monkeypatch)
+        colors = color_regular_bipartite(left, right, n, n, degree)
+    # the last round's support graph is a perfect matching, found unasked
+    assert len(calls) <= degree - 1
+    _assert_proper(colors, (left, right))
+    assert np.array_equal(colors, coo_round_coloring(left, right, n, n, degree))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_column_coloring_respects_the_short_column(data):

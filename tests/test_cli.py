@@ -238,7 +238,10 @@ def test_desk_base_generates():
 
 
 def test_console_entry_point():
+    # the child finds the package the tests import, installed or not
+    src = str(Path(altgen.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-m", "altgen.cli", "--help"],
+                         env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True)
     assert out.returncode == 0
     for name in ("construct", "construct-general", "schreier", "spectral",

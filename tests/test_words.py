@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from altgen.blocks import color_regular_bipartite
 from altgen.embeddings import ShiftVector
@@ -12,7 +13,7 @@ from altgen.perms import Permutation
 from altgen.words import (WordInE, _checked_cycle_word, _face_cycle, butterfly_factor,
                           comb_tree_lines, conjugacy_word47, cycle_word, grid_route,
                           standard_cycle_length, tosquare_word)
-from oracles import face_restriction
+from oracles import face_restriction, linewise_tosquare_word
 
 
 def test_edge_coloring_regular_random():
@@ -103,6 +104,22 @@ def test_grid_route_letters_hold_one_byte_per_line():
     assert sum(letter.shifts.nbytes for letter in word.letters) <= 19 * 7**5
 
 
+def test_grid_route_builds_one_n_point_array(monkeypatch):
+    # the face is the one N-point array a route needs; every deliver letter
+    # is built from the face
+    model = CubeGeometry(1, 6)
+    calls = []
+    points = CubeGeometry.points
+
+    def counted(self):
+        calls.append(self)
+        return points(self)
+
+    monkeypatch.setattr(CubeGeometry, "points", counted)
+    grid_route(model, np.random.default_rng(4).permutation(model.lines_per_axis))
+    assert len(calls) <= 1
+
+
 def test_grid_route_small_dimension():
     model = CubeGeometry(1, 2)
     rng = np.random.default_rng(3)
@@ -164,6 +181,27 @@ def test_tosquare_random_sets():
         assert (model.coord_array(1)[final] == 0).all()
         assert len(np.unique(final)) == 500
     assert successes >= 8  # measured, not asserted at 1; tiny sets rarely fail
+
+
+@pytest.mark.parametrize("s, d", [(1, 3), (1, 4), (2, 2)])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), share=st.floats(0, 1))
+@example(seed=0, share=1.0)   # fails in every shape
+@example(seed=0, share=0.1)   # succeeds in every shape
+def test_tosquare_word_matches_the_linewise_greedy(s, d, seed, share):
+    # up to two points per face line, so the greedy both fails and
+    # succeeds; repeated points are dropped first
+    model = CubeGeometry(s, d)
+    rng = np.random.default_rng(seed)
+    pts = rng.choice(model.N, size=int(share * min(model.N, 2 * model.lines_per_axis)),
+                     replace=False)
+    pts = np.concatenate([pts, pts[:len(pts) // 4]])
+    got, want = tosquare_word(model, pts), linewise_tosquare_word(model, pts)
+    assert (got is None) == (want is None)
+    if got is not None:
+        for letter, reference in zip(got, want):
+            assert letter.axis == reference.axis
+            assert np.array_equal(letter.shifts, reference.shifts)
 
 
 def test_comb_tree_capacity():
