@@ -132,6 +132,26 @@ def test_batched_walk_matches_on_a_shared_line_start_and_block_edges():
         _assert_walk_matches_reference(model, start, 5, samples)
 
 
+def _pinned_start(model, kind):
+    if kind == "shared":
+        return _line_sharing_start(model, 9)
+    if kind == "scattered":
+        return np.random.default_rng(7).choice(model.N, size=12, replace=False)
+    return np.array([31415])
+
+
+@pytest.mark.parametrize("kind, seed, samples, hits", [
+    ("shared", 0, 2000, 1800), ("shared", 3, 2000, 1802), ("shared", 42, 2000, 1780),
+    ("scattered", 1, 2000, 1676), ("h1", 2, 500, 500),
+    ("shared", 5, WALK_BLOCK + 1, 921)])
+def test_b1_is_pinned(kind, seed, samples, hits):
+    # the b1 hit counts of the verify suite's start (h = 9, seeds 0, 3, 42),
+    # a scattered start, a single point and a run one past a block
+    model = CubeGeometry(1, 6)
+    b1 = tuple_walk(model, _pinned_start(model, kind), seed=seed, samples=samples)
+    assert b1 == hits / samples
+
+
 @pytest.mark.parametrize("K", [7, 63])
 def test_one_bounded_draw_call_equals_consecutive_calls(K):
     # the batched tuple walk draws each sample's values in one call and
