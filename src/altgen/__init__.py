@@ -18,9 +18,9 @@ from .words import (WordInE, butterfly_factor, grid_route, tosquare_word,
 from .blocks import block_factor, window_family, factor_count_bound
 from .graphs import schreier_graph, cayley_graph, ActionGraph, EdgeGraph
 from .spectral import spectral_gap, SpectralReport
-from .walks import (ExactDistribution, FloatDistribution,
-                    full_sweep, tuple_walk, doeblin_contraction_check,
-                    urn_bound, urn_mc, mixing_time_points)
+from .walks import (ExactDistribution, full_sweep, tuple_walk,
+                    doeblin_contraction_check, urn_bound, urn_mc,
+                    mixing_time_points)
 from .characters import (dimension, mn_character, roichman_violations,
                          partitions, conjugate, decay_factor)
 from .certify import (BoundExpr, DerivationNode, derive_paper_constants,
@@ -38,9 +38,8 @@ __all__ = [
     "block_factor", "window_family", "factor_count_bound",
     "schreier_graph", "cayley_graph", "ActionGraph", "EdgeGraph",
     "spectral_gap", "SpectralReport",
-    "ExactDistribution", "FloatDistribution", "full_sweep",
-    "tuple_walk", "doeblin_contraction_check",
-    "urn_bound", "urn_mc", "mixing_time_points",
+    "ExactDistribution", "full_sweep", "tuple_walk",
+    "doeblin_contraction_check", "urn_bound", "urn_mc", "mixing_time_points",
     "dimension", "mn_character", "roichman_violations", "partitions",
     "conjugate", "decay_factor",
     "BoundExpr", "DerivationNode", "derive_paper_constants",

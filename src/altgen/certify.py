@@ -164,18 +164,6 @@ class BoundExpr:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = BoundExpr.rational(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- evaluation --
 
     def interval(self, bits=DEFAULT_BITS):

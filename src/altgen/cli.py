@@ -7,7 +7,9 @@ subcommand's handler only adds records to it.  Three `verify` suites run
 their subcommand at desk settings and prefix its record names with the
 suite: `certify` runs `certify`, `blocks` runs `factor blocks` and
 `spectral` runs `spectral`.  Exit codes: 0 when nothing failed,
-1 when at least one check failed, 2 for configuration errors.
+1 when at least one check failed, 2 for configuration errors.  A failed
+`require` ends the run with a `verification-error` fail record, and the
+report is still written.
 """
 
 import argparse
@@ -24,7 +26,7 @@ import numpy as np
 from . import blocks as blocks_mod
 from . import walks
 from .embeddings import build_SN, build_Fn, build_sym
-from .errors import require
+from .errors import VerificationError, require
 from .geometry import CubeGeometry
 from .perms import Permutation
 from .ring import el3_generating_set_size
@@ -75,8 +77,9 @@ class Report:
     def add(self, record):
         self.records.append(record)
 
-    def check(self, name, citation, computed, bound=None, ok=None, reported=False):
-        if reported:
+    def check(self, name, citation, computed, bound=None, ok=None):
+        """Record a check; ok=None marks a value that is only reported."""
+        if ok is None:
             verdict = "reported-only"
         else:
             verdict = "pass" if ok else "fail"
@@ -177,8 +180,7 @@ def cmd_construct(args, report):
     expect = args.d * el3_generating_set_size(args.s, args.d)
     report.check("generator-count", "union of the involution set over all axes",
                  len(genset), ok=len(genset) == expect)
-    report.check("regime", "explicit bounds hold for s > 6 at d = 6",
-                 genset.regime, reported=True)
+    report.check("regime", "explicit bounds hold for s > 6 at d = 6", genset.regime)
     if genset.materializable:
         even = genset.all_even()
         report.check("all-even", "product-group elements act evenly", even, ok=even)
@@ -222,8 +224,7 @@ def cmd_schreier(args, report):
                  conn, ok=conn)
     if args.out:
         if graph.n * graph.degree > 5 * 10**7:
-            report.check("edge-list", "export skipped: too large", args.out,
-                         reported=True)
+            report.check("edge-list", "export skipped: too large", args.out)
         else:
             write_edge_list(graph, args.out)
             report.check("edge-list", "text export", args.out, ok=True)
@@ -237,13 +238,12 @@ def cmd_spectral(args, report):
     else:
         graph = schreier_graph(build_SN(args.s, args.d))
     rep = spectral_gap(graph, method=args.method, tol=args.tol, seed=args.seed)
-    report.check("gap", "spectral gap of the normalized adjacency",
-                 rep.gap, reported=True)
+    report.check("gap", "spectral gap of the normalized adjacency", rep.gap)
     report.check("gap-positive", "expansion requires a positive gap",
                  rep.gap, bound=0.0, ok=rep.gap > 0)
     report.check("kazhdan-bracket", "averaging lower bound and eigenvector upper "
                  "bound, for this permutation representation only",
-                 [rep.kazhdan_lower, rep.kazhdan_upper], reported=True)
+                 [rep.kazhdan_lower, rep.kazhdan_upper])
     report.check("cheeger-sandwich", "half the gap never exceeds the sweep bound",
                  {"half_gap": rep.gap / 2, "sweep": rep.cheeger_upper,
                   "sweep_exact": rep.cheeger_exact},
@@ -253,19 +253,13 @@ def cmd_spectral(args, report):
 def cmd_mixing(args, report):
     from .graphs import schreier_graph
     genset = build_SN(args.s, args.d)
-    model = genset.model
-    if args.averaging:
-        op = walks.averaging_operator(model)
-        steps, curve = walks.mixing_time_points(op, model, tol=args.tol, lazy=False)
-    else:
-        graph = schreier_graph(genset)
-        steps, curve = walks.mixing_time_points(graph.matvec, model, tol=args.tol)
-    report.check("mixing-steps", "lazy walk total-variation mixing time",
-                 steps, reported=True)
+    graph = schreier_graph(genset)
+    steps, curve = walks.mixing_time_points(graph.matvec, genset.model, tol=args.tol)
+    report.check("mixing-steps", "lazy walk total-variation mixing time", steps)
     monotone = all(curve[i + 1] <= curve[i] + 1e-12 for i in range(len(curve) - 1))
     report.check("tv-monotone", "lazy-walk distance to uniform never increases",
                  monotone, ok=monotone)
-    report.check("tv-curve-tail", "last distances", curve[-3:], reported=True)
+    report.check("tv-curve-tail", "last distances", curve[-3:])
 
 
 def cmd_characters(args, report):
@@ -303,7 +297,7 @@ def cmd_certify(args, report):
     for desc, ok in decay["checks"]:
         report.check(f"decay.{desc}", "exponent and split arithmetic", ok, ok=ok)
     report.check("decay.samples", "exponent factor grows with the side length",
-                 decay["samples"], reported=True)
+                 decay["samples"])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(ce.tree_to_json(nodes))
@@ -357,7 +351,7 @@ def cmd_factor(args, report):
                      ok=True)
         report.check("word47-success-rate", "greedy face-moving succeeds with "
                      "high probability only at large sides",
-                     succ / args.trials, reported=True)
+                     succ / args.trials)
 
 
 def cmd_verify(args, report):
@@ -428,9 +422,11 @@ def _run_as(suite, argv, seed, report):
     """Run subcommand argv at seed into report, each record name prefixed by suite."""
     start = len(report.records)
     args = build_parser().parse_args(argv + ["--seed", str(seed)])
-    args.func(args, report)
-    for record in report.records[start:]:
-        record.name = f"{suite}.{record.name}"
+    try:
+        args.func(args, report)
+    finally:
+        for record in report.records[start:]:
+            record.name = f"{suite}.{record.name}"
 
 
 def _longest_gem_word(s, m, count, rng):
@@ -518,8 +514,6 @@ def build_parser():
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--averaging", action="store_true",
-                    help="use the full averaging sweep instead of the walk")
     common(sp)
     sp.set_defaults(func=cmd_mixing)
 
@@ -586,6 +580,10 @@ def main(argv=None):
     except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        report.check("verification-error", "a guarantee checked by require failed",
+                     str(exc), ok=False)
+        print(f"check failed: {exc}", file=sys.stderr)
     return report.emit(args.report)
 
 

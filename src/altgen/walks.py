@@ -61,43 +61,6 @@ class ExactDistribution:
         return Fraction(total, 2 * N * self.den)
 
 
-class FloatDistribution:
-    """Dense float weights; renormalization guards accumulated error."""
-
-    MASS_TOL = 1e-12
-
-    def __init__(self, model, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (model.N,):
-            raise ValueError("weight count must equal the point count")
-        if w.min() < -self.MASS_TOL:
-            raise ValueError("weights must be nonnegative")
-        total = w.sum()
-        if abs(total - 1.0) > self.MASS_TOL:
-            w = w / total
-        self.model = model
-        self.weights = w
-
-    @classmethod
-    def point_mass(cls, model, point):
-        w = np.zeros(model.N)
-        w[point] = 1.0
-        return cls(model, w)
-
-    def axis_average(self, axis):
-        lines = self.model.lines(self.weights, axis)
-        # each line summed in coordinate order, from zero
-        sums = np.zeros(lines.shape[:-1])
-        for c in range(self.model.K):
-            sums += lines[..., c]
-        new = np.empty(self.model.N)
-        self.model.lines(new, axis)[...] = (sums / self.model.K)[..., None]
-        return FloatDistribution(self.model, new)
-
-    def tv_to_uniform(self):
-        return 0.5 * float(np.abs(self.weights - 1.0 / self.model.N).sum())
-
-
 def full_sweep(dist):
     """Apply every axis average once; uniformizes any start distribution."""
     for axis in range(1, dist.model.d + 1):
@@ -133,9 +96,9 @@ def _block_draws(seed, block, high, size):
     return draws
 
 
-# the walk's axis order: Q1 = U1U2U3 acts first, then Q2 = U4U5U6; inside
-# each U-product the rightmost factor's element is sampled first
-TUPLE_WALK_AXES = [3, 2, 1, 6, 5, 4]
+# the walk's first averaging block Q1 = U1U2U3, the rightmost factor's
+# element sampled first; b1 reads the tuples after it
+TUPLE_WALK_AXES = [3, 2, 1]
 
 
 # samples advanced together; a fixed block keeps memory flat in the sample count
@@ -149,7 +112,7 @@ def _distinct_rows(x):
 
 
 def _walk_blocks(model, start, seed, samples):
-    """Walk the samples block by block; yields (tuples after Q1, final tuples).
+    """Walk the samples block by block; yields the tuples after Q1.
 
     Each axis applies one uniformly sampled element of its group, lazily:
     a sample draws one shift per distinct line its points occupy, in
@@ -168,7 +131,7 @@ def _walk_blocks(model, start, seed, samples):
         rows = np.arange(len(block))[:, None]
         used = np.zeros((len(block), 1), dtype=np.int64)
         pts = np.tile(start, (len(block), 1))
-        for k, axis in enumerate(TUPLE_WALK_AXES):
+        for axis in TUPLE_WALK_AXES:
             lid, pos = model.line_coords(pts, axis)
             # rank of each point's line among its sample's distinct lines
             order = np.argsort(lid, axis=1)
@@ -181,9 +144,7 @@ def _walk_blocks(model, start, seed, samples):
             used += new.sum(axis=1, keepdims=True)
             pts = model.move(pts, axis, (pos + shifts) % K - pos)
             require(_distinct_rows(pts).all(), "tuple lost distinctness")
-            if k == 2:
-                q1 = pts
-        yield q1, pts
+        yield pts
 
 
 def tuple_walk(model, start, seed=0, samples=1):
@@ -192,8 +153,7 @@ def tuple_walk(model, start, seed=0, samples=1):
     Simulates `samples` independent walks of the start tuple along
     TUPLE_WALK_AXES, sample i drawing from sample_stream(seed, i); the
     samples of a block advance together.  b1 counts tuples with pairwise
-    distinct first three coordinates after the first three axes (the Q1
-    block).
+    distinct first three coordinates after those three axes (the Q1 block).
     """
     if model.d != 6:
         raise ValueError("the tuple walk's axis order assumes six axes")
@@ -204,7 +164,7 @@ def tuple_walk(model, start, seed=0, samples=1):
 
     K = model.K
     b1 = 0
-    for q1, _ in _walk_blocks(model, start, seed, samples):
+    for q1 in _walk_blocks(model, start, seed, samples):
         b1 += int(_distinct_rows(q1 % K**3).sum())
     return b1 / samples
 
@@ -289,28 +249,21 @@ def binomial_sigma(p_true, samples):
 MIXING_STEPS = 10**4
 
 
-def mixing_time_points(operator, model, tol=1e-9, lazy=True):
+def mixing_time_points(operator, model, tol=1e-9):
     """First step from point 0 with total variation to uniform below `tol`.
 
-    `operator` maps a weight array to the stepped weights; by default the
-    lazy version (I + T)/2 is iterated.  Returns (steps, tv_curve).
+    `operator` maps a weight array to the stepped weights; the lazy walk
+    (I + T)/2 is iterated.  Returns (steps, tv_curve).
     """
     w = np.zeros(model.N)
     w[0] = 1.0
     curve = []
     uniform = 1.0 / model.N
     for step in range(1, MIXING_STEPS + 1):
-        w = 0.5 * (w + operator(w)) if lazy else operator(w)
+        w = 0.5 * (w + operator(w))
         tv = 0.5 * float(np.abs(w - uniform).sum())
         curve.append(tv)
         if tv < tol:
             return step, curve
     raise RuntimeError(f"walk did not mix within {MIXING_STEPS} steps (tv={curve[-1]})")
 
-
-def averaging_operator(model):
-    """The full-sweep operator as a dense-weights function."""
-    def op(w):
-        dist = FloatDistribution(model, w)
-        return full_sweep(dist).weights
-    return op

@@ -52,9 +52,6 @@ class WordInE:
     def inverse(self):
         return WordInE(self.model, [w.inverse() for w in reversed(self.letters)])
 
-    def __add__(self, other):
-        return WordInE(self.model, self.letters + other.letters)
-
     def to_records(self):
         return [{"axis": w.axis, "shifts": w.shifts.tolist()} for w in self.letters]
 

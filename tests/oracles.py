@@ -84,26 +84,22 @@ def _distinct_first3(model, pts):
 def reference_tuple_walk(model, start, seed, samples):
     """The tuple walk one sample at a time, one draw call per axis.
 
-    Returns (tuples after the Q1 block, final tuples, b1 flags), one row or
-    flag per sample; the reference for the batched walk in altgen.walks.
+    Returns (tuples after the Q1 block, b1 flags), one row or flag per
+    sample; the reference for the batched walk in altgen.walks.
     """
     start = np.asarray(start, dtype=np.int64)
-    q1, final, flags = [], [], []
+    q1, flags = [], []
     for i in range(samples):
         rng = np.random.Generator(np.random.Philox(key=[seed, i]))
         pts = start
-        # Q1 = U1U2U3 acts first, then Q2 = U4U5U6, rightmost factor first
-        for k, axis in enumerate((3, 2, 1, 6, 5, 4)):
+        # Q1 = U1U2U3, rightmost factor first
+        for axis in (3, 2, 1):
             pts = apply_sampled_word(model, rng, axis, pts)
             if len(np.unique(pts)) != len(start):
                 raise AssertionError("tuple lost distinctness")
-            if k == 2:
-                q1.append(pts)
-                flags.append(_distinct_first3(model, pts))
-        final.append(pts)
-    h = len(start)
-    return (np.array(q1).reshape(samples, h), np.array(final).reshape(samples, h),
-            np.array(flags, dtype=bool))
+        q1.append(pts)
+        flags.append(_distinct_first3(model, pts))
+    return np.array(q1).reshape(samples, len(start)), np.array(flags, dtype=bool)
 
 
 def reference_edge_list_text(graph):

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import altgen
-from altgen import graphs, ring
-from altgen.cli import SUITES, _el3_to_json, desk_base, main, write_gens_json
+from altgen import certify, graphs, ring
+from altgen.cli import (SUITES, Report, _el3_to_json, desk_base, main,
+                        write_gens_json)
 from altgen.embeddings import GeneratingSet, build_SN
+from altgen.errors import require
 
 
 def run_cli(args, tmp_path, name):
@@ -249,25 +251,72 @@ def test_console_entry_point():
         assert name in out.stdout
 
 
-def test_gem_multiply_back_survives_optimize():
+def test_gem_multiply_back_survives_optimize(tmp_path):
     # python -O strips assert statements; a GEM word that fails its
-    # multiply-back must still stop `verify --suite gem`
-    script = textwrap.dedent("""
+    # multiply-back must still fail `verify --suite gem`
+    report_path = tmp_path / "gem.json"
+    script = textwrap.dedent(f"""
         import sys
         from altgen import cli, ring
-        from altgen.errors import VerificationError
         ring.GemWord.verify = lambda self: False
-        try:
-            cli.main(["verify", "--suite", "gem", "--samples", "4"])
-        except VerificationError:
-            sys.exit(0 if sys.flags.optimize else 3)
-        sys.exit(1)
+        code = cli.main(["verify", "--suite", "gem", "--samples", "4",
+                         "--report", {str(report_path)!r}])
+        sys.exit(code if sys.flags.optimize else 3)
     """)
     src = str(Path(altgen.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 1, done.stderr
+    assert "multiply-back mismatch" in done.stderr
+    records = json.loads(report_path.read_text())["records"]
+    assert [(r["name"], r["verdict"]) for r in records] == [("verification-error", "fail")]
+
+
+def _gem_words_fail_multiply_back(monkeypatch):
+    monkeypatch.setattr(ring.GemWord, "verify", lambda self: False)
+    return "multiply-back mismatch in GEM factorization"
+
+
+def _decay_chain_fails(monkeypatch):
+    def refuse():
+        require(False, "decay chain refused")
+    monkeypatch.setattr(certify, "derive_decay_chain", refuse)
+    return "decay chain refused"
+
+
+@pytest.mark.parametrize("argv, breach, kept", [
+    pytest.param(["factor", "gem", "--count", "2"], _gem_words_fail_multiply_back, None,
+                 id="factor-gem"),
+    pytest.param(["verify", "--suite", "gem", "--samples", "4"],
+                 _gem_words_fail_multiply_back, None, id="verify-gem"),
+    pytest.param(["verify", "--suite", "certify"], _decay_chain_fails,
+                 "certify.constant.", id="verify-certify"),
+])
+def test_failed_require_writes_a_fail_record(monkeypatch, tmp_path, capsys,
+                                             argv, breach, kept):
+    # a VerificationError ends the run as a fail record; the records made
+    # before it stay, under their suite's prefix
+    message = breach(monkeypatch)
+    code, report = run_cli(argv, tmp_path, "failed")
+    assert code == 1
+    assert f"check failed: {message}" in capsys.readouterr().err
+    failed = [r for r in report["records"] if r["verdict"] == "fail"]
+    assert failed == [{"name": "verification-error",
+                       "citation": "a guarantee checked by require failed",
+                       "computed": message, "bound": None, "verdict": "fail"}]
+    others = [r["name"] for r in report["records"] if r["verdict"] != "fail"]
+    if kept is None:
+        assert others == []
+    else:
+        assert others and all(name.startswith(kept) for name in others)
+
+
+def test_check_verdict_comes_from_ok_alone():
+    report = Report(config={})
+    for name, ok in [("reported", None), ("passed", True), ("failed", False)]:
+        report.check(name, "citation", 1, ok=ok)
+    assert [r.verdict for r in report.records] == ["reported-only", "pass", "fail"]
 
 
 def test_oversized_axis_blocks_exit_as_a_configuration_error(monkeypatch, capsys):

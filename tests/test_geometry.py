@@ -8,8 +8,7 @@ from altgen.embeddings import ShiftVector, build_SN
 from altgen.geometry import CubeGeometry
 from altgen.graphs import AxisBlockGraph, schreier_graph
 from altgen.spectral import spectral_gap
-from altgen.walks import (ExactDistribution, FloatDistribution, full_sweep,
-                          point_walk_batch, tuple_walk)
+from altgen.walks import ExactDistribution, full_sweep, point_walk_batch, tuple_walk
 from altgen.words import conjugacy_word47, cycle_word, grid_route, tosquare_word
 
 
@@ -169,4 +168,3 @@ def test_the_package_builds_no_index_tables(monkeypatch):
     assert 0 <= tuple_walk(six, start, seed=1, samples=3) <= 1
     assert len(point_walk_batch(model, 3, 10, 5, [1, 2, 3])) == 10
     assert full_sweep(ExactDistribution.point_mass(model, 0)).tv_to_uniform() == 0
-    assert full_sweep(FloatDistribution.point_mass(model, 0)).tv_to_uniform() < 1e-12
