@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import math
 import os
@@ -85,6 +86,14 @@ def test_gens_json_streams_the_involutions(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_gens_json_bytes_are_pinned(tmp_path, capsys):
+    gens = tmp_path / "gens.json"
+    assert main(["construct", "--s", "1", "--d", "3", "--out", str(gens)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(gens.read_bytes()).hexdigest() == (
+        "0b4184e7f1395e9c2165e57abf9a6e1d68f0b59a11087de87fd5aa59760f0205")
 
 
 def test_construct_certified_shape(tmp_path, capsys):
