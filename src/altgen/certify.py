@@ -205,10 +205,6 @@ class BoundExpr:
         self._cache[bits] = out
         return out
 
-    def __float__(self):
-        lo, hi = self.interval()
-        return float((lo + hi) / 2)
-
     def less_than(self, other):
         return _refine_compare(self, self._coerce(other)) < 0
 

@@ -139,22 +139,11 @@ def write_gens_json(genset, path):
         data["generators"].append({"label": label, "axis": axis,
                                    "provenance": provenance, "kind": kind})
     involutions = genset.el3_involutions()
-    if involutions is None:
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-        return
-    # the involutions are written one at a time, each in the layout json.dump
-    # gives an item of a list one level below the top (indent 1), so the file
-    # is the one json.dump would write for the whole list
-    data["involution_set"] = None
-    head, tail = json.dumps(data, indent=1, sort_keys=True).split(
-        '"involution_set": null')
+    if involutions is not None:
+        # each involution is built, converted and dropped in turn
+        data["involution_set"] = [_el3_to_json(el) for el in involutions]
     with open(path, "w") as fh:
-        fh.write(head + '"involution_set": [')
-        for k, el in enumerate(involutions):
-            entry = json.dumps(_el3_to_json(el), indent=1, sort_keys=True)
-            fh.write(("," if k else "") + "\n  " + entry.replace("\n", "\n  "))
-        fh.write("\n ]" + tail)
+        json.dump(data, fh, indent=1, sort_keys=True)
 
 
 # -- small desk bases ---------------------------------------------------------------
@@ -288,10 +277,10 @@ def cmd_characters(args, report):
 def cmd_certify(args, report):
     from . import certify as ce
     nodes = ce.derive_paper_constants()
+    derived = {}
     for name, node in nodes.items():
-        lo, hi = node.interval()
-        report.check(f"constant.{name}", node.citation,
-                     [str(lo), str(hi)],
+        derived[name] = [str(x) for x in node.interval()]
+        report.check(f"constant.{name}", node.citation, derived[name],
                      ok=node.all_checks_pass())
     decay = ce.derive_decay_chain()
     for desc, ok in decay["checks"]:
@@ -301,7 +290,15 @@ def cmd_certify(args, report):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(ce.tree_to_json(nodes))
-        report.check("tree-json", "derivation tree export", args.out, ok=True)
+        with open(args.out) as fh:
+            payload = fh.read()
+        try:
+            # the file must revalidate alone and hold every interval this run derived
+            stored = {e["name"]: e["interval"] for e in json.loads(payload)["nodes"]}
+            ok = ce.revalidate_tree(payload) and stored == derived
+        except ValueError:
+            ok = False
+        report.check("tree-json", "derivation tree export", args.out, ok=ok)
 
 
 def cmd_factor(args, report):
@@ -546,10 +543,10 @@ def build_parser():
     sp = sub.add_parser("verify", help="run one or more verification suites")
     sp.add_argument("--suite", default="certify",
                     help=f"comma list: {','.join(SUITES)}, or 'all'")
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--d", type=int)
+    sp.add_argument("--s", type=_positive_int)
+    sp.add_argument("--d", type=_positive_int)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--h", type=int)
+    sp.add_argument("--h", type=_positive_int)
     sp.add_argument("--samples", type=_positive_int)
     sp.add_argument("--trials", type=_positive_int)
     common(sp)
@@ -567,6 +564,9 @@ def _check_args(parser, args):
         if unknown:
             parser.error(f"unknown suite {', '.join(unknown)}; choose from "
                          f"{', '.join(SUITES)}, or 'all'")
+    if args.command == "verify" and args.n is not None and args.n < 8:
+        # the character suite checks n from 8 up to --n
+        parser.error(f"verify --n must be at least 8, got {args.n}")
 
 
 def main(argv=None):

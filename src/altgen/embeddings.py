@@ -24,13 +24,11 @@ class ShiftVector:
     """Element of the axis-i image of the product of cyclic line groups.
 
     One shift in [0, K) per line, stored in the narrowest unsigned dtype
-    that holds K - 1 (uint8 for s <= 2); arithmetic widens to int64 first,
-    since unsigned negation and sums wrap.
+    that holds K - 1 (uint8 for s <= 2).
     """
 
     def __init__(self, model, axis, shifts):
-        shifts = (np.asarray(shifts, dtype=np.int64) % model.K).astype(
-            np.min_scalar_type(model.K - 1))
+        shifts = (np.asarray(shifts) % model.K).astype(np.min_scalar_type(model.K - 1))
         if shifts.shape != (model.lines_per_axis,):
             raise ValueError(
                 f"expected one shift per line ({model.lines_per_axis}), got {shifts.shape}")
@@ -47,18 +45,8 @@ class ShiftVector:
             self.axis, (np.arange(K) + self.shifts[:, None]) % K)
 
     def inverse(self):
-        return ShiftVector(self.model, self.axis, -self.shifts.astype(np.int64))
-
-    def __mul__(self, other):
-        if not isinstance(other, ShiftVector):
-            return NotImplemented
-        if other.axis != self.axis:
-            raise ValueError("can only merge shift vectors on the same axis")
-        return ShiftVector(self.model, self.axis,
-                           self.shifts.astype(np.int64) + other.shifts)
-
-    def is_identity(self):
-        return not self.shifts.any()
+        # K - shift stays in [1, K]; the constructor maps K back to 0
+        return ShiftVector(self.model, self.axis, self.model.K - self.shifts)
 
     def __repr__(self):
         nz = int(np.count_nonzero(self.shifts))

@@ -57,16 +57,6 @@ class CubeGeometry:
             idx = idx * self.K + c
         return idx
 
-    def coords(self, index):
-        """Decode a point index into its d-tuple of coordinates."""
-        if not 0 <= index < self.N:
-            raise ValueError(f"point index {index} out of range [0, {self.N})")
-        out = []
-        for _ in range(self.d):
-            index, c = divmod(index, self.K)
-            out.append(c)
-        return tuple(out)
-
     # -- line layout ---------------------------------------------------------
 
     def _stride(self, axis):

@@ -207,11 +207,11 @@ def schreier_graph(genset):
     return AxisBlockGraph(genset)
 
 
-def cayley_graph(gens, limit=CAYLEY_LIMIT):
+def cayley_graph(gens):
     """Cayley graph of the generated group, vertices enumerated by BFS.
 
     Edges join g to g*s by right multiplication.  Refuses to grow past
-    `limit` vertices, naming the size reached.
+    CAYLEY_LIMIT vertices, naming the size reached.
     """
     gens = list(gens)
     if not gens:
@@ -237,9 +237,9 @@ def cayley_graph(gens, limit=CAYLEY_LIMIT):
                     index[key] = len(elements)
                     elements.append(f)
                     nxt.append(f)
-                    if len(elements) > limit:
+                    if len(elements) > CAYLEY_LIMIT:
                         raise ValueError(
-                            f"group closure exceeded the limit {limit} "
+                            f"group closure exceeded the limit {CAYLEY_LIMIT} "
                             f"(reached {len(elements)} elements)")
         frontier = nxt
 

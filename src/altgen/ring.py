@@ -18,6 +18,7 @@ from .gf2 import MatGF2, projector_with_kernel
 _WORD_BOUND = 17  # binding bound on a factorization word
 _CORNER_BOUND = 10
 _CHUNK = 4096     # candidates a batched search tests at once
+COMMUTATOR_BUDGET = 10**6   # invertible pairs the randomized commutator search tests
 _GRID = np.arange(3, dtype=np.uint64)
 
 
@@ -200,7 +201,7 @@ def _commutator_table(s):
     return {p[k]: (els[v[k]], els[w[k]]) for k in sorted(first)}
 
 
-def commutator_pair(mat, rng=None, budget=10**6):
+def commutator_pair(mat, rng=None):
     """Find (v, w) with mat = [v, w]; exhaustive for s <= 3, randomized beyond."""
     s = mat.n
     if s <= 3:
@@ -211,9 +212,9 @@ def commutator_pair(mat, rng=None, budget=10**6):
     rng = np.random.default_rng(0) if rng is None else rng
     # random pairs, _CHUNK drawn at a time; the budget counts the invertible pairs tested
     tested = 0
-    while tested < budget:
+    while tested < COMMUTATOR_BUDGET:
         v, w = (MatGF2(s, rng.integers(0, 1 << s, size=(_CHUNK, s))) for _ in range(2))
-        ok = np.flatnonzero(v.invertible_mask() & w.invertible_mask())[:budget - tested]
+        ok = np.flatnonzero(v.invertible_mask() & w.invertible_mask())[:COMMUTATOR_BUDGET - tested]
         tested += len(ok)
         v, w = v[ok], w[ok]
         hit = np.flatnonzero(((v * w * v.inverse() * w.inverse()).rows == mat.rows).all(axis=1))

@@ -45,6 +45,16 @@ def dimension_by_tableaux(parts):
     return count
 
 
+def point_coords(model, index):
+    """The d-tuple of coordinates of a point index, axis 1 first: the scalar
+    codec the cube layout is checked against."""
+    out = []
+    for _ in range(model.d):
+        index, c = divmod(index, model.K)
+        out.append(c)
+    return tuple(out)
+
+
 def exact_conductance(graph):
     """Exact edge conductance by subset enumeration (tiny graphs only)."""
     n = graph.n

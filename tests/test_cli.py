@@ -36,6 +36,32 @@ def test_certify_command(tmp_path, capsys):
     assert names == sorted(names)
 
 
+def _widen_first_interval(text):
+    data = json.loads(text)
+    data["nodes"][0]["interval"][1] += "1"
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _widen_first_interval,
+    lambda text: text[:-40],
+    # an empty tree revalidates on its own
+    lambda text: json.dumps({**json.loads(text), "nodes": []}),
+], ids=["interval", "truncated", "no-nodes"])
+def test_certify_out_revalidates_the_file_it_wrote(corrupt, tmp_path, monkeypatch, capsys):
+    tree = tmp_path / "tree.json"
+    code, report = run_cli(["certify", "--out", str(tree)], tmp_path, "valid")
+    recs = {r["name"]: r for r in report["records"]}
+    assert code == 0 and recs["tree-json"]["verdict"] == "pass"
+    write = certify.tree_to_json
+    monkeypatch.setattr(certify, "tree_to_json", lambda nodes: corrupt(write(nodes)))
+    code, report = run_cli(["certify", "--out", str(tree)], tmp_path, "corrupted")
+    capsys.readouterr()
+    assert code == 1
+    failed = [r for r in report["records"] if r["verdict"] == "fail"]
+    assert [(r["name"], r["computed"]) for r in failed] == [("tree-json", str(tree))]
+
+
 def test_construct_desk(tmp_path, capsys):
     gens = tmp_path / "gens.json"
     code, report = run_cli(["construct", "--s", "1", "--d", "2",
@@ -76,8 +102,8 @@ def test_gens_json_is_the_whole_document_dumped_at_once(tmp_path):
 
 
 def test_gens_json_streams_the_involutions(tmp_path):
-    # all of S_N(1, 5)'s involutions held at once peak near 6 MB here; one
-    # at a time, under 1 MB
+    # all of S_N(1, 5)'s involutions held at once peak near 6 MB here; built
+    # one at a time, with only their hex entries kept for the one dump, 1.5 MB
     sn = build_SN(1, 5)
     tracemalloc.start()
     try:
@@ -214,6 +240,21 @@ def test_verify_counts_below_one_are_usage_errors(command, value, capsys):
         main(command + [value])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--s", "0", "must be at least 1"),
+    ("--d", "0", "must be at least 1"),
+    ("--h", "0", "must be at least 1"),
+    ("--n", "5", "--n must be at least 8"),
+], ids=["s", "d", "h", "n"])
+def test_verify_cube_options_out_of_range_are_usage_errors(option, value, message, capsys):
+    # each used to fall back to a default, or to check nothing, while the
+    # report echoed the value given
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "walk,characters", option, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_spectral_without_a_graph_is_a_usage_error(capsys):

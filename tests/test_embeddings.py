@@ -79,7 +79,7 @@ def test_shift_vector_even_and_inverse():
         sv = ShiftVector(model, 1, rng.integers(0, 7, size=7))
         p = sv.materialize()
         assert p.parity == 0
-        assert (sv * sv.inverse()).materialize().is_identity()
+        assert (p * sv.inverse().materialize()).is_identity()
 
 
 @pytest.mark.parametrize("s, dtype", [(1, np.uint8), (2, np.uint8), (3, np.uint16)])
@@ -93,20 +93,16 @@ def test_shift_vector_takes_the_narrowest_dtype(s, dtype):
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_shift_vector_arithmetic_matches_int64(s):
-    # negating or adding the unsigned shifts directly would wrap modulo
-    # 2**8 or 2**16, not modulo K
+    # negating the unsigned shifts directly would wrap modulo 2**8 or 2**16,
+    # not modulo K; K - shift stays in range, and a zero shift inverts to zero
     model = CubeGeometry(s, 2)
     K = model.K
     rng = np.random.default_rng(s)
     a = rng.integers(0, K, size=K)
-    b = rng.integers(0, K, size=K)
-    a[:3] = [K - 1, 3, 1]
-    b[:3] = [K - 1, K - 1, 0]
-    x, y = ShiftVector(model, 1, a), ShiftVector(model, 1, b)
+    a[:4] = [K - 1, 3, 1, 0]
+    x = ShiftVector(model, 1, a)
     assert np.array_equal(x.inverse().shifts, (-a) % K)
-    assert (x.inverse() * x).is_identity()
-    assert np.array_equal((x * y).shifts, (a + b) % K)
-    assert (x * y).shifts.dtype == x.shifts.dtype
+    assert x.inverse().shifts.dtype == x.shifts.dtype
 
 
 def test_build_sn_counts_and_regimes():

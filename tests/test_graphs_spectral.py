@@ -177,11 +177,12 @@ def test_cayley_graph_sizes():
     assert alt5.n == group_order([a, b])
 
 
-def test_cayley_limit():
+def test_cayley_limit(monkeypatch):
+    monkeypatch.setattr(graphs, "CAYLEY_LIMIT", 1000)
     a = Permutation.from_cycles(9, [(0, 1, 2)])
     b = Permutation.from_cycles(9, [tuple(range(9))])
     with pytest.raises(ValueError, match="limit"):
-        cayley_graph([a, b], limit=1000)
+        cayley_graph([a, b])
 
 
 def test_kazhdan_full_set_sqrt2():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from altgen import ring
 from altgen.errors import VerificationError
 from altgen.gf2 import MatGF2
 from altgen.ring import (EL3Element, GemWord, commutator_pair,
@@ -267,7 +268,7 @@ def test_randomized_commutator_pair_factors_a_non_real_seven_cycle():
     assert v * w * v.inverse() * w.inverse() == p
 
 
-def test_randomized_commutator_budget_counts_invertible_pairs():
+def test_randomized_commutator_budget_counts_invertible_pairs(monkeypatch):
     # the zero matrix is no commutator, so the search spends its whole budget;
     # it must test exactly `budget` invertible pairs, drawing past the singular ones
     class Recorder:
@@ -279,8 +280,9 @@ def test_randomized_commutator_budget_counts_invertible_pairs():
             return self.draws[-1]
 
     rec, budget = Recorder(), 3000
+    monkeypatch.setattr(ring, "COMMUTATOR_BUDGET", budget)
     with pytest.raises(ValueError, match="budget"):
-        commutator_pair(MatGF2(4, [0] * 4), rng=rec, budget=budget)
+        commutator_pair(MatGF2(4, [0] * 4), rng=rec)
     counts = [int((MatGF2(4, v).invertible_mask() & MatGF2(4, w).invertible_mask()).sum())
               for v, w in zip(rec.draws[::2], rec.draws[1::2])]
     assert sum(counts[:-1]) < budget <= sum(counts)

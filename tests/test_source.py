@@ -64,16 +64,25 @@ def _module_references(tree):
             yield aliases[sub.value.id], sub.attr
 
 
+def _attribute_uses(tree, prop):
+    """Attribute names loaded (prop) or called as x.name(...) (not prop) in tree."""
+    if prop:
+        return Counter(sub.attr for sub in ast.walk(tree)
+                       if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+    return Counter(sub.func.attr for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute))
+
+
 def test_every_public_definition_has_a_caller():
     # the package holds what the CLI, the demos and the benchmark run; a
     # definition only tests call belongs in tests/, and re-exports in
     # __init__.py do not count as calls.  A top-level function counts only
     # references that must mean it, so a method of the same name elsewhere
     # does not hide it; a class counts the same references and also strings
-    # naming it in other files; a method counts only attributes of its name
-    # and strings naming it in other files (the benchmark's tracer wraps
-    # classes and methods by name), so a variable or a tag of that name does
-    # not hide it.
+    # naming it in other files.  A plain method counts only calls x.name(...)
+    # and a property only loads of x.name, so a list attribute of the same
+    # name does not hide a method; both also count strings naming them in
+    # other files (the benchmark's tracer wraps classes and methods by name).
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     demos = sorted((REPO / "demos").glob("*.py"))
     bench = [p for p in sorted((REPO / "perfbench").glob("*.py"))
@@ -81,10 +90,11 @@ def test_every_public_definition_has_a_caller():
     assert demos and bench, "demos/ and perfbench/ must sit next to src/"
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in modules + demos + bench}
-    attributes, qualified, strings = Counter(), Counter(), {}
+    uses = {False: Counter(), True: Counter()}
+    qualified, strings = Counter(), {}
     for path, tree in trees.items():
-        attributes.update(sub.attr for sub in ast.walk(tree)
-                          if isinstance(sub, ast.Attribute))
+        for prop in uses:
+            uses[prop].update(_attribute_uses(tree, prop))
         qualified.update(_module_references(tree))
         strings[path] = Counter(sub.value for sub in ast.walk(tree)
                                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
@@ -94,9 +104,10 @@ def test_every_public_definition_has_a_caller():
         bare = Counter(sub.id for sub in ast.walk(trees[path]) if isinstance(sub, ast.Name))
         for node in _public_definitions(trees[path]):
             if node not in trees[path].body:
-                inside = sum(isinstance(sub, ast.Attribute) and sub.attr == node.name
-                             for sub in ast.walk(node))
-                called = (attributes[node.name] > inside
+                prop = any(isinstance(d, ast.Name) and d.id == "property"
+                           for d in node.decorator_list)
+                inside = _attribute_uses(node, prop)[node.name]
+                called = (uses[prop][node.name] > inside
                           or all_strings[node.name] > strings[path][node.name])
             else:
                 inside = sum(isinstance(sub, ast.Name) and sub.id == node.name
@@ -201,9 +212,7 @@ def test_only_main_builds_and_emits_the_report():
 # defaulted parameters kept although no caller sets them, each mapped to its
 # reason
 DEFAULT_ALLOWED = {
-    "graphs.cayley_graph.limit": "tests lower it to reach the refusal path",
     "ring.commutator_pair.rng": "tests pass a recording generator to count the pairs drawn",
-    "ring.commutator_pair.budget": "tests lower it to reach the exhaustion path",
 }
 
 

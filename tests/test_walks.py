@@ -85,8 +85,9 @@ def test_mass_preserved():
 def test_composition_of_samples_is_group_addition():
     model = CubeGeometry(1, 2)
     rng = sample_stream(1, 0)
-    a, b = (ShiftVector(model, 2, rng.integers(0, model.K, size=7)) for _ in range(2))
-    assert (a * b).materialize() == a.materialize() * b.materialize()
+    a, b = (rng.integers(0, model.K, size=7) for _ in range(2))
+    assert (ShiftVector(model, 2, a + b).materialize()
+            == ShiftVector(model, 2, a).materialize() * ShiftVector(model, 2, b).materialize())
 
 
 def test_tuple_distinctness_preserved():
