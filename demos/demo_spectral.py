@@ -17,7 +17,7 @@ print(f"kazhdan bracket for this action: "
       f"[{rep.kazhdan_lower:.6f}, {rep.kazhdan_upper:.6f}]")
 
 print()
-print("== the 117649-point action graph (implicit form) ==")
+print("== the 117649-point action graph (axis-block sparse form) ==")
 big = schreier_graph(build_SN(1, 6))
 rep42 = spectral_gap(big, seed=42)
 rep7 = spectral_gap(big, seed=7)

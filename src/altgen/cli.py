@@ -230,6 +230,10 @@ def cmd_spectral(args, report):
     report.check("gap", "spectral gap of the normalized adjacency", rep.gap)
     report.check("gap-positive", "expansion requires a positive gap",
                  rep.gap, bound=0.0, ok=rep.gap > 0)
+    report.check("gap-upper-certified", "Courant-Fischer: one minus the exact Rayleigh "
+                 "quotient of the rounded eigenvector bounds the gap above",
+                 rep.gap_upper, bound=rep.gap,
+                 ok=rep.gap_upper is not None and rep.gap <= rep.gap_upper + 1e-12)
     report.check("kazhdan-bracket", "averaging lower bound and eigenvector upper "
                  "bound, for this permutation representation only",
                  [rep.kazhdan_lower, rep.kazhdan_upper])

@@ -118,16 +118,20 @@ class EdgeGraph(SparseGraph):
 
 
 class AxisBlockGraph(SparseGraph):
-    """Schreier graph of an axis-embedded generating set, in implicit form.
+    """Schreier graph of an axis-embedded generating set, as one sparse T.
 
-    One (lines, K, K) stochastic block serves every axis: each line action
-    of the set acts on the lines of all d axes alike, so the block is the
-    average over the actions (and their inverses) of the per-line
-    permutation matrices.  A vector reaches the axis-i lines through the
-    geometry's `lines` view, so no index table is built.
+    Each line action of the set acts on the lines of all d axes alike, so
+    one (lines, K, K) array of integer edge counts, over the actions and
+    their inverses, serves every axis.  Its entries are mapped through each
+    axis's `lines` view to point pairs, so no index table is built, and
+    summed over the axes as integers in one CSR over the points.  Only then
+    is it divided by the degree, once, which keeps every entry an exact
+    count / degree.
     """
 
     def __init__(self, genset):
+        from scipy.sparse import csr_array
+
         model = genset.model
         self.model = model
         self.genset = genset
@@ -135,12 +139,13 @@ class AxisBlockGraph(SparseGraph):
         K = model.K
         m = model.lines_per_axis
         self.degree = 2 * len(genset)
-        # integer edge multiplicities per (line, row, column), divided once;
-        # none exceeds the degree, which sets the narrowest exact dtype
+        # no merged count exceeds the degree, which sets the narrowest exact
+        # dtype; the estimate bounds the counts plus a CSR in which every
+        # (axis, line, row, column) entry is nonzero
         count_type = np.min_scalar_type(self.degree)
-        estimate = m * K * K * (8 + count_type.itemsize)
+        estimate = m * K * K * (count_type.itemsize + model.d * (4 + 8))
         if estimate > AXIS_BLOCK_BUDGET:
-            raise ValueError(f"the axis block needs about {estimate} bytes, over the "
+            raise ValueError(f"the axis operator needs about {estimate} bytes, over the "
                              f"budget of {AXIS_BLOCK_BUDGET} bytes")
         if not genset.materializable:
             raise ValueError("axis-block form needs line actions")
@@ -152,23 +157,27 @@ class AxisBlockGraph(SparseGraph):
                 onehots[v, rows, t] = 1
             # generator and its inverse (transpose of each onehot)
             counts += (onehots + onehots.transpose(0, 2, 1))[vid]
-        self._block = counts / self.degree
-        self._axes = range(1, model.d + 1)
+        line, a, b = np.nonzero(counts)
+        points = model.points().astype(np.int32)
+        src = np.empty((model.d, len(line)), dtype=np.int32)
+        dst = np.empty_like(src)
+        for i in range(model.d):
+            lp = model.lines(points, i + 1).reshape(-1, K)
+            src[i], dst[i] = lp[line, a], lp[line, b]
+        # integer counts into the CSR, so the axes' shared diagonal sums exactly
+        T = csr_array((np.tile(counts[line, a, b], model.d), (src.ravel(), dst.ravel())),
+                      shape=(self.n, self.n))
+        T.data = T.data / self.degree
+        self._T = T
 
     def matvec(self, v):
-        out = np.zeros(self.n, dtype=float)
-        for axis in self._axes:
-            # a fresh C-contiguous copy: einsum's summation order depends on
-            # the operand's layout, and this one fixes the report's bits
-            vl = self.model.lines(v, axis).copy().reshape(-1, self.model.K)
-            lines = self.model.lines(out, axis)
-            lines += np.einsum("mab,mb->ma", self._block, vl).reshape(lines.shape)
-        return out
+        return self._T @ v
 
     def displacements(self, v):
         # v on each axis's (line, coordinate) grid; an action's gather index
         # serves all d axes, so generators come grouped by action
-        grids = [(axis, self.model.lines(v, axis).copy().ravel()) for axis in self._axes]
+        grids = [(axis, self.model.lines(v, axis).copy().ravel())
+                 for axis in range(1, self.model.d + 1)]
         rows = np.arange(self.model.lines_per_axis)[:, None] * self.model.K
         moved = np.empty(self.n)
         for vid, tables in self.genset.actions:
@@ -181,24 +190,27 @@ class AxisBlockGraph(SparseGraph):
                 yield diff
 
     def edge_counts(self):
-        # the block is counts / degree; recover the counts and insist that
-        # dividing them again gives the stored block bit for bit
-        line, a, b = np.nonzero(self._block)
-        weight = self._block[line, a, b]
-        count = np.rint(weight * self.degree).astype(np.int64)
-        require(np.array_equal(count / self.degree, weight),
-                "axis block is not integer edge counts over the degree")
-        points = self.model.points()
-        for axis in self._axes:
-            lp = self.model.lines(points, axis).reshape(-1, self.model.K)
-            yield lp[line, a], lp[line, b], count
+        # T holds counts / degree; recover the counts and insist that dividing
+        # them again gives T bit for bit.  About d row slices, so no caller
+        # holds every entry at once
+        T, degree = self._T, self.degree
+        step = -(-self.n // self.model.d)
+        for lo in range(0, self.n, step):
+            hi = min(lo + step, self.n)
+            first, last = T.indptr[lo], T.indptr[hi]
+            weight = T.data[first:last]
+            count = np.rint(weight * degree).astype(np.int64)
+            require(np.array_equal(count / degree, weight),
+                    "axis operator is not integer edge counts over the degree")
+            src = np.repeat(np.arange(lo, hi), np.diff(T.indptr[lo:hi + 1]))
+            yield src, T.indices[first:last], count
 
 
 def schreier_graph(genset):
     """Action graph of a generating set on the cube points.
 
-    Small sets materialize their permutations; larger ones stay in the
-    axis-block implicit form.
+    Small sets materialize their permutations; larger ones build the
+    axis-block sparse operator from their line actions.
     """
     if not genset.materializable:
         raise ValueError("shape-only generating set cannot be realized")

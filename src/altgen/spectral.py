@@ -9,8 +9,9 @@ from .errors import require
 
 DENSE_LIMIT = 4000
 POWER_BUDGET = 10**5
-# eigenpairs one Lanczos run converges; the gap reads the second of them
-LANCZOS_PAIRS = 10
+# Lanczos basis size: the second eigenvalue sits in a near-degenerate cluster
+# (gap 9e-5 to the third at S_N(1, 6)), and a smaller basis restarts far more
+LANCZOS_NCV = 40
 
 
 @dataclass
@@ -18,6 +19,7 @@ class SpectralReport:
     gap: float                      # 1 - second largest eigenvalue of T
     second_eigenvalue: float
     iterations: int
+    gap_upper: Fraction | None = None      # Courant-Fischer bound from the eigenvector
     cheeger_upper: float | None = None     # float(cheeger_exact)
     cheeger_exact: Fraction | None = None  # minimum conductance over all sweep cuts
     kazhdan_lower: float | None = None
@@ -69,7 +71,9 @@ def _lanczos_second_eigenpair(graph, tol, seed):
 
     Power iteration stalls when the second eigenvalue sits in a near-degenerate
     cluster (the big axis-embedded graphs do exactly that); Lanczos resolves
-    the cluster in a few hundred matvecs.
+    the cluster in a few hundred matvecs.  The operator and the start vector
+    are deflated, so the constant's eigenvalue 1 becomes 0 and the one pair
+    converged is the second.
     """
     from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -78,17 +82,13 @@ def _lanczos_second_eigenpair(graph, tol, seed):
 
     def lazy(v):
         calls[0] += 1
-        return 0.5 * (v + graph.matvec(v))
+        return _deflate(0.5 * (v + graph.matvec(v)))
 
     op = LinearOperator((n, n), matvec=lazy, dtype=float)
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    k = min(LANCZOS_PAIRS, n - 1)
-    vals, vecs = eigsh(op, k=k, which="LA", v0=v0, tol=max(tol, 1e-12),
-                       ncv=min(n, max(4 * k, 80)), maxiter=5000)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    lam2 = 2.0 * float(vals[1]) - 1.0
-    return lam2, vecs[:, 1], calls[0]
+    v0 = _deflate(np.random.default_rng(seed).standard_normal(n))
+    vals, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=max(tol, 1e-12),
+                       ncv=min(n, LANCZOS_NCV), maxiter=5000)
+    return 2.0 * float(vals[0]) - 1.0, vecs[:, 0], calls[0]
 
 
 def spectral_gap(graph, method="auto", tol=1e-12, seed=0):
@@ -116,6 +116,7 @@ def spectral_gap(graph, method="auto", tol=1e-12, seed=0):
     gap = 1.0 - lam2
     report = SpectralReport(gap=gap, second_eigenvalue=lam2, iterations=iterations)
     if graph.n > 1:
+        report.gap_upper = gap_upper_bound(graph, vec)
         report.cheeger_exact = cheeger_sweep(graph, vec)
         report.cheeger_upper = float(report.cheeger_exact)
     report.kazhdan_lower = float(np.sqrt(max(2.0 * gap, 0.0)))
@@ -124,6 +125,31 @@ def spectral_gap(graph, method="auto", tol=1e-12, seed=0):
     except (ValueError, NotImplementedError):
         report.kazhdan_upper = None
     return report
+
+
+def gap_upper_bound(graph, vec):
+    """Exact upper bound on the gap from the Rayleigh quotient of vec.
+
+    By Courant-Fischer, gap <= 1 - w.Tw / w.w for every nonzero w orthogonal
+    to the constants.  vec is scaled and rounded to integers u with
+    |u| <= 2^15, and w = u - S/N with S = sum(u), so w.Tw = u.Tu - S^2/N and
+    w.w = u.u - S^2/N.  u.Tu is sum(c u_x u_y) / D over the edge counts,
+    summed in int64.  Returns a Fraction, or None when u is constant.
+    """
+    n, degree = graph.n, graph.degree
+    vec = np.asarray(vec, dtype=float)
+    u = np.rint(vec * (2**15 / np.abs(vec).max())).astype(np.int64)
+    # each term is at most 2^30 c, and the counts sum to n * degree
+    require(2**30 * n * degree < 2**63,
+            f"{n} vertices of degree {degree} overflow the int64 Rayleigh sum")
+    cross = 0
+    for src, dst, count in graph.edge_counts():
+        cross += int((u[src] * u[dst] * count).sum())
+    uu, total = int(u @ u), int(u.sum())
+    spread = n * uu - total * total
+    if spread == 0:
+        return None
+    return Fraction(n * (degree * uu - cross), degree * spread)
 
 
 def cheeger_sweep(graph, vec):

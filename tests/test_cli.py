@@ -370,7 +370,7 @@ def test_check_verdict_comes_from_ok_alone():
 
 
 def test_oversized_axis_blocks_exit_as_a_configuration_error(monkeypatch, capsys):
-    # S_N(1, 5) needs about 5.9 MB of axis blocks
+    # S_N(1, 5)'s axis operator is estimated at about 7.3 MB
     monkeypatch.setattr(graphs, "AXIS_BLOCK_BUDGET", 10**6)
     assert main(["spectral", "--s", "1", "--d", "5"]) == 2
     assert "over the budget of 1000000 bytes" in capsys.readouterr().err

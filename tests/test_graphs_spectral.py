@@ -15,10 +15,10 @@ from altgen.errors import VerificationError
 from altgen.graphs import (ActionGraph, AxisBlockGraph, EdgeGraph, cayley_graph,
                            read_edge_list, schreier_graph, write_edge_list)
 from altgen.perms import Permutation
-from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, kazhdan_upper,
-                             spectral_gap)
+from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, gap_upper_bound,
+                             kazhdan_upper, spectral_gap)
 from line_tables import line_and_coord, line_table
-from oracles import exact_conductance, reference_edge_list_text
+from oracles import exact_conductance, lanczos_ten_pairs, reference_edge_list_text
 
 
 def cyclic_graph(n, shifts=(1,)):
@@ -130,6 +130,49 @@ def test_lanczos_agrees_with_dense():
     assert abs(r_dense.gap - r_l.gap) < 1e-8
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_lanczos_on_the_axis_operator_agrees_with_dense(d):
+    sn = build_SN(1, d)
+    dense = spectral_gap(schreier_graph(sn), method="dense").gap
+    assert abs(spectral_gap(AxisBlockGraph(sn), method="lanczos").gap - dense) < 1e-10
+
+
+def test_one_pair_lanczos_finds_the_ten_pair_second_eigenvalue():
+    # S_N(1, 5)'s second eigenvalue sits in a cluster; converging one pair
+    # must still find the one the ten-pair solver reads second
+    graph = AxisBlockGraph(build_SN(1, 5))
+    reference = lanczos_ten_pairs(graph, seed=0)
+    for seed in range(3):
+        assert abs(spectral_gap(graph, method="lanczos", seed=seed).second_eigenvalue
+                   - reference) < 1e-10
+
+
+@pytest.mark.parametrize("form", ["action", "axis-block"])
+def test_gap_upper_bound_is_the_exact_rayleigh_bound(form):
+    # at N = 49: the bound from the dense T's integer counts and the same
+    # rounded eigenvector, with w = N u - S scaled to integers
+    sn = build_SN(1, 2)
+    graph = schreier_graph(sn) if form == "action" else AxisBlockGraph(sn)
+    T = graph.to_dense()
+    vals, vecs = np.linalg.eigh(T)
+    vec = vecs[:, -2]
+    u = np.rint(vec * 2**15 / np.abs(vec).max()).astype(np.int64)
+    w = (graph.n * u - u.sum()).astype(object)
+    counts = np.rint(T * graph.degree).astype(np.int64).astype(object)
+    expect = 1 - Fraction(int(w @ counts @ w), graph.degree * int(w @ w))
+    assert gap_upper_bound(graph, vec) == expect
+    rep = spectral_gap(graph, method="dense")
+    assert rep.gap_upper == expect
+    assert 1 - vals[-2] <= expect and float(expect) - rep.gap < 1e-8
+
+
+def test_gap_upper_bound_refuses_an_int64_overflow():
+    graph = EdgeGraph(3, [(0, 1), (1, 2), (2, 0)])
+    graph.n = 2**33     # only the size check reads it
+    with pytest.raises(VerificationError, match="overflow"):
+        gap_upper_bound(graph, np.array([1.0, 0.0, -1.0]))
+
+
 def test_gap_invariant_under_relabeling():
     rng = np.random.default_rng(2)
     perms = [Permutation.random(60, rng) for _ in range(3)]
@@ -228,22 +271,23 @@ def test_schreier_small_and_axis_block_agree():
 
 
 def test_axis_blocks_are_exact_edge_counts():
-    # multiplicities counted from the materialized generators and inverses;
-    # compared as counts / degree, since (c / D) * D need not round back to c
+    # multiplicities counted from the materialized generators and inverses,
+    # summed over the axes; compared as counts / degree, since (c / D) * D
+    # need not round back to c
     sn = build_SN(1, 3)
     g = AxisBlockGraph(sn)
     geo = sn.model
     assert g.degree == 2 * len(sn)
+    counts = np.zeros((geo.N, geo.N), dtype=np.int64)
     for axis in (1, 2, 3):
-        lid, pos = line_and_coord(geo, axis)
-        counts = np.zeros((geo.lines_per_axis, geo.K, geo.K), dtype=np.int64)
+        lid, _ = line_and_coord(geo, axis)
         for i, (_, gen_axis, _) in enumerate(sn.describe()):
             if gen_axis == axis:
                 p = sn.materialize(i)
                 for t in (p.table, p.inverse().table):
                     assert np.array_equal(lid[t], lid)
-                    np.add.at(counts, (lid, pos, pos[t]), 1)
-        assert np.array_equal(g._block, counts / g.degree)
+                    np.add.at(counts, (np.arange(geo.N), t), 1)
+    assert np.array_equal(g._T.toarray(), counts / g.degree)
 
 
 def test_matvec_doubly_stochastic():
@@ -425,34 +469,39 @@ def test_tampered_axis_block_fails_the_count_check():
     vec = np.random.default_rng(8).standard_normal(sn.model.N)
     g = AxisBlockGraph(sn)
     assert cheeger_sweep(g, vec) == cheeger_sweep(ActionGraph(sn.permutations()), vec)
-    clean = g._block
-    entry = tuple(np.argwhere(clean)[0])
+    clean = g._T
     off_grid = clean.copy()
-    off_grid[entry] = np.nextafter(off_grid[entry], 1.0)   # one ulp off c / D
-    g._block = off_grid
+    off_grid.data[0] = np.nextafter(off_grid.data[0], 1.0)   # one ulp off c / D
+    g._T = off_grid
     with pytest.raises(VerificationError, match="integer edge counts"):
         cheeger_sweep(g, vec)
-    extra = clean.copy()
-    extra[tuple(np.argwhere(clean == 0)[0])] = 1 / g.degree   # one edge too many
-    g._block = extra
+    x, y = np.argwhere(clean.toarray() == 0)[0]
+    # one edge too many
+    g._T = clean + csr_array(([1 / g.degree], ([x], [y])), shape=clean.shape)
     with pytest.raises(VerificationError, match="sum to"):
         cheeger_sweep(g, vec)
 
 
 def test_oversized_axis_blocks_are_refused_before_allocating():
     # the S_N(3, 2) shape (2 axes of 511 lines, K = 511, degree 96) through a
-    # shape-only set: its block and counts would need about 1.2 GB
+    # shape-only set: its counts and a CSR with every (axis, line, row,
+    # column) entry would need about 3.3 GB
     labels = [f"g{k}" for k in range(24)]
     shape_only = GeneratingSet(CubeGeometry(3, 2), labels, labels)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"about 1200\d{6} bytes, over the "
+        with pytest.raises(ValueError, match=r"about 3335\d{6} bytes, over the "
                                              rf"budget of {graphs.AXIS_BLOCK_BUDGET} bytes"):
             AxisBlockGraph(shape_only)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    # the S_N(2, 3) shape (degree 216, about 583 MB by the estimate) fits the
+    # budget, so a shape-only set gets as far as needing line actions
+    labels = [f"g{k}" for k in range(108)]
+    with pytest.raises(ValueError, match="needs line actions"):
+        AxisBlockGraph(GeneratingSet(CubeGeometry(2, 3), labels, labels))
 
 
 # -- axis blocks on cube views, against the line-point tables ------------------
@@ -471,6 +520,17 @@ def reference_blocks(genset):
     return {axis: c / (2 * len(genset)) for axis in range(1, geo.d + 1)}
 
 
+def reference_operator(geo, blocks, degree):
+    """T over the points: each block's counts placed through the line tables,
+    summed over the axes as integers, then divided by the degree."""
+    chunks = list(reference_edge_counts(geo, blocks, degree))
+    src, dst, count = (np.concatenate(part) for part in zip(*chunks))
+    T = csr_array((count.astype(np.int64), (src, dst)), shape=(geo.N, geo.N))
+    T.sum_duplicates()
+    T.data = T.data / degree
+    return T
+
+
 def reference_matvec(geo, blocks, v):
     out = np.zeros(geo.N)
     for axis in sorted(blocks):
@@ -486,28 +546,37 @@ def reference_edge_counts(geo, blocks, degree):
         yield lp[line, a], lp[line, b], np.rint(block[line, a, b] * degree)
 
 
-def sorted_triples(chunks):
+def merged_triples(chunks):
+    """(src, dst, count) rows in sorted order, the counts of a repeated pair
+    summed: the axes' arcs meet only on the diagonal."""
     rows = np.concatenate([np.stack([src, dst, np.broadcast_to(count, src.shape)], axis=1)
-                           for src, dst, count in chunks])
-    return rows[np.lexsort(rows.T[::-1])]
+                           for src, dst, count in chunks]).astype(np.int64)
+    pairs, where = np.unique(rows[:, :2], axis=0, return_inverse=True)
+    return np.column_stack([pairs, np.bincount(where.ravel(), weights=rows[:, 2])])
 
 
 def assert_matches_line_tables(genset, seed):
     geo = genset.model
     g = AxisBlockGraph(genset)
     blocks = reference_blocks(genset)
-    assert np.array_equal(g._block, blocks[1])
+    T = reference_operator(geo, blocks, g.degree)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(g._T, part), getattr(T, part))
     rng = np.random.default_rng(seed)
     vectors = [rng.standard_normal(geo.N) for _ in range(5)]
     vectors.append((rng.random(geo.N) < 0.3).astype(float))
     for v in vectors:
-        assert np.array_equal(g.matvec(v), reference_matvec(geo, blocks, v))
+        # the per-axis sums add in another order: at most d K terms, each
+        # at most max |v|, so each output is within d K eps max |v|
+        tol = geo.d * geo.K * np.finfo(float).eps * np.abs(v).max()
+        assert np.allclose(g.matvec(v), reference_matvec(geo, blocks, v), rtol=0, atol=tol)
+        assert np.array_equal(g.matvec(v), T @ v)
     v = vectors[0]
     perms = [genset.materialize(i).table for i in range(len(genset))]
     got = sorted(d.tobytes() for d in g.displacements(v))
     assert got == sorted((v[t] - v).tobytes() for t in perms)
-    assert np.array_equal(sorted_triples(g.edge_counts()),
-                          sorted_triples(reference_edge_counts(geo, blocks, g.degree)))
+    assert np.array_equal(merged_triples(g.edge_counts()),
+                          merged_triples(reference_edge_counts(geo, blocks, g.degree)))
 
 
 @pytest.mark.parametrize("s, d", [(1, 3), (1, 4), (2, 2)])
