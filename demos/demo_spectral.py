@@ -21,7 +21,7 @@ print("== the 117649-point action graph (axis-block sparse form) ==")
 big = schreier_graph(build_SN(1, 6))
 rep42 = spectral_gap(big, seed=42)
 rep7 = spectral_gap(big, seed=7)
-print(f"gap {rep42.gap:.9f} (Lanczos, {rep42.iterations} operator applications)")
+print(f"gap {rep42.gap:.9f} (Lanczos, {rep42.iterations} T applications)")
 print(f"seed independence: |difference| = {abs(rep42.gap - rep7.gap):.2e}")
 print(f"sweep conductance upper bound {rep42.cheeger_exact} = "
       f"{rep42.cheeger_upper:.7f}, over all {big.n - 1} sweep cuts")

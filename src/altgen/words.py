@@ -94,20 +94,6 @@ def face_points(model):
     return model.lines(model.points(), 1)[..., 0].ravel()
 
 
-def _deliver_letter(model, face, axis, coord):
-    """The letter shifting each axis-`axis` line (axis > 1) by its own first coordinate.
-
-    coord is the axis-`axis` coordinate of each face point.  Every line has
-    one point at coordinate 0 along its axis; moved r places along axis 1
-    from the face, those points start the lines at level r.
-    """
-    levels = np.arange(model.K)[:, None]
-    starts = model.move(face[coord == 0], 1, levels)
-    shifts = np.empty(model.lines_per_axis, dtype=np.int64)
-    shifts[model.line_coords(starts, axis)[0]] = levels
-    return ShiftVector(model, axis, shifts)
-
-
 def grid_route(model, sigma_face):
     """Word of exactly 4d-5 letters whose product restricts to the face as given.
 
@@ -154,7 +140,11 @@ def grid_route(model, sigma_face):
     line, coord, _ = grid[d]
     require((line[cur] == line).all(), "residue leaves its axis-d lines")
     rounds = pre_rounds + [(d, coord[cur])] + post_rounds[::-1]
-    deliver = {axis: _deliver_letter(model, face, axis, grid[axis][1]) for axis in grid}
+    # the deliver letter of axis a shifts each axis-a line by its level, its
+    # axis-1 coordinate; axis 1 is the fastest digit of every axis-a line id
+    # (a > 1), so on every axis that level is the line id mod K
+    levels = np.arange(L) % K
+    deliver = {axis: ShiftVector(model, axis, levels) for axis in grid}
     letters_app = []
     drop = 0   # the previous round's drop shifts, merged into this round's lift
     for axis, targets in rounds:

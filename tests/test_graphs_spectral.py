@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from altgen import graphs
+from altgen import graphs, spectral
 from altgen.embeddings import GeneratingSet, build_SN
 from altgen.geometry import CubeGeometry
 from altgen.errors import VerificationError
@@ -145,6 +145,69 @@ def test_one_pair_lanczos_finds_the_ten_pair_second_eigenvalue():
     for seed in range(3):
         assert abs(spectral_gap(graph, method="lanczos", seed=seed).second_eigenvalue
                    - reference) < 1e-10
+
+
+def test_lanczos_agrees_with_dense_on_tiny_graphs():
+    # repeated eigenvalues, bipartite spectra and Lanczos breakdown inside
+    # the cut's short run; the cut is floored wherever fewer than two Ritz
+    # values exist
+    for n in range(3, 10):
+        cycle = EdgeGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        complete = EdgeGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        for g in (cycle, complete):
+            dense = spectral_gap(g, method="dense").gap
+            assert abs(spectral_gap(g, method="lanczos").gap - dense) < 1e-10
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        spectral_gap(EdgeGraph(2, [(0, 1)]), method="lanczos")
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ritz_cut_lies_at_or_below_the_third_eigenvalue(d):
+    graph = AxisBlockGraph(build_SN(1, d))
+    third = np.linalg.eigvalsh(graph.to_dense())[-3]
+    for seed in range(3):
+        v = np.random.default_rng(seed).standard_normal(graph.n)
+        assert spectral._ritz_cut(graph.matvec, v - v.mean()) <= third + 1e-12
+
+
+def test_lanczos_iterations_count_every_matvec():
+    graph = AxisBlockGraph(build_SN(1, 5))
+    calls = [0]
+    matvec = graph.matvec
+
+    def counted(v):
+        calls[0] += 1
+        return matvec(v)
+
+    graph.matvec = counted
+    report = spectral_gap(graph, method="lanczos", seed=0)
+    assert calls[0] == report.iterations > spectral.RITZ_STEPS
+
+
+def test_a_cut_above_the_second_eigenvalue_fails_the_lanczos_guard(monkeypatch):
+    # a cut at or above lambda_2 damps it, and ARPACK returns another pair
+    graph = AxisBlockGraph(build_SN(1, 3))
+    second = np.linalg.eigvalsh(graph.to_dense())[-2]
+    monkeypatch.setattr(spectral, "_ritz_cut", lambda matvec, v: second + 1e-3)
+    with pytest.raises(VerificationError, match="not above the cut"):
+        spectral_gap(graph, method="lanczos", seed=0)
+
+
+def test_a_perturbed_ritz_vector_fails_the_residual_guard(monkeypatch):
+    import scipy.sparse.linalg
+
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        noise = np.random.default_rng(0).standard_normal(vecs.shape)
+        vecs = vecs + 1e-6 * (noise - noise.mean())
+        return vals, vecs / np.linalg.norm(vecs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+    graph = AxisBlockGraph(build_SN(1, 3))
+    with pytest.raises(VerificationError, match="residual"):
+        spectral_gap(graph, method="lanczos", seed=0)
 
 
 @pytest.mark.parametrize("form", ["action", "axis-block"])
