@@ -6,6 +6,9 @@ together with its inverse, involutions twice), which keeps T symmetric and
 doubly stochastic.
 """
 
+import os
+from functools import partial
+
 import numpy as np
 
 from .errors import require
@@ -17,23 +20,41 @@ ACTION_FORM_LIMIT = 4000
 # bytes an AxisBlockGraph may spend on its float blocks plus integer counts
 AXIS_BLOCK_BUDGET = 2**30
 
+# threads that run AxisBlockGraph row blocks beside the calling thread;
+# started by the first graph with more than one block
+_pool = None
+
+
+def _cpu_count():
+    """CPUs in this process's affinity mask."""
+    return len(os.sched_getaffinity(0))
+
+
+def _start_pool(threads):
+    """Start the pool with this many threads, unless it is running."""
+    global _pool
+    if _pool is None and threads > 0:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(threads, thread_name_prefix="altgen")
+
+
+def _run_all(tasks):
+    """Call every task, the first on this thread and the rest on the pool,
+    and return once all have finished."""
+    futures = [_pool.submit(task) for task in tasks[1:]]
+    tasks[0]()
+    for future in futures:
+        future.result()
+
 
 class SparseGraph:
-    """Regular multigraph given by its normalized adjacency action."""
+    """Regular multigraph given by its normalized adjacency action.
 
-    n = 0
-    degree = 0
-
-    def matvec(self, v):
-        raise NotImplementedError
-
-    def displacements(self, v):
-        """v o g - v in point order for each (unsymmetrized) generator g, in any order."""
-        raise NotImplementedError
-
-    def edge_counts(self):
-        """Integer adjacency as (src, dst, count) chunks; the counts sum to n * degree."""
-        raise NotImplementedError
+    Subclasses give `matvec(v)` (T v), `displacement_norms(v)` (||v o g - v||
+    for each unsymmetrized generator g, in generator order) and
+    `edge_counts()` (the integer adjacency as (src, dst, count) chunks whose
+    counts sum to n * degree).
+    """
 
     def to_dense(self, limit=4000):
         if self.n > limit:
@@ -82,9 +103,8 @@ class ActionGraph(SparseGraph):
         # one gather; the axis-0 sum adds the rows in table order
         return np.add.reduce(v[self._tables], axis=0, dtype=float) / self.degree
 
-    def displacements(self, v):
-        for t in self._tables[::2]:
-            yield v[t] - v
+    def displacement_norms(self, v):
+        return np.array([np.linalg.norm(v[t] - v) for t in self._tables[::2]])
 
     def edge_counts(self):
         # one table-major chunk, so is_connected merges once
@@ -110,7 +130,7 @@ class EdgeGraph(SparseGraph):
         np.add.at(out, self._both[:, 0], v[self._both[:, 1]])
         return out / self.degree
 
-    def displacements(self, v):
+    def displacement_norms(self, v):
         raise ValueError("edge-list graphs carry no generator actions")
 
     def edge_counts(self):
@@ -127,6 +147,11 @@ class AxisBlockGraph(SparseGraph):
     summed over the axes as integers in one CSR over the points.  Only then
     is it divided by the degree, once, which keeps every entry an exact
     count / degree.
+
+    The CSR is held as row blocks, one per CPU the process may run on, each
+    (first row, indptr, indices, data) with indices and data views of the
+    one operator.  `matvec` and `displacement_norms` split their work over
+    the blocks' threads and give the same floats as one thread would.
     """
 
     def __init__(self, genset):
@@ -167,43 +192,90 @@ class AxisBlockGraph(SparseGraph):
         # integer counts into the CSR, so the axes' shared diagonal sums exactly
         T = csr_array((np.tile(counts[line, a, b], model.d), (src.ravel(), dst.ravel())),
                       shape=(self.n, self.n))
+        # the COO side goes before the division and the split allocate
+        del counts, line, a, b, points, src, dst, lp
         T.data = T.data / self.degree
-        self._T = T
+        # summing the axes' shared diagonal leaves T.indices a view of the
+        # longer COO-length buffer; a compact copy lets the rest go
+        T.indices = T.indices.copy()
+        self._blocks = _row_blocks(T, _cpu_count())
+        _start_pool(len(self._blocks) - 1)
 
     def matvec(self, v):
-        return self._T @ v
+        # each block sums its rows of T v into its slice of one output, in
+        # the CSR's per-row order; the C loop releases the GIL
+        from scipy.sparse._sparsetools import csr_matvec
 
-    def displacements(self, v):
-        # v on each axis's (line, coordinate) grid; an action's gather index
-        # serves all d axes, so generators come grouped by action
-        grids = [(axis, self.model.lines(v, axis).copy().ravel())
-                 for axis in range(1, self.model.d + 1)]
-        rows = np.arange(self.model.lines_per_axis)[:, None] * self.model.K
-        moved = np.empty(self.n)
-        for vid, tables in self.genset.actions:
-            index = (rows + tables[vid]).ravel()
-            for axis, grid in grids:
-                np.subtract(grid.take(index, out=moved), grid, out=moved)
-                diff = np.empty(self.n)
-                lines = self.model.lines(diff, axis)
-                lines[...] = moved.reshape(lines.shape)
-                yield diff
+        v = np.ascontiguousarray(v, dtype=float)
+        if v.shape != (self.n,):   # the C loop reads v unchecked
+            raise ValueError(f"vector of shape {v.shape} for {self.n} vertices")
+        out = np.zeros(self.n)
+        _run_all([partial(csr_matvec, len(indptr) - 1, self.n, indptr, indices, data, v,
+                          out[lo:lo + len(indptr) - 1])
+                  for lo, indptr, indices, data in self._blocks])
+        return out
+
+    def displacement_norms(self, v):
+        # v o g - v in point order for each generator g, so each norm sums
+        # the same array a materialized generator's v[t] - v would give.  For
+        # each action the blocks' threads, taking the axes in turn, move v's
+        # (line, coordinate) grid of each of their axes and write the
+        # difference to that axis's point-order buffer; the norms are taken
+        # here, since concurrent calls into a threaded BLAS contend.  'clip'
+        # lets take write straight to its output (the indices are in range),
+        # where 'raise' first copies
+        model, actions = self.model, self.genset.actions
+        d, shape = model.d, (model.K,) * model.d
+        workers = min(len(self._blocks), d)
+        rows = np.arange(model.lines_per_axis)[:, None] * model.K
+        index = np.empty((workers, model.lines_per_axis, model.K), dtype=np.int64)
+        moved = np.empty_like(index, dtype=float)
+        grids = [np.ascontiguousarray(model.lines(v, axis)) for axis in range(1, d + 1)]
+        diffs = np.empty((d, self.n))
+        spreads = [model.lines(diffs[axis - 1], axis) for axis in range(1, d + 1)]
+        norms = np.empty((len(actions), d))
+
+        def move(w, vid, tables):
+            np.take(tables, vid, axis=0, out=index[w], mode="clip")
+            np.add(index[w], rows, out=index[w])
+            for axis in range(w, d, workers):
+                grids[axis].take(index[w], out=moved[w], mode="clip")
+                np.subtract(moved[w].reshape(shape), grids[axis], out=spreads[axis])
+
+        for k, (vid, tables) in enumerate(actions):
+            _run_all([partial(move, w, vid, tables) for w in range(workers)])
+            for axis in range(d):
+                norms[k, axis] = np.linalg.norm(diffs[axis])
+        return norms.T.ravel()
 
     def edge_counts(self):
         # T holds counts / degree; recover the counts and insist that dividing
-        # them again gives T bit for bit.  About d row slices, so no caller
-        # holds every entry at once
-        T, degree = self._T, self.degree
+        # them again gives T bit for bit.  Rows in ascending slices of about
+        # n / d, so no caller holds every entry at once
+        degree = self.degree
         step = -(-self.n // self.model.d)
-        for lo in range(0, self.n, step):
-            hi = min(lo + step, self.n)
-            first, last = T.indptr[lo], T.indptr[hi]
-            weight = T.data[first:last]
-            count = np.rint(weight * degree).astype(np.int64)
-            require(np.array_equal(count / degree, weight),
-                    "axis operator is not integer edge counts over the degree")
-            src = np.repeat(np.arange(lo, hi), np.diff(T.indptr[lo:hi + 1]))
-            yield src, T.indices[first:last], count
+        for lo, indptr, indices, data in self._blocks:
+            for a in range(0, len(indptr) - 1, step):
+                b = min(a + step, len(indptr) - 1)
+                first, last = indptr[a], indptr[b]
+                weight = data[first:last]
+                count = np.rint(weight * degree).astype(np.int64)
+                require(np.array_equal(count / degree, weight),
+                        "axis operator is not integer edge counts over the degree")
+                src = np.repeat(np.arange(lo + a, lo + b), np.diff(indptr[a:b + 1]))
+                yield src, indices[first:last], count
+
+
+def _row_blocks(T, count):
+    """The CSR T as `count` blocks of consecutive rows, each (first row,
+    indptr from 0, indices, data); indices and data are views of T's."""
+    bounds = [T.shape[0] * k // count for k in range(count + 1)]
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        first, last = T.indptr[lo], T.indptr[hi]
+        blocks.append((lo, T.indptr[lo:hi + 1] - first, T.indices[first:last],
+                       T.data[first:last]))
+    return blocks
 
 
 def schreier_graph(genset):

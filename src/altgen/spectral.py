@@ -193,7 +193,7 @@ def spectral_gap(graph, method="auto", tol=1e-12, seed=0):
     report.kazhdan_lower = float(np.sqrt(max(2.0 * gap, 0.0)))
     try:
         report.kazhdan_upper = kazhdan_upper(graph, vec)
-    except (ValueError, NotImplementedError):
+    except ValueError:
         report.kazhdan_upper = None
     return report
 
@@ -269,9 +269,5 @@ def kazhdan_upper(graph, vec):
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("eigenvector is constant")
-    v = v / norm
-    worst = 0.0
-    for diff in graph.displacements(v):
-        worst = max(worst, float(np.linalg.norm(diff)))
-    return worst
+    return float(np.max(graph.displacement_norms(v / norm)))
 

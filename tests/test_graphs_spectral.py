@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse, vstack
 from scipy.sparse.csgraph import connected_components
 
 from altgen import graphs, spectral
@@ -19,6 +19,12 @@ from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, gap_upper_b
                              kazhdan_upper, spectral_gap)
 from line_tables import line_and_coord, line_table
 from oracles import exact_conductance, lanczos_ten_pairs, reference_edge_list_text
+
+
+def stacked_operator(g):
+    """The one CSR operator that an AxisBlockGraph's row blocks hold."""
+    return vstack([csr_array((data, indices, indptr), shape=(len(indptr) - 1, g.n))
+                   for _, indptr, indices, data in g._blocks], format="csr")
 
 
 def cyclic_graph(n, shifts=(1,)):
@@ -350,7 +356,7 @@ def test_axis_blocks_are_exact_edge_counts():
                 for t in (p.table, p.inverse().table):
                     assert np.array_equal(lid[t], lid)
                     np.add.at(counts, (np.arange(geo.N), t), 1)
-    assert np.array_equal(g._T.toarray(), counts / g.degree)
+    assert np.array_equal(stacked_operator(g).toarray(), counts / g.degree)
 
 
 def test_matvec_doubly_stochastic():
@@ -510,7 +516,7 @@ def test_kazhdan_upper_matches_materialized_generators():
     def norms(vec, tables):
         v = vec - vec.mean()
         v = v / np.linalg.norm(v)
-        return sorted(float(np.linalg.norm(v[t] - v)) for t in tables)
+        return [np.linalg.norm(v[t] - v) for t in tables]
 
     rng = np.random.default_rng(9)
     sn = build_SN(1, 3)
@@ -523,8 +529,8 @@ def test_kazhdan_upper_matches_materialized_generators():
             ref = norms(vec, tables)
             v = vec - vec.mean()
             v = v / np.linalg.norm(v)
-            assert sorted(float(np.linalg.norm(d)) for d in graph.displacements(v)) == ref
-            assert kazhdan_upper(graph, vec) == ref[-1]
+            assert list(graph.displacement_norms(v)) == ref
+            assert kazhdan_upper(graph, vec) == max(ref)
 
 
 def test_tampered_axis_block_fails_the_count_check():
@@ -532,15 +538,16 @@ def test_tampered_axis_block_fails_the_count_check():
     vec = np.random.default_rng(8).standard_normal(sn.model.N)
     g = AxisBlockGraph(sn)
     assert cheeger_sweep(g, vec) == cheeger_sweep(ActionGraph(sn.permutations()), vec)
-    clean = g._T
+    clean = stacked_operator(g)
     off_grid = clean.copy()
     off_grid.data[0] = np.nextafter(off_grid.data[0], 1.0)   # one ulp off c / D
-    g._T = off_grid
+    g._blocks = graphs._row_blocks(off_grid, len(g._blocks))
     with pytest.raises(VerificationError, match="integer edge counts"):
         cheeger_sweep(g, vec)
     x, y = np.argwhere(clean.toarray() == 0)[0]
     # one edge too many
-    g._T = clean + csr_array(([1 / g.degree], ([x], [y])), shape=clean.shape)
+    g._blocks = graphs._row_blocks(
+        clean + csr_array(([1 / g.degree], ([x], [y])), shape=clean.shape), len(g._blocks))
     with pytest.raises(VerificationError, match="sum to"):
         cheeger_sweep(g, vec)
 
@@ -623,8 +630,9 @@ def assert_matches_line_tables(genset, seed):
     g = AxisBlockGraph(genset)
     blocks = reference_blocks(genset)
     T = reference_operator(geo, blocks, g.degree)
+    stacked = stacked_operator(g)
     for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(g._T, part), getattr(T, part))
+        assert np.array_equal(getattr(stacked, part), getattr(T, part))
     rng = np.random.default_rng(seed)
     vectors = [rng.standard_normal(geo.N) for _ in range(5)]
     vectors.append((rng.random(geo.N) < 0.3).astype(float))
@@ -636,8 +644,7 @@ def assert_matches_line_tables(genset, seed):
         assert np.array_equal(g.matvec(v), T @ v)
     v = vectors[0]
     perms = [genset.materialize(i).table for i in range(len(genset))]
-    got = sorted(d.tobytes() for d in g.displacements(v))
-    assert got == sorted((v[t] - v).tobytes() for t in perms)
+    assert list(g.displacement_norms(v)) == [np.linalg.norm(v[t] - v) for t in perms]
     assert np.array_equal(merged_triples(g.edge_counts()),
                           merged_triples(reference_edge_counts(geo, blocks, g.degree)))
 
@@ -645,6 +652,72 @@ def assert_matches_line_tables(genset, seed):
 @pytest.mark.parametrize("s, d", [(1, 3), (1, 4), (2, 2)])
 def test_axis_block_graph_matches_the_line_tables(s, d):
     assert_matches_line_tables(build_SN(s, d), seed=10 * s + d)
+
+
+def test_row_blocks_give_the_one_operator_bit_for_bit(monkeypatch, tmp_path):
+    # S_N(1, 5) split over 1, 2 and 3 workers against the single CSR: every
+    # product, norm, edge chunk, exported byte and spectral report agrees
+    sn = build_SN(1, 5)
+    geo = sn.model
+    T = reference_operator(geo, reference_blocks(sn), 2 * len(sn))
+    rng = np.random.default_rng(51)
+    vectors = [rng.standard_normal(geo.N) for _ in range(3)]
+    vectors.append((rng.random(geo.N) < 0.3).astype(float))
+    perms = [sn.materialize(i).table for i in range(len(sn))]
+    norms = [[np.linalg.norm(v[t] - v) for t in perms] for v in vectors[:2]]
+    seen = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(graphs, "_cpu_count", lambda: workers)
+        g = AxisBlockGraph(sn)
+        assert [lo for lo, *_ in g._blocks] == [geo.N * k // workers for k in range(workers)]
+        for v in vectors:
+            assert np.array_equal(g.matvec(v), T @ v)
+        with pytest.raises(ValueError, match="shape"):   # never read past v
+            g.matvec(np.ones(geo.N + 1))
+        for v, ref in zip(vectors, norms):
+            assert list(g.displacement_norms(v)) == ref
+        chunks = list(g.edge_counts())
+        src = np.concatenate([c[0] for c in chunks])
+        assert (np.diff(src) >= 0).all()        # ascending row ranges
+        triples = merged_triples(chunks)
+        path = tmp_path / "edges.txt"
+        write_edge_list(g, path)
+        text = path.read_bytes()
+        path.unlink()
+        rep = spectral_gap(g, method="lanczos", seed=3)
+        got = (triples.tobytes(), hash(text), rep.gap, rep.iterations, rep.gap_upper,
+               rep.cheeger_exact, rep.kazhdan_upper)
+        assert got == seen.setdefault("one worker", got)
+
+
+def held_arrays(obj):
+    """Every numpy array in obj, its lists and tuples and its sparse arrays."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif issparse(obj):
+        yield from (obj.indptr, obj.indices, obj.data)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from held_arrays(item)
+
+
+def test_row_blocks_hold_the_operator_once(monkeypatch):
+    # the blocks' indices and data are views of one compact CSR, and nothing
+    # else the graph holds (beyond its set and cube) owns operator memory
+    monkeypatch.setattr(graphs, "_cpu_count", lambda: 2)
+    g = AxisBlockGraph(build_SN(1, 5))
+    owners = {}
+    for key, value in vars(g).items():
+        if key in ("model", "genset"):
+            continue
+        for array in held_arrays(value):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            owners[id(array)] = array
+    nnz = sum(len(data) for *_, data in g._blocks)
+    assert nnz == stacked_operator(g).nnz
+    indptrs = sum(indptr.nbytes for _, indptr, _, _ in g._blocks)
+    assert sum(a.nbytes for a in owners.values()) == nnz * (8 + 4) + indptrs
 
 
 def reference_power(graph, tol, seed, budget):

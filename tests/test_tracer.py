@@ -37,3 +37,25 @@ def test_the_benchmark_tracer_finds_every_traced_name():
         assert getattr(importlib.import_module(f"altgen.{m}"), a) is original
     for (m, c, a), original in methods.items():
         assert getattr(importlib.import_module(f"altgen.{m}"), c).__dict__[a] is original
+
+
+def test_every_matvec_span_is_a_child_of_the_spectral_gap(monkeypatch):
+    # the tracer's span stack is one list for the process: a traced call on
+    # a row-block thread would add a span or hang it from the wrong parent
+    from altgen import graphs, spectral
+    from altgen.embeddings import build_SN
+
+    monkeypatch.setattr(graphs, "_cpu_count", lambda: 2)
+    graph = graphs.AxisBlockGraph(build_SN(1, 5))
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        report = spectral.spectral_gap(graph, method="lanczos", seed=1)
+    finally:
+        tracer.uninstall()
+    assert tracer.names.count("spectral.spectral_gap") == 1
+    top = tracer.names.index("spectral.spectral_gap")
+    matvecs = [i for i, name in enumerate(tracer.names) if name == "graphs.matvec"]
+    assert len(matvecs) == report.iterations
+    assert all(tracer.parents[i] == top for i in matvecs)
+    assert tracer.stack == [] and None not in tracer.ends

@@ -1,9 +1,11 @@
 """Print every function in src/altgen/ whose body no real run enters.
 
-Under one `sys.settrace` hook that records each function entry, this runs
-every demo in demos/, a fixed matrix of CLI runs covering each subcommand,
-and one pass of each benchmark workload (its operations and its output
-check, taken read-only from perfbench/workloads.py).  It then prints, one per
+Under one hook that records each function entry, installed with
+`sys.settrace` and, for threads started later (such as the row-block pool in
+graphs.py), with `threading.settrace`, this runs every demo in demos/, a
+fixed matrix of CLI runs covering each subcommand, and one pass of each
+benchmark workload (its operations and its output check, taken read-only
+from perfbench/workloads.py).  It then prints, one per
 line as `module.py:line qualified.name`, each function or method defined in
 the package that never started, and a summary with the wall time on stderr.
 
@@ -13,7 +15,7 @@ statically, so a method that shares its name with one that does run (such as
 Before deleting a definition as "only tests call it", run this and cite its
 output.  Pytest does not collect this file.
 
-    python tests/unrun.py          # from the repository root; about 40 s
+    python tests/unrun.py          # from the repository root; about 20 s
 """
 
 import contextlib
@@ -22,6 +24,7 @@ import io
 import runpy
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -47,10 +50,12 @@ def cli_matrix(tmp):
         ["spectral", "--s", "1", "--d", "2", "--method", "power"],
         ["spectral", "--s", "1", "--d", "3", "--method", "lanczos"],
         ["spectral", "--edges", f"{tmp}/edges.txt"],
+        ["spectral", "--edges", f"{tmp}/edges.txt", "--method", "lanczos"],
         ["mixing", "--s", "1", "--d", "2"],
         ["characters", "--n", "8", "--l", "6", "--out", f"{tmp}/table.csv"],
         ["certify", "--out", f"{tmp}/tree.json"],
         ["factor", "gem", "--s", "1", "--m", "2", "--count", "10"],
+        ["factor", "gem", "--s", "3", "--m", "2", "--count", "20"],
         ["factor", "butterfly", "--rows", "3", "--cols", "4", "--count", "5"],
         ["factor", "blocks", "--count", "25"],
         ["factor", "word47", "--s", "1", "--d", "6", "--trials", "3"],
@@ -106,11 +111,13 @@ def main():
         # no line events: entries are all this needs, and they keep it fast
 
     start = time.perf_counter()
+    threading.settrace(record)
     sys.settrace(record)
     try:
         failures = run_everything()
     finally:
         sys.settrace(None)
+        threading.settrace(None)
     seconds = time.perf_counter() - start
     defined = package_functions()
     never = sorted(set(defined) - entered)
