@@ -211,10 +211,6 @@ class BoundExpr:
     def greater_than(self, other):
         return _refine_compare(self, self._coerce(other)) > 0
 
-    def __repr__(self):
-        lo, hi = self.interval(64)
-        return f"BoundExpr[{float(lo):.12g}, {float(hi):.12g}]"
-
 
 def _refine_compare(x, y):
     """-1, 0(+error), or 1 once the enclosures separate."""

@@ -48,10 +48,6 @@ class ShiftVector:
         # K - shift stays in [1, K]; the constructor maps K back to 0
         return ShiftVector(self.model, self.axis, self.model.K - self.shifts)
 
-    def __repr__(self):
-        nz = int(np.count_nonzero(self.shifts))
-        return f"ShiftVector(axis={self.axis}, {nz} shifted lines)"
-
 
 def el3_line_actions(model, el3, action):
     """Per-line actions of an EL3 element: (variant ids, variant K-perms).

@@ -41,9 +41,6 @@ class CubeGeometry:
         """Whether length-N arrays fit under the table limit."""
         return self.N <= TABLE_LIMIT
 
-    def __repr__(self):
-        return f"CubeGeometry(s={self.s}, d={self.d}, K={self.K}, N={self.N})"
-
     # -- scalar codec ------------------------------------------------------
 
     def index(self, coords):

@@ -143,11 +143,6 @@ class MatGF2:
             e >>= 1
         return result
 
-    def __repr__(self):
-        lines = [" ".join("".join(str((int(r) >> j) & 1) for j in range(self.n)) for r in copy)
-                 for copy in self.rows]
-        return f"{type(self).__name__}({self.n}, [{' | '.join(lines)}])"
-
 
 def _span_basis(vectors, basis=()):
     """Reduced basis (ints, largest first) of the span of basis and vectors."""

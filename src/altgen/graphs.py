@@ -15,6 +15,8 @@ from .errors import require
 from .perms import Permutation
 
 CAYLEY_LIMIT = 2 * 10**6
+# graphs of at most this many vertices may build their dense T
+DENSE_LIMIT = 4000
 # cube sets of at most this many points materialize their permutations
 ACTION_FORM_LIMIT = 4000
 # bytes an AxisBlockGraph may spend on its float blocks plus integer counts
@@ -56,9 +58,9 @@ class SparseGraph:
     counts sum to n * degree).
     """
 
-    def to_dense(self, limit=4000):
-        if self.n > limit:
-            raise ValueError(f"{self.n} vertices exceed the dense limit {limit}")
+    def to_dense(self):
+        if self.n > DENSE_LIMIT:
+            raise ValueError(f"{self.n} vertices exceed the dense limit {DENSE_LIMIT}")
         T = np.zeros((self.n, self.n))
         for src, dst, count in self.edge_counts():
             np.add.at(T, (src, dst), count)

@@ -56,9 +56,6 @@ class Permutation:
     def random(cls, n, rng):
         return cls(rng.permutation(n).astype(np.int64), _validate=False)
 
-    def __call__(self, x):
-        return self.table[x]
-
     def __mul__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -76,29 +73,8 @@ class Permutation:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.table, other.table)
 
-    def __hash__(self):
-        return hash(self.table.tobytes())
-
     def is_identity(self):
         return bool((self.table == np.arange(self.n)).all())
-
-    def cycles(self):
-        """Disjoint cycles as lists, each starting at its least point."""
-        seen = np.zeros(self.n, dtype=bool)
-        table = self.table
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = int(table[start])
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = int(table[x])
-            out.append(cyc)
-        return out
 
     def _moved_cycle_labels(self):
         """(support, count, labels): the cycles of the moved points alone,
@@ -129,15 +105,6 @@ class Permutation:
     def support(self):
         """Sorted array of non-fixed points."""
         return np.flatnonzero(self.table != np.arange(self.n))
-
-    def __repr__(self):
-        nontrivial = [c for c in self.cycles() if len(c) > 1]
-        if not nontrivial:
-            return f"Permutation.identity({self.n})"
-        if len(nontrivial) > 4:
-            return f"Permutation(n={self.n}, {len(nontrivial)} cycles)"
-        desc = " ".join("(" + " ".join(map(str, c)) + ")" for c in nontrivial)
-        return f"Permutation(n={self.n}, {desc})"
 
 
 def cycle_labels(tables):

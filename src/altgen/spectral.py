@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import require
+from .graphs import DENSE_LIMIT
 
-DENSE_LIMIT = 4000
 POWER_BUDGET = 10**5
 # Lanczos basis size for the Chebyshev-filtered operator.  The second
 # eigenvalue sits in a near-degenerate cluster (gap 9e-5 to the third at
@@ -29,10 +29,6 @@ class SpectralReport:
     cheeger_exact: Fraction | None = None  # minimum conductance over all sweep cuts
     kazhdan_lower: float | None = None
     kazhdan_upper: float | None = None
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration did not converge within its iteration budget."""
 
 
 def _deflate(v):
@@ -62,13 +58,13 @@ def _power_second_eigenpair(graph, tol, seed):
         w /= norm
         lazy_w = 0.5 * (w + graph.matvec(w))
         mu = float(w @ lazy_w)
-        if mu_prev is not None and abs(mu - mu_prev) < tol:
-            lam2 = 2.0 * mu - 1.0
-            return lam2, w, it
+        converged = mu_prev is not None and abs(mu - mu_prev) < tol
+        if converged:
+            break
         mu_prev = mu
         v, lazy_v = w, lazy_w
-    raise PowerIterationError(
-        f"power iteration did not converge within {POWER_BUDGET} iterations")
+    require(converged, f"power iteration did not converge within {POWER_BUDGET} iterations")
+    return 2.0 * mu - 1.0, w, it
 
 
 def _ritz_cut(matvec, v):
@@ -172,7 +168,7 @@ def spectral_gap(graph, method="auto", tol=1e-12, seed=0):
     if method == "auto":
         method = "dense" if graph.n <= DENSE_LIMIT else "lanczos"
     if method == "dense":
-        T = graph.to_dense(limit=DENSE_LIMIT)
+        T = graph.to_dense()
         vals, vecs = np.linalg.eigh(T)
         lam2 = float(vals[-2]) if graph.n > 1 else 0.0
         vec = vecs[:, -2] if graph.n > 1 else np.zeros(1)

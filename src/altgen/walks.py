@@ -264,6 +264,7 @@ def mixing_time_points(operator, model, tol=1e-9):
         tv = 0.5 * float(np.abs(w - uniform).sum())
         curve.append(tv)
         if tv < tol:
-            return step, curve
-    raise RuntimeError(f"walk did not mix within {MIXING_STEPS} steps (tv={curve[-1]})")
+            break
+    require(tv < tol, f"walk did not mix within {MIXING_STEPS} steps (tv={tv})")
+    return step, curve
 

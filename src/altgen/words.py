@@ -63,6 +63,9 @@ def standard_cycle_length(K, d):
     a = int((threshold - 1) // (K - 1))
     if 1 + a * (K - 1) >= threshold:
         a -= 1
+    if a < 1:
+        raise ValueError(f"no standard cycle at K = {K}, d = {d}: "
+                         f"K^(d-1)/(3 ln K) = {threshold:.3g} leaves no a >= 1")
     return 1 + a * (K - 1), a
 
 

@@ -192,6 +192,25 @@ def coo_round_coloring(left, right, n_left, n_right, degree):
     return colors
 
 
+def cycle_walk(table):
+    """Disjoint cycles of a permutation table as lists, each starting at its
+    least point, found by following every point until it returns."""
+    seen = np.zeros(len(table), dtype=bool)
+    out = []
+    for start in range(len(table)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = int(table[start])
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = int(table[x])
+        out.append(cyc)
+    return out
+
+
 def full_table_cycle_type(perm):
     """Cycle type from the cycles of every point of the table, fixed ones too."""
     return tuple(sorted(np.bincount(cycle_labels(perm.table)[1]).tolist(), reverse=True))

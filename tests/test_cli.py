@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import altgen
-from altgen import certify, graphs, ring
+from altgen import certify, graphs, ring, spectral, walks
 from altgen.cli import (SUITES, Report, _el3_to_json, desk_base, main,
                         write_gens_json)
 from altgen.embeddings import GeneratingSet, build_SN
@@ -138,6 +138,17 @@ def test_construct_general(tmp_path, capsys):
     assert code == 0
     recs = {r["name"]: r for r in report["records"]}
     assert recs["window-count"]["computed"] <= 9
+
+
+@pytest.mark.parametrize("sym, order", [(False, 2520), (True, 5040)])
+def test_construct_general_below_eight_points(sym, order, tmp_path, capsys):
+    # below 8 points the order comes from a stabilizer chain, not a certificate
+    code, report = run_cli(["construct-general", "--n", "7", "--base-m", "5"]
+                           + (["--sym"] if sym else []), tmp_path, "n7")
+    capsys.readouterr()
+    assert code == 0
+    rec = {r["name"]: r for r in report["records"]}["generated-order"]
+    assert (rec["computed"], rec["verdict"]) == (str(order), "pass")
 
 
 def test_report_determinism(tmp_path, capsys):
@@ -360,6 +371,31 @@ def test_failed_require_writes_a_fail_record(monkeypatch, tmp_path, capsys,
         assert others == []
     else:
         assert others and all(name.startswith(kept) for name in others)
+
+
+@pytest.mark.parametrize("argv, module, budget, message", [
+    pytest.param(["spectral", "--s", "1", "--d", "2", "--method", "power", "--tol", "0"],
+                 spectral, "POWER_BUDGET", "power iteration did not converge within 5 iterations",
+                 id="spectral-power"),
+    pytest.param(["mixing", "--s", "1", "--d", "2"], walks, "MIXING_STEPS",
+                 "walk did not mix within 5 steps (tv=", id="mixing"),
+])
+def test_an_exhausted_iteration_budget_writes_a_fail_record(argv, module, budget, message,
+                                                            monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(module, budget, 5)
+    code, report = run_cli(argv, tmp_path, "budget")
+    assert code == 1
+    assert f"check failed: {message}" in capsys.readouterr().err
+    [record] = report["records"]
+    assert (record["name"], record["verdict"]) == ("verification-error", "fail")
+    assert record["computed"].startswith(message)
+
+
+@pytest.mark.parametrize("s, K", [("1", 7), ("2", 63)])
+def test_word47_without_a_standard_cycle_is_a_configuration_error(s, K, capsys):
+    # K^(d-1) / (3 ln K) is below K at d = 2, so no cycle length 1 + a(K-1) has a >= 1
+    assert main(["factor", "word47", "--s", s, "--d", "2"]) == 2
+    assert f"no standard cycle at K = {K}, d = 2" in capsys.readouterr().err
 
 
 def test_check_verdict_comes_from_ok_alone():

@@ -85,7 +85,7 @@ def test_is_connected_agrees_with_one_csr():
                                              for s, k in zip(starts, sizes)]))
                  for _ in range(rng.integers(1, 3))]
         expect = one_csr_connected(n, perms)
-        edges = [(x, int(p(x))) for p in perms for x in range(n)]
+        edges = [(x, int(p.table[x])) for p in perms for x in range(n)]
         assert ActionGraph(perms).is_connected() == expect
         assert EdgeGraph(n, edges).is_connected() == expect
         answers.add(expect)

@@ -12,16 +12,18 @@ from oracles import sifted_order_lower_bound
 
 
 def brute_force_order(gens):
-    """Independent oracle: breadth-first closure."""
-    seen = {Permutation.identity(gens[0].n)}
-    frontier = list(seen)
+    """Independent oracle: breadth-first closure, keyed by image-table bytes."""
+    identity = Permutation.identity(gens[0].n)
+    seen = {identity.table.tobytes()}
+    frontier = [identity]
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens:
                 f = e * g
-                if f not in seen:
-                    seen.add(f)
+                key = f.table.tobytes()
+                if key not in seen:
+                    seen.add(key)
                     nxt.append(f)
         frontier = nxt
     return len(seen)

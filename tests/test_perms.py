@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altgen.perms import Permutation, cycle_labels, product
-from oracles import full_table_cycle_type
+from oracles import cycle_walk, full_table_cycle_type
 
 
 def brute_parity(table):
@@ -27,7 +27,7 @@ def test_composition_convention():
     r = p * q
     # (p o q)(x) = p(q(x))
     for x in range(3):
-        assert r(x) == p(q(x))
+        assert r.table[x] == p.table[q.table[x]]
 
 
 def test_associativity_and_parity_homomorphism():
@@ -86,7 +86,7 @@ def test_cycle_labels_match_the_cycle_walk():
     rng = np.random.default_rng(6)
     tables = np.array([rng.permutation(30) for _ in range(5)] + [np.arange(30)])
     count, labels = cycle_labels(tables)
-    walked = [Permutation(t).cycles() for t in tables]
+    walked = [cycle_walk(t) for t in tables]
     assert count == sum(len(c) for c in walked)
     assert labels.shape == tables.shape
     for row, cycles in zip(labels, walked):

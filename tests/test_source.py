@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -119,6 +121,14 @@ def test_every_public_definition_has_a_caller():
             if not called and f"{path.stem}.{node.name}" not in UNCALLED_ALLOWED:
                 uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert not uncalled, f"public definitions with no caller outside tests: {uncalled}"
+
+
+def test_every_package_function_runs():
+    # the trace sees what the static test above cannot: a method hidden by
+    # another of its name, an operator dunder, a function only dead code calls
+    result = subprocess.run([sys.executable, "tests/unrun.py"], cwd=REPO,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_only_geometry_calls_the_index_tables():
