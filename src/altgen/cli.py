@@ -264,7 +264,7 @@ def cmd_characters(args, report):
     ok = all(d == 0 for _, d in defect_rows)
     report.check("column-orthogonality", "squared column sums equal the "
                  "centralizer order", {str(L): d for L, d in defect_rows}, ok=ok)
-    if args.l is not None and args.l >= 6:
+    if args.l is not None:
         viol = ch.roichman_violations(n, args.l)
         report.check("character-bound", "cycle-class character bound",
                      len(viol), bound=0, ok=not viol)
@@ -519,7 +519,7 @@ def build_parser():
     sp.set_defaults(func=cmd_mixing)
 
     sp = sub.add_parser("characters", help="character tables and the cycle bound")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--l", type=int)
     sp.add_argument("--out", help="write the CSV table here")
     common(sp)
@@ -537,8 +537,8 @@ def build_parser():
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--n", type=int, default=50)
     sp.add_argument("--base-m", type=int, default=10, dest="base_m")
-    sp.add_argument("--rows", type=int, default=3)
-    sp.add_argument("--cols", type=int, default=4)
+    sp.add_argument("--rows", type=_positive_int, default=3)
+    sp.add_argument("--cols", type=_positive_int, default=4)
     sp.add_argument("--count", type=_positive_int, default=50)
     sp.add_argument("--trials", type=_positive_int, default=5)
     common(sp)
@@ -571,6 +571,15 @@ def _check_args(parser, args):
     if args.command == "verify" and args.n is not None and args.n < 8:
         # the character suite checks n from 8 up to --n
         parser.error(f"verify --n must be at least 8, got {args.n}")
+    if args.command == "characters" and args.l is not None and not 6 <= args.l <= args.n:
+        # the cycle-class bound is stated for cycle lengths 6 to n
+        parser.error(f"characters --l must lie in [6, --n = {args.n}], got {args.l}")
+    # spectral --tol 0 runs Lanczos at its 1e-12 floor, but no distance to
+    # uniform falls below 0
+    if args.command == "spectral" and not args.tol >= 0:
+        parser.error(f"spectral --tol must be at least 0, got {args.tol}")
+    if args.command == "mixing" and not args.tol > 0:
+        parser.error(f"mixing --tol must be above 0, got {args.tol}")
 
 
 def main(argv=None):

@@ -1,4 +1,4 @@
-"""Schreier and Cayley graphs in explicit and implicit (action) form.
+"""Schreier and Cayley graphs, each held as one sparse operator.
 
 All spectral work uses the degree-normalized adjacency T as the single
 convention; generating multisets are symmetrized (every generator listed
@@ -15,15 +15,14 @@ from .errors import require
 from .perms import Permutation
 
 CAYLEY_LIMIT = 2 * 10**6
-# graphs of at most this many vertices may build their dense T
+# graphs of at most this many vertices may build their dense T, and run
+# their matvec on the calling thread alone
 DENSE_LIMIT = 4000
-# cube sets of at most this many points materialize their permutations
-ACTION_FORM_LIMIT = 4000
-# bytes an AxisBlockGraph may spend on its float blocks plus integer counts
+# bytes an AxisBlockGraph may spend on its integer counts plus its CSR
 AXIS_BLOCK_BUDGET = 2**30
 
-# threads that run AxisBlockGraph row blocks beside the calling thread;
-# started by the first graph with more than one block
+# threads that run row ranges beside the calling thread; started by the
+# first graph with more than one range
 _pool = None
 
 
@@ -50,73 +49,109 @@ def _run_all(tasks):
 
 
 class SparseGraph:
-    """Regular multigraph given by its normalized adjacency action.
+    """Regular multigraph held as its normalized adjacency T, one CSR.
 
-    Subclasses give `matvec(v)` (T v), `displacement_norms(v)` (||v o g - v||
-    for each unsymmetrized generator g, in generator order) and
-    `edge_counts()` (the integer adjacency as (src, dst, count) chunks whose
-    counts sum to n * degree).
+    Each subclass turns its input into integer arc counts in one scipy CSR
+    and hands it to `_hold`, which divides by the degree once, so every
+    entry is an exact count / degree, and keeps T as the numpy arrays
+    (data, indices, indptr).  Subclasses also give `displacement_norms(v)`
+    (||v o g - v|| for each unsymmetrized generator g, in generator order).
     """
+
+    def _hold(self, counts, slices):
+        """Take T from the integer-count CSR `counts`, which gives up its
+        arrays; `edge_counts` yields T's rows in `slices` ascending slices."""
+        counts.data = counts.data / self.degree
+        # summing duplicate arcs leaves the indices a view of the longer
+        # COO-length buffer; a compact copy lets the rest go
+        counts.indices = counts.indices.copy()
+        self._csr = (counts.data, counts.indices, counts.indptr)
+        self._slices = [self.n * k // slices for k in range(slices + 1)]
+        # one row range per CPU, run on the pool, once a matvec outweighs
+        # the pool's hand-off
+        ranges = _cpu_count() if self.n > DENSE_LIMIT else 1
+        self._ranges = [self.n * k // ranges for k in range(ranges + 1)]
+        _start_pool(ranges - 1)
+
+    def matvec(self, v):
+        # each row range sums its rows of T v into its slice of one output,
+        # in the CSR's per-row order, so any range count gives the same
+        # floats; the C loop releases the GIL
+        from scipy.sparse._sparsetools import csr_matvec
+
+        v = np.ascontiguousarray(v, dtype=float)
+        if v.shape != (self.n,):   # the C loop reads v unchecked
+            raise ValueError(f"vector of shape {v.shape} for {self.n} vertices")
+        data, indices, indptr = self._csr
+        out = np.zeros(self.n)
+        _run_all([partial(csr_matvec, hi - lo, self.n, indptr[lo:hi + 1], indices, data, v,
+                          out[lo:hi])
+                  for lo, hi in zip(self._ranges, self._ranges[1:])])
+        return out
+
+    def edge_counts(self):
+        """The integer adjacency as (src, dst, count) chunks of ascending rows,
+        whose counts sum to n * degree.
+
+        T holds counts / degree; the counts are recovered, and dividing them
+        again must give T bit for bit.
+        """
+        data, indices, indptr = self._csr
+        degree = self.degree
+        for a, b in zip(self._slices, self._slices[1:]):
+            first, last = indptr[a], indptr[b]
+            weight = data[first:last]
+            count = np.rint(weight * degree).astype(np.int64)
+            require(np.array_equal(count / degree, weight),
+                    "graph operator is not integer edge counts over the degree")
+            yield np.repeat(np.arange(a, b), np.diff(indptr[a:b + 1])), indices[first:last], count
+
+    def _csr_array(self):
+        from scipy.sparse import csr_array
+        return csr_array(self._csr, shape=(self.n, self.n))
 
     def to_dense(self):
         if self.n > DENSE_LIMIT:
             raise ValueError(f"{self.n} vertices exceed the dense limit {DENSE_LIMIT}")
-        T = np.zeros((self.n, self.n))
-        for src, dst, count in self.edge_counts():
-            np.add.at(T, (src, dst), count)
-        return T / self.degree
+        return self._csr_array().toarray()
 
     def is_connected(self):
-        """Merge components one edge_counts chunk at a time.
-
-        Each chunk's arcs join the component labels found so far, so no CSR
-        holds more than one chunk.
-        """
-        from scipy.sparse import csr_array
+        """Whether T has one strong component: every arc comes with its
+        reverse, so the strong components are the components."""
         from scipy.sparse.csgraph import connected_components
-
-        components, labels = self.n, np.arange(self.n)
-        for src, dst, _ in self.edge_counts():
-            merged = csr_array((np.ones(len(src), dtype=bool), (labels[src], labels[dst])),
-                               shape=(components, components))
-            components, relabel = connected_components(merged, directed=False)
-            labels = relabel[labels]
-        return components == 1
+        return connected_components(self._csr_array(), connection="strong")[0] == 1
 
 
 class ActionGraph(SparseGraph):
     """Graph of a point set under a list of permutations (plus inverses)."""
 
     def __init__(self, perms):
+        from scipy.sparse import csr_array
+
         if not perms:
             raise ValueError("need at least one permutation")
         self.n = perms[0].n
         self.perms = list(perms)
-        tables = []
-        for p in perms:
-            if p.n != self.n:
-                raise ValueError("permutations act on different point counts")
-            tables.append(p.table)
-            tables.append(p.inverse().table)
-        self._tables = np.array(tables)
-        self.degree = len(tables)
+        if any(p.n != self.n for p in perms):
+            raise ValueError("permutations act on different point counts")
+        self.degree = 2 * len(perms)
+        dst = np.concatenate([t for p in perms for t in (p.table, p.inverse().table)])
+        arcs = np.ones(len(dst), dtype=np.min_scalar_type(self.degree))
+        self._hold(csr_array((arcs, (np.tile(np.arange(self.n), self.degree), dst)),
+                             shape=(self.n, self.n)), 1)
 
-    def matvec(self, v):
-        # one gather; the axis-0 sum adds the rows in table order
-        return np.add.reduce(v[self._tables], axis=0, dtype=float) / self.degree
+    matvec = SparseGraph.matvec
 
     def displacement_norms(self, v):
-        return np.array([np.linalg.norm(v[t] - v) for t in self._tables[::2]])
-
-    def edge_counts(self):
-        # one table-major chunk, so is_connected merges once
-        yield np.tile(np.arange(self.n), self.degree), self._tables.ravel(), 1
+        return np.array([np.linalg.norm(v[p.table] - v) for p in self.perms])
 
 
 class EdgeGraph(SparseGraph):
     """Explicit symmetric multigraph from an edge list; must be regular."""
 
     def __init__(self, n, edges):
+        from scipy.sparse import csr_array
+
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.n = n
         both = np.concatenate([edges, edges[:, ::-1]])
@@ -125,35 +160,23 @@ class EdgeGraph(SparseGraph):
             raise ValueError("edge list is not regular; spectral convention needs "
                              "a constant degree")
         self.degree = int(deg[0]) if n else 0
-        self._both = both
+        arcs = np.ones(len(both), dtype=np.min_scalar_type(self.degree))
+        self._hold(csr_array((arcs, (both[:, 0], both[:, 1])), shape=(n, n)), 1)
 
-    def matvec(self, v):
-        out = np.zeros(self.n, dtype=float)
-        np.add.at(out, self._both[:, 0], v[self._both[:, 1]])
-        return out / self.degree
+    matvec = SparseGraph.matvec
 
     def displacement_norms(self, v):
         raise ValueError("edge-list graphs carry no generator actions")
 
-    def edge_counts(self):
-        yield self._both[:, 0], self._both[:, 1], 1
-
 
 class AxisBlockGraph(SparseGraph):
-    """Schreier graph of an axis-embedded generating set, as one sparse T.
+    """Schreier graph of an axis-embedded generating set.
 
     Each line action of the set acts on the lines of all d axes alike, so
     one (lines, K, K) array of integer edge counts, over the actions and
     their inverses, serves every axis.  Its entries are mapped through each
     axis's `lines` view to point pairs, so no index table is built, and
-    summed over the axes as integers in one CSR over the points.  Only then
-    is it divided by the degree, once, which keeps every entry an exact
-    count / degree.
-
-    The CSR is held as row blocks, one per CPU the process may run on, each
-    (first row, indptr, indices, data) with indices and data views of the
-    one operator.  `matvec` and `displacement_norms` split their work over
-    the blocks' threads and give the same floats as one thread would.
+    summed over the axes as integers in the one CSR over the points.
     """
 
     def __init__(self, genset):
@@ -194,41 +217,25 @@ class AxisBlockGraph(SparseGraph):
         # integer counts into the CSR, so the axes' shared diagonal sums exactly
         T = csr_array((np.tile(counts[line, a, b], model.d), (src.ravel(), dst.ravel())),
                       shape=(self.n, self.n))
-        # the COO side goes before the division and the split allocate
+        # the COO side goes before the division allocates
         del counts, line, a, b, points, src, dst, lp
-        T.data = T.data / self.degree
-        # summing the axes' shared diagonal leaves T.indices a view of the
-        # longer COO-length buffer; a compact copy lets the rest go
-        T.indices = T.indices.copy()
-        self._blocks = _row_blocks(T, _cpu_count())
-        _start_pool(len(self._blocks) - 1)
+        # slices of about n / d rows hold about one axis's arcs each
+        self._hold(T, model.d)
 
-    def matvec(self, v):
-        # each block sums its rows of T v into its slice of one output, in
-        # the CSR's per-row order; the C loop releases the GIL
-        from scipy.sparse._sparsetools import csr_matvec
-
-        v = np.ascontiguousarray(v, dtype=float)
-        if v.shape != (self.n,):   # the C loop reads v unchecked
-            raise ValueError(f"vector of shape {v.shape} for {self.n} vertices")
-        out = np.zeros(self.n)
-        _run_all([partial(csr_matvec, len(indptr) - 1, self.n, indptr, indices, data, v,
-                          out[lo:lo + len(indptr) - 1])
-                  for lo, indptr, indices, data in self._blocks])
-        return out
+    matvec = SparseGraph.matvec
 
     def displacement_norms(self, v):
         # v o g - v in point order for each generator g, so each norm sums
         # the same array a materialized generator's v[t] - v would give.  For
-        # each action the blocks' threads, taking the axes in turn, move v's
-        # (line, coordinate) grid of each of their axes and write the
+        # each action the row ranges' threads, taking the axes in turn, move
+        # v's (line, coordinate) grid of each of their axes and write the
         # difference to that axis's point-order buffer; the norms are taken
         # here, since concurrent calls into a threaded BLAS contend.  'clip'
         # lets take write straight to its output (the indices are in range),
         # where 'raise' first copies
         model, actions = self.model, self.genset.actions
         d, shape = model.d, (model.K,) * model.d
-        workers = min(len(self._blocks), d)
+        workers = min(len(self._ranges) - 1, d)
         rows = np.arange(model.lines_per_axis)[:, None] * model.K
         index = np.empty((workers, model.lines_per_axis, model.K), dtype=np.int64)
         moved = np.empty_like(index, dtype=float)
@@ -250,46 +257,12 @@ class AxisBlockGraph(SparseGraph):
                 norms[k, axis] = np.linalg.norm(diffs[axis])
         return norms.T.ravel()
 
-    def edge_counts(self):
-        # T holds counts / degree; recover the counts and insist that dividing
-        # them again gives T bit for bit.  Rows in ascending slices of about
-        # n / d, so no caller holds every entry at once
-        degree = self.degree
-        step = -(-self.n // self.model.d)
-        for lo, indptr, indices, data in self._blocks:
-            for a in range(0, len(indptr) - 1, step):
-                b = min(a + step, len(indptr) - 1)
-                first, last = indptr[a], indptr[b]
-                weight = data[first:last]
-                count = np.rint(weight * degree).astype(np.int64)
-                require(np.array_equal(count / degree, weight),
-                        "axis operator is not integer edge counts over the degree")
-                src = np.repeat(np.arange(lo + a, lo + b), np.diff(indptr[a:b + 1]))
-                yield src, indices[first:last], count
-
-
-def _row_blocks(T, count):
-    """The CSR T as `count` blocks of consecutive rows, each (first row,
-    indptr from 0, indices, data); indices and data are views of T's."""
-    bounds = [T.shape[0] * k // count for k in range(count + 1)]
-    blocks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        first, last = T.indptr[lo], T.indptr[hi]
-        blocks.append((lo, T.indptr[lo:hi + 1] - first, T.indices[first:last],
-                       T.data[first:last]))
-    return blocks
-
 
 def schreier_graph(genset):
-    """Action graph of a generating set on the cube points.
-
-    Small sets materialize their permutations; larger ones build the
-    axis-block sparse operator from their line actions.
-    """
+    """Action graph of a materializable generating set on the cube points,
+    built from its line actions."""
     if not genset.materializable:
         raise ValueError("shape-only generating set cannot be realized")
-    if genset.model.N <= ACTION_FORM_LIMIT:
-        return ActionGraph(genset.permutations())
     return AxisBlockGraph(genset)
 
 

@@ -268,6 +268,52 @@ def test_verify_cube_options_out_of_range_are_usage_errors(option, value, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["spectral", "--s", "1", "--d", "2", "--method", "power", "--tol", "-1"],
+                 "spectral --tol must be at least 0, got -1.0", id="spectral-negative"),
+    pytest.param(["spectral", "--s", "1", "--d", "2", "--tol", "nan"],
+                 "spectral --tol must be at least 0, got nan", id="spectral-nan"),
+    pytest.param(["mixing", "--s", "1", "--d", "2", "--tol", "0"],
+                 "mixing --tol must be above 0, got 0.0", id="mixing-zero"),
+    pytest.param(["mixing", "--s", "1", "--d", "2", "--tol=-1e-9"],
+                 "mixing --tol must be above 0, got -1e-09", id="mixing-negative"),
+])
+def test_tolerances_that_cannot_be_met_are_usage_errors(argv, message, capsys):
+    # each used to run its whole iteration budget and then exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["characters", "--n", "0"], "must be at least 1, got 0", id="characters-n"),
+    pytest.param(["characters", "--n", "5", "--l", "3"],
+                 "characters --l must lie in [6, --n = 5], got 3", id="characters-l-low"),
+    pytest.param(["characters", "--n", "8", "--l", "9"],
+                 "characters --l must lie in [6, --n = 8], got 9", id="characters-l-high"),
+    pytest.param(["factor", "butterfly", "--rows", "0", "--cols", "3", "--count", "1"],
+                 "must be at least 1, got 0", id="factor-rows"),
+    pytest.param(["factor", "butterfly", "--rows", "3", "--cols", "-2", "--count", "1"],
+                 "must be at least 1, got -2", id="factor-cols"),
+])
+def test_empty_character_and_butterfly_runs_are_usage_errors(argv, message, capsys):
+    # each used to pass over an empty table or grid, or to drop its
+    # character-bound record
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_spectral_at_tolerance_zero_still_runs(tmp_path, capsys):
+    code, report = run_cli(["spectral", "--s", "1", "--d", "2", "--method", "lanczos",
+                            "--tol", "0"], tmp_path, "tol0")
+    capsys.readouterr()
+    assert code == 0
+    assert {r["name"] for r in report["records"]} >= {"gap", "cheeger-sandwich"}
+
+
 def test_spectral_without_a_graph_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectral", "--d", "2"])

@@ -6,7 +6,7 @@ import pytest
 
 from altgen.embeddings import ShiftVector, build_SN
 from altgen.geometry import CubeGeometry
-from altgen.graphs import AxisBlockGraph, schreier_graph
+from altgen.graphs import ActionGraph, AxisBlockGraph
 from altgen.spectral import spectral_gap
 from altgen.walks import ExactDistribution, full_sweep, point_walk_batch, tuple_walk
 from altgen.words import conjugacy_word47, cycle_word, grid_route, tosquare_word
@@ -150,7 +150,7 @@ def test_the_package_builds_no_index_tables(monkeypatch):
     sn = build_SN(1, 3)
     model = sn.model
     rng = np.random.default_rng(0)
-    action = schreier_graph(sn)                      # materializes every generator
+    action = ActionGraph(sn.permutations())          # materializes every generator
     blocks = AxisBlockGraph(sn)                      # the axis-block form
     assert action.is_connected() and blocks.is_connected()
     spectral_gap(blocks, method="lanczos", seed=2)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_array, issparse, vstack
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components
 
 from altgen import graphs, spectral
@@ -21,10 +21,9 @@ from line_tables import line_and_coord, line_table
 from oracles import exact_conductance, lanczos_ten_pairs, reference_edge_list_text
 
 
-def stacked_operator(g):
-    """The one CSR operator that an AxisBlockGraph's row blocks hold."""
-    return vstack([csr_array((data, indices, indptr), shape=(len(indptr) - 1, g.n))
-                   for _, indptr, indices, data in g._blocks], format="csr")
+def held_operator(g):
+    """The one CSR operator a graph holds, as a scipy array."""
+    return csr_array(g._csr, shape=(g.n, g.n))
 
 
 def cyclic_graph(n, shifts=(1,)):
@@ -103,9 +102,9 @@ def test_is_connected_agrees_with_one_csr():
     assert not one_csr_connected(model.N, [still.materialize(i) for i in range(len(still))])
 
 
-def test_connectivity_merges_one_chunk_at_a_time():
-    # one CSR over all five axis chunks of S_N(1, 5) peaks near 20 MB here;
-    # merging chunk by chunk, near 6 MB
+def test_connectivity_reads_the_held_operator():
+    # a second CSR over every arc of S_N(1, 5) peaks near 20 MB here; the
+    # strong components of the held one, near 1 MB
     graph = AxisBlockGraph(build_SN(1, 5))
     tracemalloc.start()
     try:
@@ -221,7 +220,7 @@ def test_gap_upper_bound_is_the_exact_rayleigh_bound(form):
     # at N = 49: the bound from the dense T's integer counts and the same
     # rounded eigenvector, with w = N u - S scaled to integers
     sn = build_SN(1, 2)
-    graph = schreier_graph(sn) if form == "action" else AxisBlockGraph(sn)
+    graph = ActionGraph(sn.permutations()) if form == "action" else schreier_graph(sn)
     T = graph.to_dense()
     vals, vecs = np.linalg.eigh(T)
     vec = vecs[:, -2]
@@ -329,14 +328,30 @@ def test_bracket_ordering_random():
 
 def test_schreier_small_and_axis_block_agree():
     sn = build_SN(1, 2)
-    small = schreier_graph(sn)           # 49 points: action form
-    big = AxisBlockGraph(sn)             # same graph, implicit form
+    small = ActionGraph(sn.permutations())   # 49 materialized points
+    big = schreier_graph(sn)                 # same graph, from the line actions
     v = np.random.default_rng(6).standard_normal(49)
     assert np.allclose(small.matvec(v), big.matvec(v), atol=1e-12)
     assert small.is_connected() and big.is_connected()
     r1 = spectral_gap(small, method="dense")
     r2 = spectral_gap(big, method="dense")
     assert abs(r1.gap - r2.gap) < 1e-10
+
+
+@pytest.mark.parametrize("s, d", [(1, 2), (1, 3), (2, 2)])
+def test_schreier_graph_holds_the_action_graph_csr(s, d):
+    # every materializable set takes the axis-block form, whose CSR is the
+    # one the materialized permutations give, entry for entry
+    sn = build_SN(s, d)
+    graph = schreier_graph(sn)
+    assert isinstance(graph, AxisBlockGraph)
+    action = ActionGraph(sn.permutations())
+    for held, expect in zip(graph._csr, action._csr):
+        assert np.array_equal(held, expect)
+    rng = np.random.default_rng(10 * s + d)
+    for v in (rng.standard_normal(graph.n), (rng.random(graph.n) < 0.3).astype(float)):
+        assert np.array_equal(graph.matvec(v), action.matvec(v))
+        assert np.array_equal(graph.displacement_norms(v), action.displacement_norms(v))
 
 
 def test_axis_blocks_are_exact_edge_counts():
@@ -356,7 +371,7 @@ def test_axis_blocks_are_exact_edge_counts():
                 for t in (p.table, p.inverse().table):
                     assert np.array_equal(lid[t], lid)
                     np.add.at(counts, (np.arange(geo.N), t), 1)
-    assert np.array_equal(stacked_operator(g).toarray(), counts / g.degree)
+    assert np.array_equal(held_operator(g).toarray(), counts / g.degree)
 
 
 def test_matvec_doubly_stochastic():
@@ -405,25 +420,32 @@ def test_edge_list_text_matches_the_per_line_writer(tmp_path):
 @pytest.mark.parametrize("form", ["action", "axis-block"])
 def test_edge_list_rebuilds_the_schreier_graph(tmp_path, form):
     sn = build_SN(1, 2)
-    graph = schreier_graph(sn) if form == "action" else AxisBlockGraph(sn)
+    graph = ActionGraph(sn.permutations()) if form == "action" else schreier_graph(sn)
     assert isinstance(graph, ActionGraph if form == "action" else AxisBlockGraph)
     path = tmp_path / "edges.txt"
     write_edge_list(graph, path)
     back = read_edge_list(path)
     assert (back.n, back.degree) == (49, graph.degree)
-    # entries are multiples of 1/degree; the axis-block form adds its axes in
-    # floating point, so equal counts may differ in the last bit
-    assert np.allclose(back.to_dense(), graph.to_dense(), rtol=0, atol=1e-12)
+    # every form holds count / degree, divided once from the integer counts
+    assert np.array_equal(back.to_dense(), graph.to_dense())
 
 
 def test_action_matvec_matches_the_table_loop():
-    # reference: the per-table loop, summing the gathers in table order
-    graph = schreier_graph(build_SN(1, 2))
-    assert isinstance(graph, ActionGraph) and (graph.n, graph.degree) == (49, 144)
+    # bit for bit: a CSR of the dense integer counts, built here from the
+    # tables; within degree eps max |v|: the per-table loop, which sums the
+    # gathers in table order where the CSR sums each row in column order
+    perms = build_SN(1, 2).permutations()
+    graph = ActionGraph(perms)
+    assert (graph.n, graph.degree) == (49, 144)
+    tables = [t for p in perms for t in (p.table, p.inverse().table)]
+    counts = np.zeros((graph.n, graph.n), dtype=np.int64)
+    for t in tables:
+        np.add.at(counts, (np.arange(graph.n), t), 1)
+    reference = csr_array(counts / graph.degree)
 
     def loop(v):
         out = np.zeros_like(v, dtype=float)
-        for t in graph._tables:
+        for t in tables:
             out += v[t]
         return out / graph.degree
 
@@ -434,7 +456,9 @@ def test_action_matvec_matches_the_table_loop():
         ind[rng.permutation(graph.n)[:k]] = 1.0
         vectors.append(ind)
     for v in vectors:
-        assert np.array_equal(graph.matvec(v), loop(v))
+        assert np.array_equal(graph.matvec(v), reference @ v)
+        tol = graph.degree * np.finfo(float).eps * np.abs(v).max()
+        assert np.allclose(graph.matvec(v), loop(v), rtol=0, atol=tol)
 
 
 def brute_sweep(n, degree, pairs, vec):
@@ -533,23 +557,31 @@ def test_kazhdan_upper_matches_materialized_generators():
             assert kazhdan_upper(graph, vec) == max(ref)
 
 
+def install(g, T):
+    """Put the scipy CSR T in place of the operator g holds."""
+    g._csr = (T.data, T.indices, T.indptr)
+
+
 def test_tampered_axis_block_fails_the_count_check():
+    # every form's edge_counts recovers the integer counts from its one CSR
     sn = build_SN(1, 3)
     vec = np.random.default_rng(8).standard_normal(sn.model.N)
-    g = AxisBlockGraph(sn)
-    assert cheeger_sweep(g, vec) == cheeger_sweep(ActionGraph(sn.permutations()), vec)
-    clean = stacked_operator(g)
-    off_grid = clean.copy()
-    off_grid.data[0] = np.nextafter(off_grid.data[0], 1.0)   # one ulp off c / D
-    g._blocks = graphs._row_blocks(off_grid, len(g._blocks))
-    with pytest.raises(VerificationError, match="integer edge counts"):
-        cheeger_sweep(g, vec)
-    x, y = np.argwhere(clean.toarray() == 0)[0]
-    # one edge too many
-    g._blocks = graphs._row_blocks(
-        clean + csr_array(([1 / g.degree], ([x], [y])), shape=clean.shape), len(g._blocks))
-    with pytest.raises(VerificationError, match="sum to"):
-        cheeger_sweep(g, vec)
+    action = ActionGraph(sn.permutations())
+    assert cheeger_sweep(AxisBlockGraph(sn), vec) == cheeger_sweep(action, vec)
+    ring = [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + 5) % 12) for i in range(12)]
+    for g in (AxisBlockGraph(sn), action, EdgeGraph(12, ring)):
+        vec = vec[:g.n]
+        clean = held_operator(g)
+        off_grid = clean.copy()
+        off_grid.data[0] = np.nextafter(off_grid.data[0], 1.0)   # one ulp off c / D
+        install(g, off_grid)
+        with pytest.raises(VerificationError, match="integer edge counts"):
+            cheeger_sweep(g, vec)
+        x, y = np.argwhere(clean.toarray() == 0)[0]
+        # one edge too many
+        install(g, clean + csr_array(([1 / g.degree], ([x], [y])), shape=clean.shape))
+        with pytest.raises(VerificationError, match="sum to"):
+            cheeger_sweep(g, vec)
 
 
 def test_oversized_axis_blocks_are_refused_before_allocating():
@@ -630,7 +662,7 @@ def assert_matches_line_tables(genset, seed):
     g = AxisBlockGraph(genset)
     blocks = reference_blocks(genset)
     T = reference_operator(geo, blocks, g.degree)
-    stacked = stacked_operator(g)
+    stacked = held_operator(g)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(stacked, part), getattr(T, part))
     rng = np.random.default_rng(seed)
@@ -669,7 +701,7 @@ def test_row_blocks_give_the_one_operator_bit_for_bit(monkeypatch, tmp_path):
     for workers in (1, 2, 3):
         monkeypatch.setattr(graphs, "_cpu_count", lambda: workers)
         g = AxisBlockGraph(sn)
-        assert [lo for lo, *_ in g._blocks] == [geo.N * k // workers for k in range(workers)]
+        assert g._ranges == [geo.N * k // workers for k in range(workers + 1)]
         for v in vectors:
             assert np.array_equal(g.matvec(v), T @ v)
         with pytest.raises(ValueError, match="shape"):   # never read past v
@@ -702,8 +734,8 @@ def held_arrays(obj):
 
 
 def test_row_blocks_hold_the_operator_once(monkeypatch):
-    # the blocks' indices and data are views of one compact CSR, and nothing
-    # else the graph holds (beyond its set and cube) owns operator memory
+    # the graph holds one compact CSR, whose arrays own no longer buffer,
+    # and nothing else it holds (beyond its set and cube) owns operator memory
     monkeypatch.setattr(graphs, "_cpu_count", lambda: 2)
     g = AxisBlockGraph(build_SN(1, 5))
     owners = {}
@@ -714,10 +746,10 @@ def test_row_blocks_hold_the_operator_once(monkeypatch):
             while isinstance(array.base, np.ndarray):
                 array = array.base
             owners[id(array)] = array
-    nnz = sum(len(data) for *_, data in g._blocks)
-    assert nnz == stacked_operator(g).nnz
-    indptrs = sum(indptr.nbytes for _, indptr, _, _ in g._blocks)
-    assert sum(a.nbytes for a in owners.values()) == nnz * (8 + 4) + indptrs
+    data, indices, indptr = g._csr
+    nnz = indptr[-1]
+    assert len(data) == len(indices) == nnz and len(indptr) == g.n + 1
+    assert sum(a.nbytes for a in owners.values()) == nnz * (8 + 4) + indptr.nbytes
 
 
 def reference_power(graph, tol, seed, budget):

@@ -284,3 +284,24 @@ def test_every_default_parameter_is_set_by_a_caller():
                     continue
                 unset.append(f"{path.name}:{fn.lineno} {key}")
     assert not unset, f"defaulted parameters no caller sets: {unset}"
+
+
+def test_one_graph_operator():
+    # every graph holds one CSR, and one body each runs, checks, densifies
+    # and connects it; a subclass keeps a `matvec` entry of its own only so
+    # that the benchmark's tracer can wrap it by class
+    from altgen import graphs
+
+    subclasses = graphs.SparseGraph.__subclasses__()
+    assert {cls.__name__ for cls in subclasses} >= {"ActionGraph", "EdgeGraph",
+                                                     "AxisBlockGraph"}
+    found = []
+    for cls in subclasses:
+        if cls.__dict__.get("matvec") is not graphs.SparseGraph.matvec:
+            found.append(f"{cls.__name__}.matvec")
+        found += [f"{cls.__name__}.{name}" for name in ("edge_counts", "to_dense",
+                                                        "is_connected")
+                  if name in cls.__dict__]
+    if hasattr(graphs, "ACTION_FORM_LIMIT"):
+        found.append("graphs.ACTION_FORM_LIMIT")
+    assert not found, f"a second graph operator form: {found}"
