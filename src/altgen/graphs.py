@@ -61,10 +61,17 @@ class SparseGraph:
     def _hold(self, counts, slices):
         """Take T from the integer-count CSR `counts`, which gives up its
         arrays; `edge_counts` yields T's rows in `slices` ascending slices."""
+        from scipy.sparse._sparsetools import csr_matvec
+
+        # bound once, so a matvec pays no import
+        self._csr_matvec = csr_matvec
         counts.data = counts.data / self.degree
         # summing duplicate arcs leaves the indices a view of the longer
-        # COO-length buffer; a compact copy lets the rest go
-        counts.indices = counts.indices.copy()
+        # COO-length buffer; a compact copy lets the rest go.  scipy keeps
+        # the index dtype it was built from, so int32 is set here
+        index = np.int32 if max(self.n, counts.nnz) <= np.iinfo(np.int32).max else np.int64
+        counts.indices = counts.indices.astype(index)
+        counts.indptr = counts.indptr.astype(index, copy=False)
         self._csr = (counts.data, counts.indices, counts.indptr)
         self._slices = [self.n * k // slices for k in range(slices + 1)]
         # one row range per CPU, run on the pool, once a matvec outweighs
@@ -74,16 +81,19 @@ class SparseGraph:
         _start_pool(ranges - 1)
 
     def matvec(self, v):
+        """T v as a fresh array, which the caller owns and may overwrite."""
         # each row range sums its rows of T v into its slice of one output,
         # in the CSR's per-row order, so any range count gives the same
         # floats; the C loop releases the GIL
-        from scipy.sparse._sparsetools import csr_matvec
-
+        csr_matvec = self._csr_matvec
         v = np.ascontiguousarray(v, dtype=float)
         if v.shape != (self.n,):   # the C loop reads v unchecked
             raise ValueError(f"vector of shape {v.shape} for {self.n} vertices")
         data, indices, indptr = self._csr
         out = np.zeros(self.n)
+        if len(self._ranges) == 2:
+            csr_matvec(self.n, self.n, indptr, indices, data, v, out)
+            return out
         _run_all([partial(csr_matvec, hi - lo, self.n, indptr[lo:hi + 1], indices, data, v,
                           out[lo:hi])
                   for lo, hi in zip(self._ranges, self._ranges[1:])])
@@ -252,7 +262,10 @@ class AxisBlockGraph(SparseGraph):
                 np.subtract(moved[w].reshape(shape), grids[axis], out=spreads[axis])
 
         for k, (vid, tables) in enumerate(actions):
-            _run_all([partial(move, w, vid, tables) for w in range(workers)])
+            if workers == 1:
+                move(0, vid, tables)
+            else:
+                _run_all([partial(move, w, vid, tables) for w in range(workers)])
             for axis in range(d):
                 norms[k, axis] = np.linalg.norm(diffs[axis])
         return norms.T.ravel()

@@ -1,5 +1,6 @@
 """Spectral gaps, Cheeger sweeps and Kazhdan bounds of action graphs."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,8 @@ class SpectralReport:
 
 
 def _deflate(v):
-    return v - v.mean()
+    # v.mean() is this sum over the count, without its wrappers
+    return v - np.add.reduce(v) / v.size
 
 
 def _power_second_eigenpair(graph, tol, seed):
@@ -51,12 +53,17 @@ def _power_second_eigenpair(graph, tol, seed):
     mu_prev = None
     for it in range(1, POWER_BUDGET + 1):
         w = _deflate(lazy_v)
-        norm = np.linalg.norm(w)
+        # the ddot and rounded root that np.linalg.norm takes of a 1-D array
+        norm = math.sqrt(w @ w)
         if norm < 1e-300:
             # operator annihilates the complement: lazy eigenvalue 0
             return -1.0, v, it
         w /= norm
-        lazy_w = 0.5 * (w + graph.matvec(w))
+        # matvec's result is fresh, so the lazy product forms in it; each
+        # operation is 0.5 * (w + T w) with its operands swapped
+        lazy_w = graph.matvec(w)
+        lazy_w += w
+        lazy_w *= 0.5
         mu = float(w @ lazy_w)
         converged = mu_prev is not None and abs(mu - mu_prev) < tol
         if converged:

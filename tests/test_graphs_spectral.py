@@ -354,6 +354,26 @@ def test_schreier_graph_holds_the_action_graph_csr(s, d):
         assert np.array_equal(graph.displacement_norms(v), action.displacement_norms(v))
 
 
+@pytest.mark.parametrize("s, d", [(1, 2), (1, 3), (2, 2)])
+def test_every_graph_form_holds_int32_indices(s, d):
+    # scipy keeps the int64 index dtype of the permutation tables and edge
+    # arrays; each form holds the same operator on int32 indices
+    sn = build_SN(s, d)
+    perms = sn.permutations()
+    n = sn.model.N
+    edges = np.stack([np.tile(np.arange(n), len(perms)),
+                      np.concatenate([p.table for p in perms])], axis=1)
+    forms = [schreier_graph(sn), ActionGraph(perms), EdgeGraph(n, edges)]
+    for graph in forms:
+        assert graph._csr[1].dtype == graph._csr[2].dtype == np.int32
+        for held, expect in zip(graph._csr, forms[0]._csr):
+            assert np.array_equal(held, expect)
+    rng = np.random.default_rng(10 * s + d)
+    for v in (rng.standard_normal(n), (rng.random(n) < 0.3).astype(float)):
+        for graph in forms[1:]:
+            assert np.array_equal(graph.matvec(v), forms[0].matvec(v))
+
+
 def test_axis_blocks_are_exact_edge_counts():
     # multiplicities counted from the materialized generators and inverses,
     # summed over the axes; compared as counts / degree, since (c / D) * D
@@ -781,10 +801,44 @@ def test_power_iteration_reuses_its_last_product():
 
     rng = np.random.default_rng(12)
     small = ActionGraph([Permutation.random(60, rng) for _ in range(2)])
-    for graph, seed in [(small, 0), (small, 1), (schreier_graph(build_SN(1, 2)), 0)]:
+    sn12 = schreier_graph(build_SN(1, 2))
+    for graph, seed in [(small, 0), (small, 1), (sn12, 0), (sn12, 1), (sn12, 3)]:
         counted = Counted(graph)
         lam2, vec, iterations = _power_second_eigenpair(counted, 1e-12, seed)
         ref_lam2, ref_vec, ref_iterations = reference_power(graph, 1e-12, seed, 10**5)
         assert (lam2, iterations) == (ref_lam2, ref_iterations)
         assert np.array_equal(vec, ref_vec)
         assert counted.calls == iterations + 1
+
+
+def test_deflate_is_the_mean_subtraction():
+    # the pairwise summation changes its blocking between these sizes
+    rng = np.random.default_rng(34)
+    for n in (1, 3, 49, 4001, 117649):
+        v = rng.standard_normal(n)
+        assert np.array_equal(spectral._deflate(v), v - v.mean())
+
+
+def test_a_one_range_graph_never_enters_the_pool(monkeypatch):
+    def refuse(tasks):
+        raise AssertionError("a one-range graph reached the pool")
+
+    rng = np.random.default_rng(35)
+    perms = [Permutation.random(graphs.DENSE_LIMIT + 1, rng) for _ in range(2)]
+    v = rng.standard_normal(graphs.DENSE_LIMIT + 1)
+    ring = EdgeGraph(9, [(i, (i + k) % 9) for i in range(9) for k in (1, 2)])
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_run_all", refuse)
+        patch.setattr(graphs, "_cpu_count", lambda: 1)
+        sn12, one_range = schreier_graph(build_SN(1, 2)), ActionGraph(perms)
+        for graph in (sn12, ring, one_range):
+            assert len(graph._ranges) == 2
+            graph.matvec(np.ones(graph.n))
+        for graph in (sn12, ring):
+            spectral_gap(graph, method="power", seed=0)
+        expect = one_range.matvec(v)
+    # past the dense limit, two row ranges give the one range's floats
+    monkeypatch.setattr(graphs, "_cpu_count", lambda: 2)
+    split = ActionGraph(perms)
+    assert len(split._ranges) == 3
+    assert np.array_equal(split.matvec(v), expect)
