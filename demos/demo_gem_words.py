@@ -9,7 +9,7 @@ factors into at most 17 of them.
 import numpy as np
 
 from altgen import gem_factor
-from altgen.ring import el3_generating_set, random_el3
+from altgen.ring import el3_involutions, random_el3
 
 rng = np.random.default_rng(2024)
 
@@ -26,7 +26,7 @@ for s, m in [(1, 1), (1, 2), (2, 1), (2, 2)]:
 
 print()
 print("== the word of a single product of involution generators ==")
-gens = el3_generating_set(2, 2)
+gens = list(el3_involutions(2, 2))
 g = gens[3] * gens[11] * gens[7]
 word = gem_factor(g)
 print(f"letters: {len(word)}; multiply-back equals input: {word.verify()}")

@@ -10,8 +10,7 @@ from .geometry import CubeGeometry
 from .perms import Permutation, product
 from .schreier_sims import group_order
 from .gf2 import MatGF2, primitive_order_K_element, SideFieldAction
-from .ring import (EL3Element, GemWord, ring_generators,
-                   el3_generating_set, gem_factor)
+from .ring import EL3Element, GemWord, ring_generators, gem_factor
 from .embeddings import ShiftVector, GeneratingSet, build_SN, build_Fn, build_sym
 from .words import (WordInE, butterfly_factor, grid_route, tosquare_word,
                     cycle_word, conjugacy_word47, standard_cycle_length)
@@ -29,8 +28,7 @@ from .certify import (BoundExpr, DerivationNode, derive_paper_constants,
 __all__ = [
     "CubeGeometry", "Permutation", "product", "group_order",
     "MatGF2", "primitive_order_K_element", "SideFieldAction",
-    "EL3Element", "GemWord", "ring_generators",
-    "el3_generating_set", "gem_factor",
+    "EL3Element", "GemWord", "ring_generators", "gem_factor",
     "ShiftVector", "GeneratingSet",
     "build_SN", "build_Fn", "build_sym",
     "WordInE", "butterfly_factor", "grid_route", "tosquare_word",

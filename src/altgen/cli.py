@@ -29,7 +29,7 @@ from .embeddings import build_SN, build_Fn, build_sym
 from .errors import VerificationError, require
 from .geometry import CubeGeometry
 from .perms import Permutation
-from .ring import el3_generating_set_size
+from .ring import el3_generating_set_size, el3_involutions
 from .schreier_sims import group_order
 
 SCHEMA = "altgen-report-1"
@@ -122,6 +122,7 @@ def _el3_to_json(el):
 
 
 def write_gens_json(genset, path):
+    """Dump the set's document to path and return it."""
     model = genset.model
     data = {
         "schema": "altgen-gens-1",
@@ -138,12 +139,13 @@ def write_gens_json(genset, path):
     for label, axis, provenance in genset.describe():
         data["generators"].append({"label": label, "axis": axis,
                                    "provenance": provenance, "kind": kind})
-    involutions = genset.el3_involutions()
-    if involutions is not None:
+    if genset.materializable:
         # each involution is built, converted and dropped in turn
-        data["involution_set"] = [_el3_to_json(el) for el in involutions]
+        data["involution_set"] = [_el3_to_json(el) for el in
+                                  el3_involutions(model.s, model.lines_per_axis)]
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
+    return data
 
 
 # -- small desk bases ---------------------------------------------------------------
@@ -174,8 +176,14 @@ def cmd_construct(args, report):
         even = genset.all_even()
         report.check("all-even", "product-group elements act evenly", even, ok=even)
     if args.out:
-        write_gens_json(genset, args.out)
-        report.check("gens-json", "serialized generating set", args.out, ok=True)
+        data = write_gens_json(genset, args.out)
+        try:
+            # the file must read back as the document written
+            with open(args.out) as fh:
+                ok = json.load(fh) == data
+        except ValueError:
+            ok = False
+        report.check("gens-json", "serialized generating set", args.out, ok=ok)
 
 
 def cmd_construct_general(args, report):
@@ -192,7 +200,7 @@ def cmd_construct_general(args, report):
         perms = build_sym(n, perms)
         # the appended generator is the transposition of points 0 and 1
         report.check("odd-extension", "one odd generator extends to the full group",
-                     "t01", ok=True)
+                     "t01", ok=perms[-1].parity == 1)
     order = group_order(perms, seed=args.seed)
     expect = math.factorial(n) if args.sym else math.factorial(n) // 2
     # str() of an int refuses more than 4300 digits; Decimal has no limit
@@ -205,9 +213,12 @@ def cmd_schreier(args, report):
     from .graphs import schreier_graph, write_edge_list
     genset = build_SN(args.s, args.d)
     graph = schreier_graph(genset)
-    report.check("vertices", "action graph on the cube points", graph.n, ok=True)
+    report.check("vertices", "action graph on the cube points", graph.n)
+    row_sums = np.zeros(graph.n)
+    for src, _, count in graph.edge_counts():
+        row_sums += np.bincount(src, weights=count, minlength=graph.n)
     report.check("degree", "generator applications counted with multiplicity",
-                 graph.degree, ok=True)
+                 graph.degree, ok=bool((row_sums == graph.degree).all()))
     conn = graph.is_connected()
     report.check("connected", "the involution set generates a transitive group",
                  conn, ok=conn)
@@ -364,7 +375,7 @@ def cmd_verify(args, report):
     if "characters" in suites:
         from . import characters as ch
         bad = []
-        for n in range(8, min(args.n or 10, 14) + 1):
+        for n in range(8, (args.n or 10) + 1):
             for L in range(6, n + 1):
                 bad.extend(ch.roichman_violations(n, L))
         report.check("characters.bound", "no violations of the cycle-class "
@@ -571,6 +582,9 @@ def _check_args(parser, args):
     if args.command == "verify" and args.n is not None and args.n < 8:
         # the character suite checks n from 8 up to --n
         parser.error(f"verify --n must be at least 8, got {args.n}")
+    if args.command == "verify" and args.n is not None and args.n > 14:
+        # the character suite runs at desk scale, up to n = 14
+        parser.error(f"verify --n must be at most 14, got {args.n}")
     if args.command == "characters" and args.l is not None and not 6 <= args.l <= args.n:
         # the cycle-class bound is stated for cycle lengths 6 to n
         parser.error(f"characters --l must lie in [6, --n = {args.n}], got {args.l}")

@@ -13,7 +13,7 @@ from .errors import require
 from .geometry import CubeGeometry
 from .gf2 import SideFieldAction
 from .perms import Permutation, cycle_labels
-from .ring import el3_generating_set_size, el3_involutions
+from .ring import el3_involutions, involution_labels
 from . import blocks as _blocks
 
 # the benchmark (perfbench/) still builds the cube under its old name
@@ -101,8 +101,7 @@ class GeneratingSet:
     no actions.
     """
 
-    def __init__(self, model, labels, notes, actions=None, regime="desk", name="",
-                 from_el3=False):
+    def __init__(self, model, labels, actions=None):
         if len(set(labels)) != len(labels):
             raise ValueError("generator labels must be unique")
         if actions is not None:
@@ -114,28 +113,17 @@ class GeneratingSet:
                 tables.setflags(write=False)
         self.model = model
         self._labels = list(labels)
-        self._notes = list(notes)
         self.actions = actions
-        self.regime = regime
-        self.name = name
-        self._from_el3 = from_el3
-
-    def el3_involutions(self):
-        """The EL3 involutions a build_SN set pulls through its axes, one at
-        a time, else None.
-
-        Built again on each call rather than kept: one dense (m, 3s) array
-        each, 43 MB in all at s = 1, d = 6.
-        """
-        if not self._from_el3:
-            return None
-        return el3_involutions(self.model.s, self.model.lines_per_axis)
+        # the explicit bounds hold for s > 6 at d = 6
+        self.regime = "certified-shape" if (model.s > 6 and model.d == 6) else "desk"
+        self.name = f"S_N(s={model.s},d={model.d})"
 
     @property
     def el3_elements(self):
-        """The list form of `el3_involutions`, else None."""
-        involutions = self.el3_involutions()
-        return None if involutions is None else list(involutions)
+        """The EL3 involutions a materializable set pulls through its axes, else None."""
+        if not self.materializable:
+            return None
+        return list(el3_involutions(self.model.s, self.model.lines_per_axis))
 
     def __len__(self):
         return self.model.d * len(self._labels)
@@ -143,8 +131,8 @@ class GeneratingSet:
     def describe(self):
         """(label, axis, provenance) of every generator, in generator order."""
         for axis in range(1, self.model.d + 1):
-            for label, note in zip(self._labels, self._notes):
-                yield f"pi{axis}.{label}", axis, f"axis {axis}, {note}"
+            for label in self._labels:
+                yield f"pi{axis}.{label}", axis, f"axis {axis}, involution {label}"
 
     @property
     def materializable(self):
@@ -180,9 +168,6 @@ def _action_parity(vid, tables):
     return int(counts @ variant_par) % 2
 
 
-_POSITION_NAMES = ["12", "13", "21", "23", "31", "32"]
-
-
 def build_SN(s, d=6):
     """The union over all d axis embeddings of the involution generating set.
 
@@ -190,34 +175,16 @@ def build_SN(s, d=6):
     set is shape-only (labels and counts, no permutations).
     """
     model = CubeGeometry(s, d)
-    regime = "certified-shape" if (s > 6 and d == 6) else "desk"
-    name = f"S_N(s={s},d={d})"
     m = model.lines_per_axis
-
+    labels = involution_labels(s, m)
     if not model.materializable:
-        size = el3_generating_set_size(s, d)
-        return GeneratingSet(model, [f"g{k}" for k in range(size)],
-                             [f"involution {k}" for k in range(size)],
-                             regime=regime, name=name)
-
-    names = _involution_labels(s, m)
+        return GeneratingSet(model, labels)
     # an involution acts on the lines of every axis alike, so its line
     # actions are computed once; the involutions are built one at a time
     # and dropped once their actions are known
     action = SideFieldAction(s)
-    actions = [el3_line_actions(model, el, action) for el in el3_involutions(s, m)]
-    return GeneratingSet(model, names, [f"involution {n}" for n in names], actions,
-                         regime=regime, name=name, from_el3=True)
-
-
-def _involution_labels(s, m):
-    from .ring import tuple_length
-    t = tuple_length(s, m)
-    names = [f"e{p}" for p in _POSITION_NAMES]
-    ring_names = ["a", "b"] + [f"g{i}" for i in range(t)]
-    for rn in ring_names:
-        names.extend(f"{rn}.e{p}" for p in _POSITION_NAMES)
-    return names
+    return GeneratingSet(model, labels,
+                         [el3_line_actions(model, el, action) for el in el3_involutions(s, m)])
 
 
 def build_Fn(n, base_perms, m):

@@ -288,41 +288,29 @@ def cayley_graph(gens):
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    n_pts = gens[0].n
-    step = []
-    for g in gens:
-        step.append(g)
-        inv = g.inverse()
-        step.append(inv)
-
-    ident = Permutation.identity(n_pts)
+    step = [p for g in gens for p in (g, g.inverse())]
+    ident = Permutation.identity(gens[0].n)
     index = {ident.table.tobytes(): 0}
     elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for s in step:
-                f = e * s
-                key = f.table.tobytes()
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(f)
-                    nxt.append(f)
-                    if len(elements) > CAYLEY_LIMIT:
-                        raise ValueError(
-                            f"group closure exceeded the limit {CAYLEY_LIMIT} "
-                            f"(reached {len(elements)} elements)")
-        frontier = nxt
+    right = [[] for _ in step]   # right[k][i]: the vertex of element i times step k
+    # the list grows while it is read, so elements are expanded breadth
+    # first, in vertex order
+    for e in elements:
+        for k, s in enumerate(step):
+            f = e * s
+            key = f.table.tobytes()
+            if key not in index:
+                index[key] = len(elements)
+                elements.append(f)
+                if len(elements) > CAYLEY_LIMIT:
+                    raise ValueError(
+                        f"group closure exceeded the limit {CAYLEY_LIMIT} "
+                        f"(reached {len(elements)} elements)")
+            right[k].append(index[key])
 
-    n = len(elements)
-    vertex_perms = []
-    for g in gens:
-        table = np.empty(n, dtype=np.int64)
-        for i, e in enumerate(elements):
-            table[i] = index[(e * g).table.tobytes()]
-        vertex_perms.append(Permutation(table, _validate=False))
-    graph = ActionGraph(vertex_perms)
+    # the even steps are the generators themselves
+    graph = ActionGraph([Permutation(np.array(r, dtype=np.int64), _validate=False)
+                         for r in right[::2]])
     graph.elements = elements
     return graph
 

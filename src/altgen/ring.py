@@ -151,6 +151,18 @@ def ring_generators(s, m):
 _POSITIONS = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 
+def involution_labels(s, m):
+    """The label of each element of `el3_involutions(s, m)`, in its order.
+
+    `eij` is the plain elementary matrix at position (i, j), counted from 1,
+    and `x.eij` the one with ring generator x = a, b, g0, ..., g(t-1) there.
+    No matrix is built, so shape-only sets are labeled too.
+    """
+    ring_names = ["a", "b"] + [f"g{k}" for k in range(tuple_length(s, m))]
+    return [f"{prefix}e{i + 1}{j + 1}" for prefix in [""] + [f"{x}." for x in ring_names]
+            for i, j in _POSITIONS]
+
+
 def el3_involutions(s, m):
     """The involution generating set of EL3(R), one element at a time.
 
@@ -158,17 +170,9 @@ def el3_involutions(s, m):
     pair, 18 + 6t in all; every element squares to the identity in
     characteristic 2.
     """
-    one = MatGF2.identity(s)
-    for i, j in _POSITIONS:
-        yield EL3Element.elementary(s, m, i, j, one)
-    for gen in ring_generators(s, m):
+    for coeff in [MatGF2.identity(s)] + ring_generators(s, m):
         for i, j in _POSITIONS:
-            yield EL3Element.elementary(s, m, i, j, gen)
-
-
-def el3_generating_set(s, m):
-    """The involution generating set of EL3(R) as a list: 18 + 6t elements."""
-    return list(el3_involutions(s, m))
+            yield EL3Element.elementary(s, m, i, j, coeff)
 
 
 def el3_generating_set_size(s, d):
@@ -371,7 +375,7 @@ def random_el3(s, m, rng, length=32, count=1):
     leaves rng in the state, of count*length scalar draws in turn: element e
     is what the e-th of count successive calls with count=1 returns.
     """
-    gens = el3_generating_set(s, m)
+    gens = list(el3_involutions(s, m))
     acc = EL3Element.identity(s, m * count)
     for picks in rng.integers(len(gens), size=(count, length)).T:
         acc = acc * EL3Element._wrap(3 * s, np.concatenate([gens[k].rows for k in picks]))

@@ -254,10 +254,7 @@ def group_order(gens, seed=0):
         if g.n != n:
             raise ValueError("generators act on different point counts")
     if n > ORDER_LIMIT:
-        raise ValueError(
-            f"point count {n} exceeds the group-order limit {ORDER_LIMIT}; "
-            "raise the limit explicitly if this size is intended"
-        )
+        raise ValueError(f"point count {n} exceeds the group-order limit {ORDER_LIMIT}")
 
     odd = any(g.parity for g in gens)
     ceiling = math.factorial(n) // (1 if odd else 2)

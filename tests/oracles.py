@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from altgen.embeddings import ShiftVector
-from altgen.perms import cycle_labels
+from altgen.perms import Permutation, cycle_labels
 from altgen.words import face_points
 from altgen.schreier_sims import StabilizerChain, _product_replacement, _to_bytes
 
@@ -265,3 +265,26 @@ def linewise_tosquare_word(model, points):
     shifts1 = np.zeros(model.lines_per_axis, dtype=np.int64)
     shifts1[lid1] = (K - x1) % K
     return ShiftVector(model, 2, shifts2), ShiftVector(model, 1, shifts1)
+
+
+def reference_cayley_tables(gens):
+    """The Cayley graph's elements and each generator's vertex table, in two
+    passes: breadth-first closure under the generators and their inverses,
+    then every element times every generator again."""
+    step = [p for g in gens for p in (g, g.inverse())]
+    ident = Permutation.identity(gens[0].n)
+    index = {ident.table.tobytes(): 0}
+    elements = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for s in step:
+                f = e * s
+                if f.table.tobytes() not in index:
+                    index[f.table.tobytes()] = len(elements)
+                    elements.append(f)
+                    nxt.append(f)
+        frontier = nxt
+    tables = [np.array([index[(e * g).table.tobytes()] for e in elements]) for g in gens]
+    return elements, tables

@@ -9,6 +9,7 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import altgen
@@ -122,6 +123,38 @@ def test_gens_json_bytes_are_pinned(tmp_path, capsys):
         "0b4184e7f1395e9c2165e57abf9a6e1d68f0b59a11087de87fd5aa59760f0205")
 
 
+def test_shape_only_gens_json_bytes_are_pinned(tmp_path, capsys):
+    # labels and provenance, no involution set
+    gens = tmp_path / "gens.json"
+    assert main(["construct", "--s", "7", "--out", str(gens)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(gens.read_bytes()).hexdigest() == (
+        "a8c50b309aeeba0985037805c96383e3e2a1efc31fc4ab831dd7b7ea2bca9fdc")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text[:-40],
+    lambda text: text.replace('"pi1.e12"', '"pi1.e21"', 1),
+], ids=["truncated", "relabeled"])
+def test_gens_json_must_read_back_as_written(corrupt, tmp_path, monkeypatch, capsys):
+    from altgen import cli
+    write = cli.write_gens_json
+
+    def corrupted(genset, path):
+        data = write(genset, path)
+        Path(path).write_text(corrupt(Path(path).read_text()))
+        return data
+
+    monkeypatch.setattr(cli, "write_gens_json", corrupted)
+    gens = tmp_path / "gens.json"
+    code, report = run_cli(["construct", "--s", "1", "--d", "2", "--out", str(gens)],
+                           tmp_path, "corrupted")
+    capsys.readouterr()
+    assert code == 1
+    failed = [r for r in report["records"] if r["verdict"] == "fail"]
+    assert [(r["name"], r["computed"]) for r in failed] == [("gens-json", str(gens))]
+
+
 def test_construct_certified_shape(tmp_path, capsys):
     code, report = run_cli(["construct", "--s", "7"], tmp_path, "c7")
     capsys.readouterr()
@@ -149,6 +182,34 @@ def test_construct_general_below_eight_points(sym, order, tmp_path, capsys):
     assert code == 0
     rec = {r["name"]: r for r in report["records"]}["generated-order"]
     assert (rec["computed"], rec["verdict"]) == (str(order), "pass")
+
+
+def test_an_even_appended_generator_fails_odd_extension(tmp_path, monkeypatch, capsys):
+    from altgen import cli
+    monkeypatch.setattr(cli, "build_sym", lambda n, perms: list(perms) + [perms[0]])
+    code, report = run_cli(["construct-general", "--n", "7", "--base-m", "5", "--sym"],
+                           tmp_path, "even")
+    capsys.readouterr()
+    recs = {r["name"]: r for r in report["records"]}
+    assert code == 1 and recs["odd-extension"]["verdict"] == "fail"
+
+
+def test_schreier_degree_is_read_from_the_rows(tmp_path, monkeypatch, capsys):
+    code, report = run_cli(["schreier", "--s", "1", "--d", "2"], tmp_path, "clean")
+    recs = {r["name"]: r for r in report["records"]}
+    assert code == 0 and recs["degree"]["verdict"] == "pass"
+    assert recs["vertices"]["verdict"] == "reported-only"
+    edge_counts = graphs.SparseGraph.edge_counts
+
+    def one_arc_more(graph):
+        for k, (src, dst, count) in enumerate(edge_counts(graph)):
+            yield src, dst, count + (np.arange(len(count)) == 0) * (k == 0)
+
+    monkeypatch.setattr(graphs.SparseGraph, "edge_counts", one_arc_more)
+    code, report = run_cli(["schreier", "--s", "1", "--d", "2"], tmp_path, "extra")
+    capsys.readouterr()
+    failed = [r["name"] for r in report["records"] if r["verdict"] == "fail"]
+    assert code == 1 and failed == ["degree"]
 
 
 def test_report_determinism(tmp_path, capsys):
@@ -258,7 +319,8 @@ def test_verify_counts_below_one_are_usage_errors(command, value, capsys):
     ("--d", "0", "must be at least 1"),
     ("--h", "0", "must be at least 1"),
     ("--n", "5", "--n must be at least 8"),
-], ids=["s", "d", "h", "n"])
+    ("--n", "15", "--n must be at most 14"),
+], ids=["s", "d", "h", "n", "n-high"])
 def test_verify_cube_options_out_of_range_are_usage_errors(option, value, message, capsys):
     # each used to fall back to a default, or to check nothing, while the
     # report echoed the value given

@@ -7,7 +7,7 @@ from altgen.embeddings import (GeneratingSet, ShiftVector, build_Fn, build_sym, 
                                el3_line_actions)
 from altgen.geometry import CubeGeometry
 from altgen.gf2 import SideFieldAction, primitive_order_K_element
-from altgen.ring import EL3Element, el3_generating_set, random_el3
+from altgen.ring import EL3Element, el3_involutions, random_el3
 from altgen.schreier_sims import group_order
 from line_tables import line_and_coord, line_table
 
@@ -132,7 +132,7 @@ def test_line_actions_match_every_copy(s, d):
     m = model.lines_per_axis
     action = SideFieldAction(s)
     rng = np.random.default_rng(11)
-    for el in [random_el3(s, m, rng)] + el3_generating_set(s, m)[:6]:
+    for el in [random_el3(s, m, rng)] + list(el3_involutions(s, m))[:6]:
         vid, tables = el3_line_actions(model, el, action)
         assert vid.shape == (m,) and set(vid.tolist()) == set(range(len(tables)))
         for j in range(m):
@@ -191,7 +191,7 @@ def test_lines_parity_matches_the_materialized_generator():
         actions.append((vid, tables))
     parities = []
     for k, action in enumerate(actions):
-        gs = GeneratingSet(model, [f"g{k}"], [f"g{k}"], [action])
+        gs = GeneratingSet(model, [f"g{k}"], [action])
         # the action has one parity on every axis
         materialized = {gs.materialize(i).parity for i in range(len(gs))}
         assert materialized == {0 if gs.all_even() else 1}
@@ -211,7 +211,7 @@ def test_all_even_reads_each_shared_stack_once(monkeypatch):
     odd = (np.r_[1, np.zeros(m - 1, dtype=np.int64)], np.array([ident, swap]))
     for actions, expect in ((even, True), (even + [odd], False)):
         labels = [f"g{k}" for k in range(len(actions))]
-        gs = GeneratingSet(model, labels, labels, actions)
+        gs = GeneratingSet(model, labels, actions)
         assert gs.all_even() == all(gs.materialize(i).parity == 0 for i in range(len(gs)))
         assert gs.all_even() is expect
 
@@ -230,7 +230,7 @@ def test_all_even_reads_each_shared_stack_once(monkeypatch):
 
 def test_line_action_ids_take_the_narrowest_dtype():
     model = CubeGeometry(1, 3)
-    vid, tables = el3_line_actions(model, el3_generating_set(1, model.lines_per_axis)[6],
+    vid, tables = el3_line_actions(model, list(el3_involutions(1, model.lines_per_axis))[6],
                                    SideFieldAction(1))
     assert vid.dtype == np.uint8 and len(tables) <= 256
 
@@ -238,7 +238,6 @@ def test_line_action_ids_take_the_narrowest_dtype():
 def test_build_sn_builds_one_involution_at_a_time(monkeypatch):
     import weakref
     import altgen.embeddings as emb
-    from altgen.ring import el3_involutions
     # build_SN holds the previous involution while the next one is built,
     # and no other
     refs = []

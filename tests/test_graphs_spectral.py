@@ -18,7 +18,8 @@ from altgen.perms import Permutation
 from altgen.spectral import (_power_second_eigenpair, cheeger_sweep, gap_upper_bound,
                              kazhdan_upper, spectral_gap)
 from line_tables import line_and_coord, line_table
-from oracles import exact_conductance, lanczos_ten_pairs, reference_edge_list_text
+from oracles import (exact_conductance, lanczos_ten_pairs, reference_cayley_tables,
+                     reference_edge_list_text)
 
 
 def held_operator(g):
@@ -96,8 +97,7 @@ def test_is_connected_agrees_with_one_csr():
     # an axis-block stand-in whose line actions are all the identity
     model = CubeGeometry(1, 2)
     m, K = model.lines_per_axis, model.K
-    still = GeneratingSet(model, ["e"], ["e"], [(np.zeros(m, dtype=np.int64),
-                                                 np.arange(K)[None])])
+    still = GeneratingSet(model, ["e"], [(np.zeros(m, dtype=np.int64), np.arange(K)[None])])
     assert not AxisBlockGraph(still).is_connected()
     assert not one_csr_connected(model.N, [still.materialize(i) for i in range(len(still))])
 
@@ -286,6 +286,22 @@ def test_cayley_graph_sizes():
     assert alt5.n == 60 and alt5.is_connected()
     from altgen.schreier_sims import group_order
     assert alt5.n == group_order([a, b])
+
+
+@pytest.mark.parametrize("n, cycles", [
+    (5, [(0, 1, 2), (0, 1, 2, 3, 4)]),
+    (4, [(0, 1), (0, 1, 2, 3)]),
+    (5, [(0, 1, 2, 3, 4)]),
+    (6, [(0, 1), (0, 1, 2, 3, 4, 5)]),
+], ids=["alt5", "sym4", "z5", "sym6"])
+def test_cayley_graph_matches_the_two_pass_reference(n, cycles):
+    gens = [Permutation.from_cycles(n, [c]) for c in cycles]
+    graph = cayley_graph(gens)
+    elements, tables = reference_cayley_tables(gens)
+    assert [e.table.tobytes() for e in graph.elements] == [e.table.tobytes() for e in elements]
+    assert len(graph.perms) == len(tables)
+    for perm, table in zip(graph.perms, tables):
+        assert perm.table.dtype == np.int64 and np.array_equal(perm.table, table)
 
 
 def test_cayley_limit(monkeypatch):
@@ -609,7 +625,7 @@ def test_oversized_axis_blocks_are_refused_before_allocating():
     # shape-only set: its counts and a CSR with every (axis, line, row,
     # column) entry would need about 3.3 GB
     labels = [f"g{k}" for k in range(24)]
-    shape_only = GeneratingSet(CubeGeometry(3, 2), labels, labels)
+    shape_only = GeneratingSet(CubeGeometry(3, 2), labels)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"about 3335\d{6} bytes, over the "
@@ -623,7 +639,7 @@ def test_oversized_axis_blocks_are_refused_before_allocating():
     # budget, so a shape-only set gets as far as needing line actions
     labels = [f"g{k}" for k in range(108)]
     with pytest.raises(ValueError, match="needs line actions"):
-        AxisBlockGraph(GeneratingSet(CubeGeometry(2, 3), labels, labels))
+        AxisBlockGraph(GeneratingSet(CubeGeometry(2, 3), labels))
 
 
 # -- axis blocks on cube views, against the line-point tables ------------------

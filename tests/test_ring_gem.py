@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from altgen import ring
 from altgen.errors import VerificationError
 from altgen.gf2 import MatGF2
 from altgen.ring import (EL3Element, GemWord, commutator_pair,
-                         el3_generating_set, el3_generating_set_size,
-                         gem_factor, random_el3, ring_generators, tuple_length,
+                         el3_generating_set_size, el3_involutions,
+                         gem_factor, involution_labels, random_el3,
+                         ring_generators, tuple_length,
                          _combine_invertible, _commutator_table, _gl_elements,
                          _per_copy)
 
@@ -97,15 +100,30 @@ def test_ring_generator_words_span_the_matrix_algebra():
 
 
 def test_generating_set_sizes():
-    assert el3_generating_set_size(1, 6) == 108
-    assert el3_generating_set_size(7, 6) == 36
-    assert len(el3_generating_set(1, 2)) == 24
-    assert len(el3_generating_set(2, 1)) == 18
+    assert el3_generating_set_size(1, 6) == 108 == len(involution_labels(1, 7**5))
+    assert el3_generating_set_size(7, 6) == 36 == len(involution_labels(7, (2**21 - 1)**5))
+    assert len(list(el3_involutions(1, 2))) == 24
+    assert len(list(el3_involutions(2, 1))) == 18
+
+
+@pytest.mark.parametrize("s, m", [(1, 1), (1, 2), (2, 3), (1, 7**5)])
+def test_every_label_names_its_involution(s, m):
+    # eij is the plain elementary matrix at (i, j), x.eij the one with ring
+    # generator x there
+    gens = ring_generators(s, m)
+    coeffs = {"": MatGF2.identity(s), "a.": gens[0], "b.": gens[1],
+              **{f"g{k}.": gen for k, gen in enumerate(gens[2:])}}
+    labels = involution_labels(s, m)
+    involutions = list(el3_involutions(s, m))
+    assert len(labels) == len(involutions) == 18 + 6 * tuple_length(s, m)
+    for label, el in zip(labels, involutions):
+        prefix, i, j = re.fullmatch(r"((?:a|b|g\d+)\.)?e(\d)(\d)", label).groups()
+        assert el == EL3Element.elementary(s, m, int(i) - 1, int(j) - 1, coeffs[prefix or ""])
 
 
 def test_generating_set_involutions():
     for s, m in [(1, 1), (1, 3), (2, 2)]:
-        for x in el3_generating_set(s, m):
+        for x in el3_involutions(s, m):
             assert (x * x).is_identity()
             assert x.is_gem()
 
